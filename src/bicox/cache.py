@@ -11,13 +11,15 @@ so a round trip is bit-identical.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .coxeter import CoxeterMatrix, GroupTable, classify
-from .errors import CacheError
+from .errors import CacheError, NotFiniteError
 
 MAGIC = b"BICOXGT\x00"
 VERSION = 1
@@ -73,15 +75,6 @@ def deserialize(blob: bytes) -> GroupTable:
         offset += size
         return values
 
-    (version,) = take("<I")
-    if version != VERSION:
-        raise CacheError(f"unsupported cache version {version}")
-    (name_len,) = take("<H")
-    offset += name_len  # the name is display metadata; the matrix is authoritative
-    n, order = take("<IQ")
-    rows = [take(f"<{n}I") for _ in range(n)]
-    longest, len_width = take("<IB")
-
     def array(dtype, count, shape=None):
         nonlocal offset
         arr = np.frombuffer(
@@ -90,16 +83,27 @@ def deserialize(blob: bytes) -> GroupTable:
         offset += arr.nbytes
         return arr if shape is None else arr.reshape(shape)
 
-    length = array("<u1" if len_width == 1 else "<u4", order).astype(np.int16)
-    left = array("<u4", order * n, (order, n)).astype(np.int32)
-    right = array("<u4", order * n, (order, n)).astype(np.int32)
-    inverse = array("<u4", order).astype(np.int32)
-    mask_dtype = _mask_dtype(n)
-    des_left = array(mask_dtype, order).astype(np.uint16)
-    des_right = array(mask_dtype, order).astype(np.uint16)
-    if offset != len(body):
-        raise CacheError("cache file has trailing or missing data")
-    system = classify(CoxeterMatrix(rows))
+    try:
+        (version,) = take("<I")
+        if version != VERSION:
+            raise CacheError(f"unsupported cache version {version}")
+        (name_len,) = take("<H")
+        offset += name_len  # the name is display metadata; the matrix is authoritative
+        n, order = take("<IQ")
+        rows = [take(f"<{n}I") for _ in range(n)]
+        longest, len_width = take("<IB")
+        length = array("<u1" if len_width == 1 else "<u4", order).astype(np.int16)
+        left = array("<u4", order * n, (order, n)).astype(np.int32)
+        right = array("<u4", order * n, (order, n)).astype(np.int32)
+        inverse = array("<u4", order).astype(np.int32)
+        mask_dtype = _mask_dtype(n)
+        des_left = array(mask_dtype, order).astype(np.uint16)
+        des_right = array(mask_dtype, order).astype(np.uint16)
+        if offset != len(body):
+            raise CacheError("cache file has trailing or missing data")
+        system = classify(CoxeterMatrix(rows))
+    except (struct.error, ValueError, OverflowError, NotFiniteError) as err:
+        raise CacheError(f"malformed cache file: {err}") from err
     if system.order != order:
         raise CacheError("cached order disagrees with the stored matrix")
     return GroupTable(
@@ -122,7 +126,18 @@ def cache_path(cache_dir: str | Path, canonical_name: str) -> Path:
 def save_table(table: GroupTable, cache_dir: str | Path) -> Path:
     path = cache_path(cache_dir, table.system.canonical_name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(serialize(table))
+    # Write a sibling temporary file and rename it over the target, so a
+    # crash or a concurrent writer never leaves a truncated cache file.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(serialize(table))
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

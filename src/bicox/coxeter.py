@@ -14,13 +14,14 @@ multiplication by each generator, the inverse, and both descent sets as
 bitmasks over the generator indices.  All downstream code works from this
 table alone and never sees the representation used during the search.
 
-During the search an element w is identified by the tuple of images of the
-simple roots under w, computed in an exact model of the reflection
-representation: integer root coordinates for the crystallographic types,
-coordinates over Z[phi] (phi the golden ratio) for H3 and H4, and a signed
-rotation model of the 2m-gon for the remaining dihedral groups.  Left
-multiplication by a generator then only permutes root indices, which keeps
-the search loop cheap.
+During the search W acts by permutation on its roots, one table
+``sigma[s][root]`` over the disjoint union of the components' roots: a
+rank-2 component with bond m permutes the 2m roots of the regular 2m-gon,
+and every other component is closed exactly over Z[phi] (phi the golden
+ratio) from its Cartan matrix.  An element w is identified by the tuple of
+root indices of the images of the simple roots under w, so left
+multiplication by a generator only looks up root indices, which keeps the
+search loop cheap.
 """
 
 from __future__ import annotations
@@ -72,9 +73,8 @@ class TypeLabel:
         raise ValueError(f"unknown family {self.family!r}")
 
     @property
-    def root_count(self) -> int | None:
-        """Number of roots of the exact root model, or None for the
-        dihedral rotation model."""
+    def root_count(self) -> int:
+        """Number of roots of this irreducible type."""
         if self.family == "A":
             return self.rank * (self.rank + 1)
         if self.family == "B":
@@ -88,7 +88,7 @@ class TypeLabel:
         if self.family == "H":
             return 30 if self.rank == 3 else 120
         if self.family == "I2":
-            return 12 if self.bond == 6 else None
+            return 2 * self.bond
         raise ValueError(f"unknown family {self.family!r}")
 
 
@@ -408,155 +408,85 @@ def classify_spec(spec: str) -> CoxeterSystem:
 
 
 # ---------------------------------------------------------------------------
-# Exact reflection actions used during enumeration
+# The root-permutation action used during enumeration
+
+# Cartan entries -2cos(pi/m) as a + b*phi, as (entry on the lower diagram
+# index, entry on the higher); bond 4 puts its short root on the lower index.
+_CARTAN = {
+    2: ((0, 0), (0, 0)),
+    3: ((-1, 0), (-1, 0)),
+    4: ((-2, 0), (-1, 0)),
+    5: ((0, -1), (0, -1)),
+}
 
 
-def _integer_root_action(cartan: list[list[int]]):
-    """Root permutations for an integer generalized Cartan matrix."""
-    n = len(cartan)
+def _root_permutations(system: CoxeterSystem):
+    """W's permutation action on the disjoint union of its components' roots.
 
-    def reflect(i, vec):
-        delta = sum(cartan[i][j] * vec[j] for j in range(n))
-        out = list(vec)
-        out[i] -= delta
-        return tuple(out)
-
-    return _close_roots(n, reflect)
-
-
-_GOLDEN = {2: (0, 0), 3: (-1, 0), 5: (0, -1)}  # -2cos(pi/m) as a + b*phi
-
-
-def _golden_root_action(bonds: list[list[int]]):
-    """Root permutations over Z[phi] for diagrams with bonds in {2,3,5}."""
-    n = len(bonds)
-    form = [
-        [(2, 0) if i == j else _GOLDEN[bonds[i][j]] for j in range(n)]
-        for i in range(n)
-    ]
-
-    def reflect(i, vec):
-        da, db = 0, 0
-        for j in range(n):
-            ka, kb = form[i][j]
-            va, vb = vec[j]
-            da += ka * va + kb * vb
-            db += ka * vb + kb * va + kb * vb  # phi^2 = phi + 1
-        out = list(vec)
-        out[i] = (vec[i][0] - da, vec[i][1] - db)
-        return tuple(out)
-
-    zero, one = (0, 0), (1, 0)
-    simple = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
-    return _close_roots(n, reflect, simple)
-
-
-def _close_roots(n, reflect, simple=None):
-    if simple is None:
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    index = {}
-    roots = []
-    for vec in simple:
-        index[vec] = len(roots)
-        roots.append(vec)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for vec in frontier:
-            for i in range(n):
-                img = reflect(i, vec)
-                if img not in index:
-                    index[img] = len(roots)
-                    roots.append(img)
-                    new.append(img)
-        frontier = new
-    sigma = [[index[reflect(i, vec)] for vec in roots] for i in range(n)]
-    identity = tuple(index[vec] for vec in simple)
-    return identity, sigma, len(roots)
-
-
-def _cartan_from_bonds(bonds: list[list[int]]) -> list[list[int]]:
-    """An integer Cartan matrix realizing the given crystallographic bonds.
-
-    For asymmetric bonds (4 and 6) the shorter-root side is put on the lower
-    index; the two orientations give dual root systems with the same group.
+    Returns ``(identity, sigma)``: ``identity[s]`` is the index of the simple
+    root of generator s, and ``sigma[s][r]`` is the index of s applied to
+    root r.  A rank-2 component with bond m acts on the 2m roots of the
+    regular 2m-gon; any other component is closed over Z[phi] from its
+    Cartan matrix.  Raises :class:`InternalCheckError` when a component's
+    root count disagrees with its type.
     """
-    pair = {2: 0, 3: -1, 4: -2, 6: -3}
-    n = len(bonds)
-    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or bonds[i][j] == 2:
-                continue
-            cartan[i][j] = pair[bonds[i][j]] if i < j else -1
-    return cartan
-
-
-class _DihedralAction:
-    """Left action of I2(m) on the 2m-gon: elements x -> sign*x + c."""
-
-    def __init__(self, bond: int):
-        self.two_m = 2 * bond
-        self.identity = (1, 0)
-        self.gens = [(-1, 0), (-1, 2 % self.two_m)]
-
-    def apply(self, s, key):
-        sign, offset = self.gens[s]
-        return (sign * key[0], (sign * key[1] + offset) % self.two_m)
-
-
-class _RootAction:
-    def __init__(self, identity, sigma):
-        self.identity = identity
-        self.sigma = sigma
-
-    def apply(self, s, key):
-        sig = self.sigma[s]
-        return tuple(sig[x] for x in key)
-
-
-class _ProductAction:
-    """Componentwise action; keys are tuples of per-component keys."""
-
-    def __init__(self, actions, slot_of_gen):
-        self.actions = actions
-        self.slot_of_gen = slot_of_gen
-        self.identity = tuple(a.identity for a in actions)
-
-    def apply(self, s, key):
-        slot, local = self.slot_of_gen[s]
-        sub = self.actions[slot].apply(local, key[slot])
-        return key[:slot] + (sub,) + key[slot + 1 :]
-
-
-def _component_action(label: TypeLabel, bonds: list[list[int]]):
-    if label.family == "H":
-        identity, sigma, count = _golden_root_action(bonds)
-    elif label.family == "I2" and label.bond != 6:
-        return _DihedralAction(label.bond)
-    else:
-        identity, sigma, count = _integer_root_action(_cartan_from_bonds(bonds))
-    expected = label.root_count
-    if expected is not None and count != expected:
-        raise InternalCheckError(
-            f"{label}: root closure produced {count} roots, expected {expected}"
-        )
-    return _RootAction(identity, sigma)
-
-
-def _make_action(system: CoxeterSystem):
     m = system.matrix.entries
-    actions = []
-    slot_of_gen: dict[int, tuple[int, int]] = {}
-    for slot, comp in enumerate(system.components):
+    n = system.rank
+    identity = [0] * n
+    sigma: list[list[int]] = [[] for _ in range(n)]
+    offset = 0
+    for comp in system.components:
         verts = comp.vertices
-        bonds = [[m[u][v] for v in verts] for u in verts]
-        actions.append(_component_action(comp.label, bonds))
-        for local, v in enumerate(verts):
-            slot_of_gen[v] = (slot, local)
-    if len(actions) == 1:
-        return actions[0]
-    return _ProductAction(actions, slot_of_gen)
+        k = len(verts)
+        if k == 2:
+            # Root j sits at angle j*pi/m, the simple roots are 0 and m-1,
+            # and the reflection in root a sends j to 2a + m - j.
+            bond = m[verts[0]][verts[1]]
+            count = 2 * bond
+            simple = [0, bond - 1]
+            local = [[(2 * a + bond - j) % count for j in range(count)] for a in simple]
+        else:
+            # A vector is a flat tuple (a_0, b_0, a_1, b_1, ...) of
+            # coordinates a_i + b_i*phi in the simple roots; phi^2 = phi + 1.
+            form = [
+                [(2, 0) if i == j else _CARTAN[m[verts[i]][verts[j]]][i > j] for j in range(k)]
+                for i in range(k)
+            ]
+
+            def reflect(i, vec):
+                da = db = 0
+                for j, (ka, kb) in enumerate(form[i]):
+                    va, vb = vec[2 * j], vec[2 * j + 1]
+                    da += ka * va + kb * vb
+                    db += ka * vb + kb * va + kb * vb
+                out = list(vec)
+                out[2 * i] -= da
+                out[2 * i + 1] -= db
+                return tuple(out)
+
+            roots = [tuple(int(x == 2 * i) for x in range(2 * k)) for i in range(k)]
+            index = {vec: r for r, vec in enumerate(roots)}
+            for vec in roots:  # grows while iterating: a breadth-first closure
+                for i in range(k):
+                    img = reflect(i, vec)
+                    if img not in index:
+                        index[img] = len(roots)
+                        roots.append(img)
+            count = len(roots)
+            simple = list(range(k))
+            local = [[index[reflect(i, vec)] for vec in roots] for i in range(k)]
+        if count != comp.label.root_count:
+            raise InternalCheckError(
+                f"{comp.label}: root closure produced {count} roots, "
+                f"expected {comp.label.root_count}"
+            )
+        for i, v in enumerate(verts):
+            identity[v] = offset + simple[i]
+        for s in range(n):
+            row = local[verts.index(s)] if s in verts else range(count)
+            sigma[s].extend(offset + r for r in row)
+        offset += count
+    return tuple(identity), sigma
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +512,13 @@ class GroupTable:
     des_right: np.ndarray
     longest: int
     _words: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for arr in (
+            self.length, self.left_mult, self.right_mult,
+            self.inverse, self.des_left, self.des_right,
+        ):
+            arr.flags.writeable = False
 
     @property
     def rank(self) -> int:
@@ -611,23 +548,23 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
             f"{system.canonical_name} has {order} elements, over the budget of {budget}"
         )
     n = system.rank
-    action = _make_action(system)
+    identity, sigma = _root_permutations(system)
 
     length = np.zeros(order, dtype=np.int16)
     left = np.zeros((order, n), dtype=np.int32)
     parent = np.zeros(order, dtype=np.int32)
     parent_gen = np.zeros(order, dtype=np.int8)
 
-    ids: dict = {action.identity: 0}
-    keys = [action.identity]
-    apply = action.apply
+    ids: dict = {identity: 0}
+    keys = [identity]
+    images = [sig.__getitem__ for sig in sigma]
     get = ids.get
     w = 0
     while w < len(keys):
         key = keys[w]
         next_len = length[w] + 1
         for s in range(n):
-            nk = apply(s, key)
+            nk = tuple(map(images[s], key))
             j = get(nk)
             if j is None:
                 j = len(keys)

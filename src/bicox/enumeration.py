@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .coxeter import GroupTable
+from .coxeter import GroupTable, popcount_table
 from .errors import GammaBasisError, InternalCheckError
 
 Table2D = list[list[int]]
@@ -117,7 +117,7 @@ def reciprocity_holds(f: Table2D, h: Table2D, n: int) -> bool:
 def two_sided_eulerian(table: GroupTable) -> Table2D:
     """(n+1) x (n+1) census of (number of left, number of right) descents."""
     n = table.rank
-    pop = np.array([int(x).bit_count() for x in range(1 << n)], dtype=np.int64)
+    pop = popcount_table(n).astype(np.int64)
     joint = pop[table.des_left] * (n + 1) + pop[table.des_right]
     counts = np.bincount(joint, minlength=(n + 1) * (n + 1))
     return [

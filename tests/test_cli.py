@@ -1,11 +1,14 @@
 """Cache round trips and the command-line front end."""
 
+import hashlib
 import json
+import os
+import struct
 
 import numpy as np
 import pytest
 
-from bicox.cache import deserialize, load_table, save_table, serialize
+from bicox.cache import MAGIC, deserialize, load_table, save_table, serialize
 from bicox.cli import main
 from bicox.errors import CacheError
 
@@ -41,6 +44,54 @@ def test_cache_detects_corruption(tmp_path, a3):
 def test_cache_rejects_garbage():
     with pytest.raises(CacheError):
         deserialize(b"not a cache file at all")
+
+
+def seal(body):
+    return bytes(body) + hashlib.sha256(bytes(body)).digest()
+
+
+def malformed_blobs(a2):
+    """Blobs with a valid digest whose contents are malformed."""
+    body = bytearray(serialize(a2)[:-32])
+    order_at = len(MAGIC) + 4 + 2 + len("A2") + 4
+    missing_rows = MAGIC + struct.pack("<IH", 1, 2) + b"A2" + struct.pack("<IQ", 50, 6)
+    inflated_order = body.copy()
+    struct.pack_into("<Q", inflated_order, order_at, 10**6)
+    bad_matrix = body.copy()
+    struct.pack_into("<I", bad_matrix, order_at + 8, 5)  # m(0,0) = 5
+    return [seal(missing_rows), seal(inflated_order), seal(bad_matrix)]
+
+
+def test_malformed_cache_raises_cache_error(tmp_path, a2, capsys):
+    for blob in malformed_blobs(a2):
+        with pytest.raises(CacheError):
+            deserialize(blob)
+        (tmp_path / "A2.gt").write_bytes(blob)
+        assert run(tmp_path, "build", "--type", "A2") == 2
+        assert "malformed cache file" in capsys.readouterr().err
+
+
+def test_failed_save_keeps_earlier_file(tmp_path, a3, monkeypatch):
+    path = tmp_path / "A3.gt"
+    path.write_bytes(b"earlier")
+
+    def fail(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_table(a3, tmp_path)
+    assert path.read_bytes() == b"earlier"
+    assert os.listdir(tmp_path) == ["A3.gt"]
+
+
+def test_tables_are_read_only(tmp_path):
+    built = build("A3")  # not the shared fixture, which a write would corrupt
+    loaded = load_table(save_table(built, tmp_path))
+    for table in (built, loaded):
+        for field in ("length", "left_mult", "right_mult", "inverse", "des_left", "des_right"):
+            with pytest.raises(ValueError):
+                getattr(table, field)[0] = 1
 
 
 def test_cache_reducible_type(tmp_path):

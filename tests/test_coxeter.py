@@ -199,6 +199,45 @@ def test_orders(spec, order):
     assert build(spec).order == order
 
 
+def irreducible_degrees(factor):
+    """Degrees of the basic invariants, from the classification tables."""
+    if factor.startswith("I2("):
+        return [2, int(factor[3:-1])]
+    family, n = factor[0], int(factor[1:])
+    if family == "A":
+        return list(range(2, n + 2))
+    if family == "B":
+        return list(range(2, 2 * n + 1, 2))
+    if family == "D":
+        return list(range(2, 2 * n - 1, 2)) + [n]
+    return {
+        "E6": [2, 5, 6, 8, 9, 12],
+        "F4": [2, 6, 8, 12],
+        "H3": [2, 6, 10],
+        "H4": [2, 12, 20, 30],
+    }[factor]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "A1", "A2", "B2", "I2(5)", "I2(9)", "I2(12)", "H3", "H4", "F4", "D5", "E6",
+        "B4xA1", "I2(9)xH3xA3", "A2xI2(5)xB3",
+    ],
+)
+def test_length_distribution_matches_degrees(spec, tables):
+    """The Poincare polynomial is the product of [d]_q over the degrees d."""
+    poly = [1]
+    for factor in spec.split("x"):
+        for d in irreducible_degrees(factor):
+            out = [0] * (len(poly) + d - 1)
+            for i, c in enumerate(poly):
+                for j in range(d):
+                    out[i + j] += c
+            poly = out
+    assert np.bincount(tables(spec).length).tolist() == poly
+
+
 def test_b4_order_matches_signed_permutations():
     assert build("B4").order == signed_permutation_count(4)
 
