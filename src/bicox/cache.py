@@ -106,6 +106,14 @@ def deserialize(blob: bytes) -> GroupTable:
         raise CacheError(f"malformed cache file: {err}") from err
     if system.order != order:
         raise CacheError("cached order disagrees with the stored matrix")
+    # A sealed blob can still hold ids and masks that would index out of range.
+    if not 0 <= longest < order:
+        raise CacheError(f"malformed cache file: longest-element id {longest} out of range")
+    for ids in (left, right, inverse):
+        if ids.min() < 0 or ids.max() >= order:  # ids >= 2**31 wrapped negative
+            raise CacheError("malformed cache file: element id out of range")
+    if max(des_left.max(), des_right.max()) >= 1 << n:
+        raise CacheError("malformed cache file: descent mask wider than the rank")
     return GroupTable(
         system=system,
         order=int(order),

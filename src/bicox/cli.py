@@ -5,8 +5,8 @@ the structural, topological, and enumerative check suite), ``tables`` (emit
 the two-sided Eulerian matrix and gamma table), and ``export`` (Hasse
 diagrams and contingency tables as DOT/JSON).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 capacity exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage, configuration or
+file-system error, 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     except CapacityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (NotFiniteError, CacheError, ValueError) as err:
+    except (NotFiniteError, CacheError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except BicoxError as err:

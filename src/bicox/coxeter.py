@@ -35,6 +35,7 @@ import numpy as np
 from .errors import CapacityError, InternalCheckError, NotFiniteError
 
 DEFAULT_BUDGET = 10**7
+MAX_RANK = 16  # descent masks are uint16, and the cache stores them in 2 bytes
 
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 _E_ROOTS = {6: 72, 7: 126, 8: 240}
@@ -539,9 +540,12 @@ class GroupTable:
 def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTable:
     """Enumerate the group of ``system`` into a :class:`GroupTable`.
 
-    Raises :class:`CapacityError` when the classified order exceeds
-    ``budget`` (default 10**7 elements).
+    Raises :class:`CapacityError` before enumerating when the rank exceeds
+    :data:`MAX_RANK` or the classified order exceeds ``budget`` (default
+    10**7 elements).
     """
+    if system.rank > MAX_RANK:
+        raise CapacityError(f"rank {system.rank} is over the maximum of {MAX_RANK}")
     order = system.order
     if order > budget:
         raise CapacityError(

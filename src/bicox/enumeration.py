@@ -1,8 +1,8 @@
 """Exact face and descent enumeration for a finite group table.
 
 All counts here are exact integers; the gamma change of basis runs over
-exact rationals.  Subset-indexed tables are dense 2^n x 2^n arrays of Python
-ints indexed by generator bitmasks.
+exact rationals.  A subset-indexed table is a 2^n x 2^n int64 array indexed
+by generator bitmasks, returned to callers as lists of Python ints.
 
 The two tables of interest are
 
@@ -10,10 +10,13 @@ The two tables of interest are
             = |{w : Des_L(w) <= I and Des_R(w) <= J}|,
     h[I][J] = |{w : Des_L(w) = I and Des_R(w) = J}|,
 
-related by subset sums one way and by inclusion-exclusion the other.  The
-coarse specialization of h by descent counts is the two-sided Eulerian
-matrix, which is symmetric, anti-diagonally symmetric, and (conjecturally)
-expands with nonnegative coefficients in the basis
+related by subset sums one way and by inclusion-exclusion the other.  Both
+transforms view a table as a cube with one {0, 1} axis per generator bit of
+I and of J: the subset sum is a cumulative sum along every axis and its
+inverse a first difference along every axis.  The coarse specialization of
+h by descent counts is the two-sided Eulerian matrix, which is symmetric,
+anti-diagonally symmetric, and (conjecturally) expands with nonnegative
+coefficients in the basis
 
     (xy)^a (x+y)^b (1+xy)^(n-2a-b),   0 <= 2a + b <= n.
 """
@@ -32,38 +35,23 @@ from .errors import GammaBasisError, InternalCheckError
 Table2D = list[list[int]]
 
 
+def _census(table: GroupTable) -> np.ndarray:
+    size = 1 << table.rank
+    joint = table.des_left.astype(np.int64) * size + table.des_right
+    return np.bincount(joint, minlength=size * size).reshape(size, size)
+
+
+def _subset_transform(values: np.ndarray, n: int, inverse: bool) -> np.ndarray:
+    """Subset sums over both indices, or with ``inverse`` their Moebius inverse."""
+    cube = values.reshape((2,) * (2 * n))
+    for axis in range(2 * n):
+        cube = np.diff(cube, axis=axis, prepend=0) if inverse else np.cumsum(cube, axis=axis)
+    return cube.reshape(values.shape)
+
+
 def flag_h(table: GroupTable) -> Table2D:
     """Census of descent-set pairs: h[I][J] counts w with these exact sets."""
-    n = table.rank
-    size = 1 << n
-    joint = table.des_left.astype(np.int64) * size + table.des_right
-    counts = np.bincount(joint, minlength=size * size)
-    return [
-        [int(x) for x in counts[row * size : (row + 1) * size]]
-        for row in range(size)
-    ]
-
-
-def _zeta_2d(values: Table2D, n: int, sign: int) -> Table2D:
-    """Subset-sum transform over both indices; sign -1 inverts it."""
-    size = 1 << n
-    out = [row[:] for row in values]
-    for bit in range(n):
-        step = 1 << bit
-        for gens_l in range(size):
-            if gens_l & step:
-                src = gens_l ^ step
-                row, other = out[gens_l], out[src]
-                for gens_r in range(size):
-                    row[gens_r] += sign * other[gens_r]
-    for bit in range(n):
-        step = 1 << bit
-        for gens_l in range(size):
-            row = out[gens_l]
-            for gens_r in range(size):
-                if gens_r & step:
-                    row[gens_r] += sign * row[gens_r ^ step]
-    return out
+    return _census(table).tolist()
 
 
 def flag_f(table: GroupTable) -> Table2D:
@@ -73,7 +61,7 @@ def flag_f(table: GroupTable) -> Table2D:
     computed from the descent census by a double subset-sum transform so a
     single pass over the group covers all 4^n pairs.
     """
-    return _zeta_2d(flag_h(table), table.rank, +1)
+    return _subset_transform(_census(table), table.rank, inverse=False).tolist()
 
 
 def flag_h_from_f(f: Table2D, n: int) -> Table2D:
@@ -82,36 +70,39 @@ def flag_h_from_f(f: Table2D, n: int) -> Table2D:
     Raises :class:`InternalCheckError` if any entry comes out negative,
     which would mean the input was not a valid f-table.
     """
-    h = _zeta_2d(f, n, -1)
-    if any(x < 0 for row in h for x in row):
+    h = _subset_transform(np.asarray(f, dtype=np.int64), n, inverse=True)
+    if (h < 0).any():
         raise InternalCheckError("inclusion-exclusion produced a negative entry")
-    return h
+    return h.tolist()
+
+
+def _submask_sums(values: np.ndarray) -> np.ndarray:
+    """out[I][J] = sum of values[I'][J'] over I' <= I and J' <= J, by definition."""
+    masks = np.arange(len(values))
+
+    def rows(x):
+        return np.stack([x[(masks & ~i) == 0].sum(axis=0) for i in masks])
+
+    return rows(rows(values).T).T
 
 
 def reciprocity_holds(f: Table2D, h: Table2D, n: int) -> bool:
     """The subset-level f<->h identities, both directions.
 
     These are the coefficient forms of evaluating one polynomial at
-    x_i/(1 +- x_i) times the product of (1 +- x_i) factors.
+    x_i/(1 +- x_i) times the product of (1 +- x_i) factors.  Independent of
+    :func:`flag_f` and :func:`flag_h_from_f`: f is the submask sum S of h,
+    and h is S conjugated by the parity diagonal D = diag((-1)^|I|).
     """
-    size = 1 << n
-    for gens_l in range(size):
-        for gens_r in range(size):
-            total = 0
-            sub_l = gens_l
-            while True:
-                sub_r = gens_r
-                while True:
-                    total += h[sub_l][sub_r]
-                    if sub_r == 0:
-                        break
-                    sub_r = (sub_r - 1) & gens_r
-                if sub_l == 0:
-                    break
-                sub_l = (sub_l - 1) & gens_l
-            if total != f[gens_l][gens_r]:
-                return False
-    return _zeta_2d(f, n, -1) == h
+    # Each sum has at most 4^n terms of size at most |W|; |W| <= 10^7 and
+    # n <= 16 give |sum| < 4^16 * 10^7 < 2^63, so int64 is exact.
+    f_arr = np.asarray(f, dtype=np.int64)
+    h_arr = np.asarray(h, dtype=np.int64)
+    if not np.array_equal(_submask_sums(h_arr), f_arr):
+        return False
+    parity = 1 - 2 * (popcount_table(n).astype(np.int64) & 1)
+    signs = np.outer(parity, parity)
+    return bool(np.array_equal(signs * _submask_sums(signs * f_arr), h_arr))
 
 
 def two_sided_eulerian(table: GroupTable) -> Table2D:
@@ -119,36 +110,26 @@ def two_sided_eulerian(table: GroupTable) -> Table2D:
     n = table.rank
     pop = popcount_table(n).astype(np.int64)
     joint = pop[table.des_left] * (n + 1) + pop[table.des_right]
-    counts = np.bincount(joint, minlength=(n + 1) * (n + 1))
-    return [
-        [int(x) for x in counts[i * (n + 1) : (i + 1) * (n + 1)]]
-        for i in range(n + 1)
-    ]
+    return np.bincount(joint, minlength=(n + 1) ** 2).reshape(n + 1, n + 1).tolist()
 
 
 def eulerian_from_flag(f: Table2D, n: int) -> Table2D:
     """The Eulerian matrix recovered from the f-table alone:
 
         sum over I, J of f[I][J] x^|I| y^|J| (1-x)^(n-|I|) (1-y)^(n-|J|).
+
+    f is grouped by (|I|, |J|), then changed to the x^i y^j basis by
+    B[i][p] = (-1)^(i-p) C(n-p, i-p) in Python ints: its partial sums can pass int64.
     """
-    by_size = [[0] * (n + 1) for _ in range(n + 1)]
-    for gens_l in range(1 << n):
-        pl = gens_l.bit_count()
-        row = f[gens_l]
-        for gens_r in range(1 << n):
-            by_size[pl][gens_r.bit_count()] += row[gens_r]
-    out = [[0] * (n + 1) for _ in range(n + 1)]
-    for p in range(n + 1):
-        for q in range(n + 1):
-            c = by_size[p][q]
-            if not c:
-                continue
-            for i in range(p, n + 1):
-                coeff_x = (-1) ** (i - p) * comb(n - p, i - p)
-                for j in range(q, n + 1):
-                    coeff_y = (-1) ** (j - q) * comb(n - q, j - q)
-                    out[i][j] += c * coeff_x * coeff_y
-    return out
+    sizes = range(n + 1)
+    onehot = (popcount_table(n)[None, :] == np.array(sizes)[:, None]).astype(np.int64)
+    grouped = onehot @ np.asarray(f, dtype=np.int64) @ onehot.T
+    basis = np.array(
+        [[(-1) ** (i - p) * comb(n - p, i - p) if i >= p else 0 for p in sizes]
+         for i in sizes],
+        dtype=object,
+    )
+    return (basis @ grouped.astype(object) @ basis.T).tolist()
 
 
 def eulerian_symmetric(matrix: Table2D) -> bool:

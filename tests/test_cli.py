@@ -71,6 +71,39 @@ def test_malformed_cache_raises_cache_error(tmp_path, a2, capsys):
         assert "malformed cache file" in capsys.readouterr().err
 
 
+def out_of_range_blobs(a2):
+    """Sealed A2 blobs whose ids or masks lie outside the table."""
+    body = bytearray(serialize(a2)[:-32])
+    n, order = a2.rank, a2.order
+    longest_at = len(MAGIC) + 4 + 2 + len("A2") + 4 + 8 + 4 * n * n
+    left_at = longest_at + 5 + order  # past longest, length width and lengths
+    inverse_at = left_at + 8 * order * n
+    des_left_at = inverse_at + 4 * order
+    patches = [
+        ("<I", longest_at, 10**6),
+        ("<I", left_at, order),
+        ("<I", inverse_at, 2**32 - 1),
+        ("<B", des_left_at, 1 << n),
+    ]
+    blobs = []
+    for fmt, at, value in patches:
+        bad = body.copy()
+        struct.pack_into(fmt, bad, at, value)
+        blobs.append(seal(bad))
+    return blobs
+
+
+def test_out_of_range_cache_contents_raise_cache_error(tmp_path, a2, capsys):
+    for blob in out_of_range_blobs(a2):
+        with pytest.raises(CacheError, match="malformed cache file"):
+            deserialize(blob)
+        (tmp_path / "A2.gt").write_bytes(blob)
+        assert run(tmp_path, "build", "--type", "A2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed cache file")
+        assert "Traceback" not in err
+
+
 def test_failed_save_keeps_earlier_file(tmp_path, a3, monkeypatch):
     path = tmp_path / "A3.gt"
     path.write_bytes(b"earlier")
@@ -124,6 +157,18 @@ def test_build_affine_rejected(tmp_path, capsys):
 def test_build_capacity(tmp_path, capsys):
     assert run(tmp_path, "build", "--type", "A4", "--budget", "50") == 3
     assert run(tmp_path, "build", "--type", "E8", "--allow-heavy") == 3
+
+
+def test_build_rank_17_refused_before_enumerating(tmp_path, capsys, monkeypatch):
+    import bicox.coxeter
+
+    def never(system):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(bicox.coxeter, "_root_permutations", never)
+    assert run(tmp_path, "build", "--type", "x".join(["A1"] * 17)) == 3
+    assert "rank 17" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_heavy_gate(tmp_path, capsys):
@@ -223,6 +268,19 @@ def test_export_to_file(tmp_path, capsys):
     )
     assert code == 0
     assert out_file.read_text().count("label=") == 33
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.txt"
+    assert run(tmp_path, "tables", "--type", "A2", "--out", str(out_file)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cache_dir_is_a_file(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    assert main(["build", "--type", "A2", "--cache-dir", str(not_a_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_export_contingency_wrong_type(tmp_path, capsys):

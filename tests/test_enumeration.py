@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicox.cosets import double_quotient_size
 from bicox.enumeration import (
@@ -191,6 +192,44 @@ def test_reciprocity_rejects_corrupted_table(a2):
     h = flag_h(a2)
     f[1][1] += 1
     assert not reciprocity_holds(f, h, a2.rank)
+
+
+def submask_sum_by_loops(h, n):
+    """f[I][J] = sum of h[I'][J'] over I' <= I, J' <= J, cell by cell."""
+    size = 1 << n
+    return [
+        [
+            sum(h[a][b] for a in range(size) if a & ~i == 0 for b in range(size) if b & ~j == 0)
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+@st.composite
+def h_tables(draw):
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    row = st.lists(st.integers(0, 10**6), min_size=size, max_size=size)
+    return n, draw(st.lists(row, min_size=size, max_size=size))
+
+
+@settings(deadline=None)
+@given(h_tables(), st.data())
+def test_flag_layer_on_arbitrary_tables(nh, data):
+    n, h = nh
+    f = submask_sum_by_loops(h, n)
+    assert reciprocity_holds(f, h, n)
+    assert flag_h_from_f(f, n) == h
+    cell = st.integers(0, (1 << n) - 1)
+    i, j = data.draw(cell), data.draw(cell)
+    delta = data.draw(st.sampled_from([-1, 1]))
+    bad_f = [row[:] for row in f]
+    bad_f[i][j] += delta
+    assert not reciprocity_holds(bad_f, h, n)
+    bad_h = [row[:] for row in h]
+    bad_h[i][j] += delta
+    assert not reciprocity_holds(f, bad_h, n)
 
 
 # --- Eulerian matrices ---------------------------------------------------------
