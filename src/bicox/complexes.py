@@ -6,25 +6,28 @@ representative of the double coset W_I w W_J, ordered by
     (I, w, J) <= (I', w', J')   iff   I >= I', J >= J', and
                                       W_I w W_J >= W_I' w' W_J'.
 
-The last condition reduces, given the first two, to ``minimal_rep(I, w', J)
-== w``.  A face of rank r behaves like an (r-1)-simplex: the interval below
-it is boolean of size 2^r.  There is one facet (0, w, 0) per group element,
-one minimum (S, e, S), and the classical Coxeter complex sits inside as the
-upper order ideal of faces with empty left subset.
+The last condition reduces, given the first two, to ``reps[I, J, w'] == w``,
+one lookup in the table of :func:`~bicox.cosets.minimal_rep_table`, which
+the complex builds once; the order, lower intervals and covers all go
+through it.  A face of rank r behaves like an (r-1)-simplex: the interval
+below it is boolean of size 2^r.  There is one facet (0, w, 0) per group
+element, one minimum (S, e, S), and the classical Coxeter complex sits
+inside as the upper order ideal of faces with empty left subset.
 
 Besides construction this module carries the verification suite: boolean
 lower intervals, balanced coloring, interval partition, weak-order
 monotonicity, shelling along a facet order, thinness, the pseudomanifold
 property, the Euler characteristic, and the embedding of the classical
-complex.  Face-level shelling verification walks boundaries of boundaries
-and is intended for small rank.
+complex.  Every check covers the whole complex, most as whole-array
+checks over the table.  Face-level shelling verification walks boundaries
+of boundaries and is intended for small rank.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +38,8 @@ from .coxeter import (
     two_sided_down_reach,
     word,
 )
-from .cosets import double_coset, is_minimal_rep, minimal_rep
-from .errors import CapacityError
+from .cosets import coset_labels, minimal_rep_table
+from .errors import CapacityError, InternalCheckError
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
@@ -115,13 +118,13 @@ def face_count(table: GroupTable) -> int:
 
 
 class TwoSidedComplex:
-    """All faces of the two-sided complex of a finite Coxeter group."""
+    """All faces of the two-sided complex of a finite Coxeter group, and the
+    table ``reps[I, J, w]`` of minimal representatives that orders them."""
 
     def __init__(self, table: GroupTable, faces: list[Face]):
         self.table = table
         self.faces = faces
-        self.face_set = frozenset(faces)
-        self._min_cache: dict[Face, int] = {}
+        self.reps = minimal_rep_table(table)
 
     @classmethod
     def build(
@@ -129,23 +132,23 @@ class TwoSidedComplex:
     ) -> "TwoSidedComplex":
         """Enumerate the intervals [R_w, F_w] over all w; their disjoint
         union is the whole complex."""
-        n = table.rank
         full = table.full_mask
-        asc_l = full - table.des_left  # complement within the full mask
-        asc_r = full - table.des_right
         total = face_count(table)
         if total > face_budget:
             raise CapacityError(
                 f"complex of {table.system.canonical_name} has {total} faces, "
                 f"over the budget of {face_budget}"
             )
-        faces = []
-        for w in range(table.order):
-            al, ar = int(asc_l[w]), int(asc_r[w])
-            for gens_l in submasks(al):
-                for gens_r in submasks(ar):
-                    faces.append(Face(gens_l, w, gens_r))
-        assert len(faces) == total
+        faces = [
+            Face(gens_l, w, gens_r)
+            for w in range(table.order)
+            for gens_l in submasks(full ^ int(table.des_left[w]))
+            for gens_r in submasks(full ^ int(table.des_right[w]))
+        ]
+        if len(faces) != total:
+            raise InternalCheckError(
+                f"enumerated {len(faces)} faces, the interval sizes sum to {total}"
+            )
         return cls(table, faces)
 
     @property
@@ -154,9 +157,6 @@ class TwoSidedComplex:
 
     def face_rank(self, face: Face) -> int:
         return face_rank(self.rank, face)
-
-    def facets(self) -> list[Face]:
-        return [facet(w) for w in range(self.table.order)]
 
     def faces_of_element(self, w: int) -> list[Face]:
         """The interval [R_w, F_w]: every face represented by w."""
@@ -167,20 +167,11 @@ class TwoSidedComplex:
             for gens_r in submasks(bottom.right)
         ]
 
-    def minimal_rep(self, gens_l: int, w: int, gens_r: int) -> int:
-        key = Face(gens_l, w, gens_r)
-        cached = self._min_cache.get(key)
-        if cached is None:
-            cached = minimal_rep(self.table, gens_l, w, gens_r)
-            if len(self._min_cache) < 1 << 22:
-                self._min_cache[key] = cached
-        return cached
-
     def leq(self, low: Face, high: Face) -> bool:
         """Face order: reverse containment of index sets and cosets."""
         if low.left & high.left != high.left or low.right & high.right != high.right:
             return False
-        return self.minimal_rep(low.left, high.w, low.right) == low.w
+        return int(self.reps[low.left, low.right, high.w]) == low.w
 
     def lower_interval(self, face: Face) -> list[Face]:
         """All faces below ``face`` (inclusive); boolean of size 2^rank."""
@@ -190,39 +181,20 @@ class TwoSidedComplex:
             gens_l = face.left | extra_l
             for extra_r in submasks(full ^ face.right):
                 gens_r = face.right | extra_r
-                out.append(
-                    Face(gens_l, self.minimal_rep(gens_l, face.w, gens_r), gens_r)
-                )
+                out.append(Face(gens_l, int(self.reps[gens_l, gens_r, face.w]), gens_r))
         return out
 
     def down_covers(self, face: Face) -> list[Face]:
         """The faces covered by ``face``: one per index addable to I or J."""
-        full = self.table.full_mask
         out = []
         for s in range(self.rank):
-            bit = 1 << s
-            if not face.left & bit:
-                gens_l = face.left | bit
-                out.append(Face(gens_l, self.minimal_rep(gens_l, face.w, face.right), face.right))
+            gens_l = face.left | 1 << s
+            if gens_l != face.left:
+                out.append(Face(gens_l, int(self.reps[gens_l, face.right, face.w]), face.right))
         for s in range(self.rank):
-            bit = 1 << s
-            if not face.right & bit:
-                gens_r = face.right | bit
-                out.append(Face(face.left, self.minimal_rep(face.left, face.w, gens_r), gens_r))
-        return out
-
-    def vertices_below(self, face: Face) -> list[Face]:
-        """The rank-1 faces below ``face``; all have representative e."""
-        full = self.table.full_mask
-        out = []
-        for s in range(self.rank):
-            bit = 1 << s
-            if not face.left & bit:
-                out.append(Face(full ^ bit, 0, full))
-        for s in range(self.rank):
-            bit = 1 << s
-            if not face.right & bit:
-                out.append(Face(full, 0, full ^ bit))
+            gens_r = face.right | 1 << s
+            if gens_r != face.right:
+                out.append(Face(face.left, int(self.reps[face.left, gens_r, face.w]), gens_r))
         return out
 
     def faces_of_rank(self, r: int) -> list[Face]:
@@ -233,97 +205,97 @@ class TwoSidedComplex:
 # Structural verification
 
 
-def verify_boolean(
-    cx: TwoSidedComplex, faces=None, check_pairs: bool | None = None
-) -> bool:
-    """Lower intervals are boolean: 2^rank distinct faces below each face,
-    and (with ``check_pairs``) ordered exactly like pairs of supersets."""
-    if faces is None:
-        faces = cx.faces
-    if check_pairs is None:
-        check_pairs = cx.rank <= 3
-    for face in faces:
-        r = cx.face_rank(face)
-        lower = cx.lower_interval(face)
-        if len(lower) != 1 << r or len(set(lower)) != len(lower):
+def _face_arrays(cx: TwoSidedComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Every face as its index pair packed into I << n | J, which is its row
+    of ``cx.reps`` reshaped to (4^n, |W|), and its representative."""
+    flat = chain.from_iterable(cx.faces)
+    faces = np.fromiter(flat, dtype=np.intp, count=3 * len(cx.faces)).reshape(-1, 3)
+    return faces[:, 0] << cx.rank | faces[:, 2], faces[:, 1]
+
+
+def _minimal(table: GroupTable) -> np.ndarray:
+    """[X, w] for packed index pairs X = I << n | J: whether w is the minimal
+    representative of W_I w W_J, from the descent sets."""
+    masks = np.arange(table.full_mask + 1)
+    free_l = (table.des_left & masks[:, None]) == 0
+    free_r = (table.des_right & masks[:, None]) == 0
+    return (free_l[:, None] & free_r[None]).reshape(len(masks) ** 2, -1)
+
+
+def verify_boolean(cx: TwoSidedComplex) -> bool:
+    """Lower intervals are boolean: ordered exactly like pairs of supersets.
+
+    The faces below (I, w, J) are (X', reps[X', w]) over the index pairs
+    X' >= (I, J), so every lower interval is boolean once (a) each table
+    entry is a minimal representative, and is w exactly when w is minimal,
+    and (b) reps[X'][reps[X''][w]] == reps[X'][w] whenever X'' <= X'.
+    Chained along covers, (b) follows from its cover case X' = X'' + x,
+    which is checked for every element of W.
+    """
+    flat = cx.reps.reshape(1 << 2 * cx.rank, -1)
+    minimal = _minimal(cx.table)
+    if not np.take_along_axis(minimal, flat, axis=1).all():
+        return False
+    if not np.array_equal(flat == np.arange(cx.table.order), minimal):
+        return False
+    packed = np.arange(len(flat))
+    for bit in range(2 * cx.rank):
+        low = packed[packed >> bit & 1 == 0]
+        high = flat[low | 1 << bit]
+        if not np.array_equal(np.take_along_axis(high, flat[low], axis=1), high):
             return False
-        if not all(cx.leq(g, face) for g in lower):
-            return False
-        if check_pairs:
-            for g1 in lower:
-                for g2 in lower:
-                    expected = (
-                        g1.left & g2.left == g2.left
-                        and g1.right & g2.right == g2.right
-                    )
-                    if cx.leq(g1, g2) != expected:
-                        return False
     return True
 
 
-def verify_balanced(cx: TwoSidedComplex, faces=None) -> bool:
+def verify_balanced(cx: TwoSidedComplex) -> bool:
     """Every face has distinctly colored vertices whose colors union to
-    (S-I, S-J)."""
-    if faces is None:
-        faces = cx.faces
+    (S-I, S-J).  Its vertices are the rank-1 faces v with v <= face; each
+    has a one-index color, so rank-many covering the face's color differ."""
     n = cx.rank
-    for face in faces:
-        verts = cx.vertices_below(face)
-        if len(verts) != cx.face_rank(face):
-            return False
-        colors = [face_color(n, v) for v in verts]
-        if len(set(colors)) != len(colors):
-            return False
-        acc_l, acc_r = 0, 0
-        for col_l, col_r in colors:
-            acc_l |= col_l
-            acc_r |= col_r
-        if (acc_l, acc_r) != face_color(n, face):
-            return False
-    return True
+    flat = cx.reps.reshape(1 << 2 * n, -1)
+    packed, w = _face_arrays(cx)
+    full = (1 << 2 * n) - 1
+    rank = 2 * n - popcount_table(2 * n)[packed]
+    count = np.zeros(len(w), dtype=np.intp)
+    union = np.zeros(len(w), dtype=np.intp)
+    for vx, vw in zip(packed[rank == 1], w[rank == 1]):
+        below = (packed & ~vx == 0) & (flat[vx, w] == vw)
+        count += below
+        union |= np.where(below, full ^ vx, 0)
+    return np.array_equal(count, rank) and np.array_equal(union, full ^ packed)
 
 
 def verify_partition(cx: TwoSidedComplex) -> bool:
     """The by-element enumeration agrees with a by-(I, J) re-enumeration,
-    so the intervals [R_w, F_w] are disjoint and cover everything."""
-    table = cx.table
-    if len(cx.face_set) != len(cx.faces):
+    so the intervals [R_w, F_w] are disjoint and cover everything: the faces
+    are distinct triples (I, u, J) with u minimal, and as many as there are
+    such triples."""
+    packed, w = _face_arrays(cx)
+    minimal = _minimal(cx.table)
+    if len(np.unique(packed * cx.table.order + w)) != len(w):
         return False
-    if not all(is_minimal_rep(table, f.left, f.w, f.right) for f in cx.faces):
-        return False
-    des_l = table.des_left.astype(np.int64)
-    des_r = table.des_right.astype(np.int64)
-    recount = 0
-    for gens_l in range(table.full_mask + 1):
-        ok_l = (des_l & gens_l) == 0
-        for gens_r in range(table.full_mask + 1):
-            reps = np.flatnonzero(ok_l & ((des_r & gens_r) == 0))
-            recount += len(reps)
-            for u in reps:
-                if Face(gens_l, int(u), gens_r) not in cx.face_set:
-                    return False
-    return recount == len(cx.faces)
+    return bool(minimal[packed, w].all()) and len(w) == np.count_nonzero(minimal)
 
 
-def verify_weak_order_monotone(cx: TwoSidedComplex, faces=None) -> bool:
-    """Comparable faces have weak-order comparable representatives."""
-    if faces is None:
-        faces = cx.faces
-    table = cx.table
-    reach = two_sided_down_reach(table)
-    for high in faces:
-        for low in cx.lower_interval(high):
-            if not reach[high.w] >> low.w & 1:
-                return False
-    return True
+def verify_weak_order_monotone(cx: TwoSidedComplex) -> bool:
+    """Comparable faces have weak-order comparable representatives.
+
+    Every pair (X, w) occurs in the lower interval of the facet (0, w, 0),
+    so this is reps[X, w] <= w for every table entry, read off the
+    down-reach bitmasks of :func:`two_sided_down_reach`.
+    """
+    order = cx.table.order
+    width = (order + 7) // 8
+    bits = b"".join(r.to_bytes(width, "little") for r in two_sided_down_reach(cx.table))
+    below = np.frombuffer(bits, dtype=np.uint8).reshape(order, width)  # [v, u // 8]
+    ids = np.arange(order)
+    return all((below[ids, row >> 3] >> (row & 7) & 1).all() for row in cx.reps)
 
 
 def verify_facet_count(cx: TwoSidedComplex) -> bool:
     """Top-dimensional faces are in bijection with the group."""
     top = cx.faces_of_rank(2 * cx.rank)
-    return len(top) == cx.table.order and all(
-        f.left == 0 and f.right == 0 for f in top
-    )
+    return sorted(f.w for f in top) == list(range(cx.table.order))
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +368,24 @@ def verify_shelling(cx: TwoSidedComplex, order: list[int]) -> ShellingReport:
 def verify_thin(cx: TwoSidedComplex) -> bool:
     """Every rank-2 interval of the face poset has exactly four elements.
 
+    A face two covers below (I, w, J) adds two indices x != y to I or J; the
+    two orders of adding them are the only paths to it, so the interval has
+    four elements exactly when both paths reach the same representative.
     Together with :func:`verify_pseudomanifold` (the role of the intervals
     ending at a virtual maximum above all facets) this gives thinness of the
     complex with a top element adjoined.
     """
-    for face in cx.faces:
-        if cx.face_rank(face) < 2:
-            continue
-        counts = Counter()
-        for mid in cx.down_covers(face):
-            counts.update(cx.down_covers(mid))
-        if any(v != 2 for v in counts.values()):
-            return False
+    flat = cx.reps.reshape(1 << 2 * cx.rank, -1)
+    packed, w = _face_arrays(cx)
+    for x in range(2 * cx.rank):
+        for y in range(x):
+            both = 1 << x | 1 << y
+            sel = packed & both == 0
+            low, ws = packed[sel], w[sel]
+            via_x = flat[low | both, flat[low | 1 << x, ws]]
+            via_y = flat[low | both, flat[low | 1 << y, ws]]
+            if not np.array_equal(via_x, via_y):
+                return False
     return True
 
 
@@ -423,12 +401,9 @@ def verify_pseudomanifold(cx: TwoSidedComplex) -> bool:
 
 def euler_characteristic(cx: TwoSidedComplex) -> int:
     """Alternating sum of face counts by dimension, empty face excluded."""
-    total = 0
-    for face in cx.faces:
-        r = cx.face_rank(face)
-        if r >= 1:
-            total += -1 if r % 2 == 0 else 1  # dimension r - 1
-    return total
+    packed, _ = _face_arrays(cx)
+    rank = 2 * cx.rank - popcount_table(2 * cx.rank)[packed].astype(np.intp)
+    return int(np.sum(np.where(rank % 2 == 1, 1, -1)[rank >= 1]))  # dimension rank - 1
 
 
 # ---------------------------------------------------------------------------
@@ -447,46 +422,43 @@ def classical_coxeter_complex(table: GroupTable) -> list[frozenset[int]]:
     """The Coxeter complex as explicit left cosets w W_K, every K."""
     out = []
     for gens in range(table.full_mask + 1):
-        seen = np.zeros(table.order, dtype=bool)
-        for w in range(table.order):
-            if seen[w]:
-                continue
-            coset = frozenset(double_coset(table, 0, w, gens))
-            for x in coset:
-                seen[x] = True
-            out.append(coset)
+        labels = coset_labels(table, 0, gens)
+        members = np.argsort(labels, kind="stable")
+        bounds = np.flatnonzero(np.diff(labels[members])) + 1
+        out.extend(frozenset(c.tolist()) for c in np.split(members, bounds))
     return out
 
 
-def verify_sigma_embedding(
-    cx: TwoSidedComplex, sample_pairs: int | None = None, seed: int = 0
-) -> bool:
+def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
     """The ideal above (0, e, S) is order-isomorphic to the classical
-    complex built independently from left cosets under reverse inclusion."""
+    complex built independently from left cosets under reverse inclusion.
+
+    The left cosets of each W_K are numbered by closure
+    (:func:`~bicox.cosets.coset_labels`), and the ideal faces (0, u, K) must
+    hit each number once.  Then for an ideal face g and a subset K at most
+    one ideal face f = (0, u, K) has f <= g, and at most one left coset of
+    W_K contains the coset of g; comparing the two for every g and K
+    compares f <= g with coset(f) >= coset(g) for every pair of the ideal.
+    """
     table = cx.table
-    ideal = sigma_ideal(cx)
-    bottom = Face(0, 0, table.full_mask)
-    if not all(cx.leq(bottom, f) for f in ideal[: min(len(ideal), 50)]):
-        return False
-    cosets = {}
-    for f in ideal:
-        cosets[f] = frozenset(double_coset(table, 0, f.w, f.right))
-    classical = classical_coxeter_complex(table)
-    if len(classical) != len(ideal):
-        return False
-    if len(set(cosets.values())) != len(ideal) or set(cosets.values()) != set(
-        classical
-    ):
-        return False
-    if sample_pairs is None:
-        pairs = [(f, g) for f in ideal for g in ideal]
-    else:
-        rng = random.Random(seed)
-        pairs = [
-            (rng.choice(ideal), rng.choice(ideal)) for _ in range(sample_pairs)
-        ]
-    for f, g in pairs:
-        if cx.leq(f, g) != (cosets[f] >= cosets[g]):
+    masks = np.arange(table.full_mask + 1)
+    labels = np.array([coset_labels(table, 0, gens) for gens in range(table.full_mask + 1)])
+    in_ideal = np.zeros(labels.shape, dtype=bool)  # [K, u]: (0, u, K) is a face
+    for f in sigma_ideal(cx):
+        in_ideal[f.right, f.w] = True
+    for gens, row in enumerate(labels):
+        if not np.array_equal(np.sort(row[in_ideal[gens]]), np.arange(row.max() + 1)):
+            return False
+        members = np.argsort(row, kind="stable")
+        starts = np.flatnonzero(np.diff(row[members], prepend=-1))
+        lowest = np.minimum.reduceat(labels[:, members], starts, axis=1)
+        highest = np.maximum.reduceat(labels[:, members], starts, axis=1)
+        holder = np.where(lowest == highest, lowest, -1)  # [K, coset of W_gens]
+        g = np.flatnonzero(in_ideal[gens])
+        u = cx.reps[0][:, g]
+        comparable = (masks & gens == gens)[:, None] & in_ideal[masks[:, None], u]
+        found = np.where(comparable, labels[masks[:, None], u], -1)
+        if not np.array_equal(found, holder[:, row[g]]):
             return False
     return True
 

@@ -46,6 +46,37 @@ def minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> int:
             return w
 
 
+def minimal_rep_table(table: GroupTable) -> np.ndarray:
+    """Read-only ``reps[I, J, w]``: the minimal element of W_I w W_J, every I, J, w.
+
+    Filled one length layer at a time: an entry is w when Des_L(w) misses I
+    and Des_R(w) misses J, else the entry of the shorter s.w or w.s.  Holds
+    4^n * |W| ids in the narrowest unsigned type, so it suits small groups.
+    """
+    n, order = table.rank, table.order
+    masks = np.arange(1 << n)
+    lowest_bit = np.array([(m & -m).bit_length() - 1 for m in range(1 << n)])
+    ids = np.arange(order)
+
+    def step_down(mult, des):
+        """(2^n, |W|): w across its lowest descent in the mask, else w."""
+        hit = masks[:, None] & des.astype(np.intp)
+        return np.where(hit != 0, mult[ids, lowest_bit[hit]], ids)
+
+    down_l = step_down(table.left_mult, table.des_left)
+    down_r = step_down(table.right_mult, table.des_right)
+    reps = np.empty((1 << n, 1 << n, order), dtype=np.min_scalar_type(order - 1))
+    reps[...] = ids
+    by_length = np.argsort(table.length, kind="stable")
+    bounds = np.flatnonzero(np.diff(table.length[by_length])) + 1
+    for layer in np.split(by_length, bounds):
+        dl = down_l[:, None, layer]
+        shorter = np.where(dl != layer, dl, down_r[None, :, layer])
+        reps[:, :, layer] = reps[masks[:, None, None], masks[None, :, None], shorter]
+    reps.flags.writeable = False
+    return reps
+
+
 def is_minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> bool:
     """Whether w is the minimal representative of W_I w W_J."""
     return (
@@ -55,11 +86,8 @@ def is_minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> bool:
 
 
 def double_coset(table: GroupTable, gens_l: int, u: int, gens_r: int) -> set[int]:
-    """All elements of W_I u W_J, by breadth-first closure from u.
-
-    Expects u minimal; the closure itself is correct for any starting
-    element of the coset.
-    """
+    """All elements of W_I u W_J, by breadth-first closure from u, which may
+    be any member of the coset."""
     left, right = table.left_mult, table.right_mult
     seen = {u}
     queue = deque((u,))
@@ -95,23 +123,23 @@ def count_minimal_by_descents(table: GroupTable, gens_l: int, gens_r: int) -> in
     return int(np.count_nonzero(ok))
 
 
-def count_cosets_by_sweep(table: GroupTable, gens_l: int, gens_r: int) -> int:
-    """Number of distinct minimal representatives, found by partitioning W.
-
-    Walks elements in id order (weakly by length); the first unvisited
-    member of each coset is reduced with :func:`minimal_rep` and the whole
-    coset is then closed off, so each element is touched once.
-    """
-    visited = np.zeros(table.order, dtype=bool)
+def coset_labels(table: GroupTable, gens_l: int, gens_r: int) -> np.ndarray:
+    """Entry x: the number of the double coset W_I x W_J.  Walks W in id
+    order and closes the coset of each unlabeled element with
+    :func:`double_coset`; no minimal representative is used."""
+    labels = [-1] * table.order
     count = 0
     for w in range(table.order):
-        if visited[w]:
-            continue
-        u = minimal_rep(table, gens_l, w, gens_r)
-        count += 1
-        for x in double_coset(table, gens_l, u, gens_r):
-            visited[x] = True
-    return count
+        if labels[w] < 0:
+            for x in double_coset(table, gens_l, w, gens_r):
+                labels[x] = count
+            count += 1
+    return np.array(labels)
+
+
+def count_cosets_by_sweep(table: GroupTable, gens_l: int, gens_r: int) -> int:
+    """Number of double cosets W_I w W_J, from :func:`coset_labels`."""
+    return int(coset_labels(table, gens_l, gens_r).max()) + 1
 
 
 def double_quotient_size(table: GroupTable, gens_l: int, gens_r: int) -> int:

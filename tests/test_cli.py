@@ -210,6 +210,15 @@ def test_verify_rank4_skips_shelling(tmp_path, capsys):
     assert "PASS double-quotient-oracle" in out
 
 
+def test_verify_reports_coverage(tmp_path, capsys):
+    assert run(tmp_path, "verify", "--type", "D4", "--format", "json") == 0
+    details = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("boolean-intervals", "balanced-coloring", "weak-order-monotone", "thin"):
+        assert details[name] == "all 4569 faces"
+    assert details["sigma-embedding"] == "all 865^2 ideal pairs"
+    assert details["pseudomanifold"] == "all 192 facets"
+
+
 def test_tables_text(tmp_path, capsys):
     assert run(tmp_path, "tables", "--type", "D4") == 0
     out = capsys.readouterr().out

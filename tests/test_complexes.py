@@ -1,9 +1,10 @@
 """The two-sided complex: structure, topology, and the embedded complex."""
 
-import random
+import copy
 
 import pytest
 
+import bicox.complexes
 from bicox.complexes import (
     Face,
     TwoSidedComplex,
@@ -25,7 +26,7 @@ from bicox.complexes import (
     verify_weak_order_monotone,
 )
 from bicox.coxeter import length_order
-from bicox.errors import CapacityError
+from bicox.errors import CapacityError, InternalCheckError
 
 from test_cosets import coset_oracle
 
@@ -67,6 +68,12 @@ def test_a1_face_counts(complexes):
 @pytest.mark.parametrize("spec", ["A2", "A3", "B2", "B3"])
 def test_facet_count_is_group_order(spec, complexes):
     assert verify_facet_count(complexes(spec))
+
+
+def test_build_face_count_mismatch_raises(tables, monkeypatch):
+    monkeypatch.setattr(bicox.complexes, "face_count", lambda table: 34)
+    with pytest.raises(InternalCheckError):
+        TwoSidedComplex.build(tables("A2"))
 
 
 def test_face_budget(tables):
@@ -185,15 +192,67 @@ def test_structural_suite_exhaustive(spec, complexes):
     assert verify_sigma_embedding(cx)
 
 
-def test_structural_suite_sampled_rank4(complexes):
+def test_structural_suite_exhaustive_rank4(complexes):
     cx = complexes("D4")
-    rng = random.Random(1)
-    sample = [cx.faces[rng.randrange(len(cx.faces))] for _ in range(500)]
-    assert verify_boolean(cx, faces=sample, check_pairs=True)
-    assert verify_balanced(cx, faces=sample)
-    assert verify_weak_order_monotone(cx, faces=sample)
+    assert verify_boolean(cx)
+    assert verify_balanced(cx)
+    assert verify_weak_order_monotone(cx)
     assert verify_facet_count(cx)
-    assert verify_sigma_embedding(cx, sample_pairs=2000)
+    assert verify_sigma_embedding(cx)
+
+
+def with_entry(cx, gens_l, gens_r, w, value):
+    """A copy of ``cx`` whose table has one entry changed."""
+    bad = copy.copy(cx)
+    bad.reps = cx.reps.copy()
+    bad.reps[gens_l, gens_r, w] = value
+    return bad
+
+
+ORDER_CHECKS = [verify_boolean, verify_weak_order_monotone, verify_sigma_embedding, verify_thin]
+
+
+@pytest.mark.parametrize(
+    "spec, where, value, failing",
+    [
+        # reps[0, {s1}, s1] is e, the minimal element of s1 W_{s1} = {e, s1}
+        ("A3", (0, 0b001, "s1"), "w0", ORDER_CHECKS),
+        ("A3", (0, 0b001, "s1"), "s2", ORDER_CHECKS),  # minimal, in another coset
+        ("A3", (0, 0b001, "s1"), "s1", [verify_boolean, verify_sigma_embedding]),
+        ("A3", (0b111, 0b111, "w0"), "s1", [verify_boolean]),  # the minimum is (S, e, S)
+        ("A3", (0b110, 0b111, "w0"), "s1", [verify_balanced]),  # the vertex (S - s1, e, S)
+        # in A2 only the covers adding a left (then a right) index see these
+        ("A2", (0, 0b01, "s1"), "s2", [verify_boolean]),
+        ("A2", (0b01, 0, "s1"), "s2", [verify_boolean]),
+    ],
+    ids=["non-minimal", "other-coset", "same-coset", "minimum", "vertex", "left-cover", "right-cover"],
+)
+def test_corrupt_table_entry_fails(spec, where, value, failing, complexes):
+    cx = complexes(spec)
+    table = cx.table
+    name = {"s1": table.generator_id(0), "s2": table.generator_id(1), "w0": table.longest}
+    gens_l, gens_r, w = where
+    bad = with_entry(cx, gens_l, gens_r, name[w], name[value])
+    for check in failing:
+        assert check(cx)
+        assert not check(bad), check.__name__
+
+
+@pytest.mark.parametrize(
+    "replacement, failing",
+    [
+        (lambda cx: Face(0, cx.table.longest, 0b001), [verify_partition, verify_sigma_embedding]),
+        (lambda cx: cx.faces[0], [verify_partition]),  # a face listed twice
+    ],
+    ids=["not-minimal", "repeated"],
+)
+def test_wrong_face_list_fails(replacement, failing, complexes):
+    cx = complexes("A3")
+    bad = copy.copy(cx)
+    bad.faces = cx.faces[:-1] + [replacement(cx)]
+    for check in failing:
+        assert check(cx)
+        assert not check(bad), check.__name__
 
 
 # --- topology ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from bicox.cosets import (
     double_quotient_size,
     is_minimal_rep,
     minimal_rep,
+    minimal_rep_table,
 )
 
 from conftest import build
@@ -121,6 +122,35 @@ def test_quotient_counting_methods_agree(spec, tables):
             a = count_minimal_by_descents(table, gens_l, gens_r)
             b = count_cosets_by_sweep(table, gens_l, gens_r)
             assert a == b
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["A1", "A2", "A3", "B2", "B3", "H3", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "F4"],
+)
+def test_minimal_rep_table_matches_scalar(spec, tables):
+    table = tables(spec)
+    reps = minimal_rep_table(table)
+    full = table.full_mask
+    assert reps.shape == (full + 1, full + 1, table.order)
+    assert not reps.flags.writeable
+    for gens_l in range(full + 1):
+        for gens_r in range(full + 1):
+            expected = [minimal_rep(table, gens_l, w, gens_r) for w in range(table.order)]
+            assert reps[gens_l, gens_r].tolist() == expected, (gens_l, gens_r)
+
+
+def test_coset_sweep_needs_no_minimal_rep(a3, monkeypatch):
+    import bicox.cosets
+
+    def never(*args):
+        raise AssertionError("the sweep oracle called minimal_rep")
+
+    monkeypatch.setattr(bicox.cosets, "minimal_rep", never)
+    for gens_l in range(a3.full_mask + 1):
+        for gens_r in range(a3.full_mask + 1):
+            expected = count_minimal_by_descents(a3, gens_l, gens_r)
+            assert count_cosets_by_sweep(a3, gens_l, gens_r) == expected
 
 
 # --- pinned examples ---------------------------------------------------------
