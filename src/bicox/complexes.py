@@ -19,8 +19,9 @@ lower intervals, balanced coloring, interval partition, weak-order
 monotonicity, shelling along a facet order, thinness, the pseudomanifold
 property, the Euler characteristic, and the embedding of the classical
 complex.  Every check covers the whole complex, most as whole-array
-checks over the table.  Face-level shelling verification walks boundaries
-of boundaries and is intended for small rank.
+checks over the table; shelling along a facet order is one pass over the
+table per left subset I, comparing each facet's boundary faces met by
+earlier facets with its descent walls.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ def restriction(table: GroupTable, w: int) -> Face:
     """The minimum face represented by w: (Asc_L(w), w, Asc_R(w))."""
     full = table.full_mask
     return Face(full ^ int(table.des_left[w]), w, full ^ int(table.des_right[w]))
-
-
-def facet(w: int) -> Face:
-    """The maximal face represented by w."""
-    return Face(0, w, 0)
 
 
 def codim_one_of_facet(table: GroupTable, w: int) -> list[Face]:
@@ -314,53 +310,61 @@ class ShellingReport:
 
 
 def verify_shelling(cx: TwoSidedComplex, order: list[int]) -> ShellingReport:
-    """Face-level shelling check along the given facet order.
+    """Shelling check along the given facet order, in Bjorner's sense.
 
-    At each position k the boundary of the new facet is intersected with the
-    union of all earlier boundaries; the result must equal the union of the
-    closed lower intervals under the descent-type walls of the facet.  The
-    report also records where the intersection first fails to be pure of
-    codimension one (or empty with predecessors present), which is the raw
-    shelling condition.
+    The boundary faces of the facet (0, w, 0) are (X, reps[X, w]) over the
+    packed index pairs X = I << n | J other than 0, and such a face lies in
+    an earlier facet exactly when an earlier w' has reps[X, w'] ==
+    reps[X, w].  At each position these X must be the union of the descent
+    walls of w: the X with I meeting Des_L(w) or J meeting Des_R(w), read
+    from the descent masks.  The report also records where the intersection
+    is first empty or not pure of codimension one (it has a face that lies
+    in none of its codimension-one faces), which is the raw shelling
+    condition.  Works one left mask I at a time, over (2^n, |W|) blocks.
     """
     table = cx.table
-    if sorted(order) != list(range(table.order)):
+    n, size = cx.rank, table.order
+    if sorted(order) != list(range(size)):
         raise ValueError("order must be a permutation of all facet representatives")
-    codim1_rank = 2 * cx.rank - 1
-    prior: set[Face] = set()
-    first_mismatch = None
-    first_impure = None
-    for k, w in enumerate(order, start=1):
-        boundary = set(cx.lower_interval(facet(w)))
-        boundary.discard(facet(w))
-        got = boundary & prior
-        expected: set[Face] = set()
-        des_l, des_r = int(table.des_left[w]), int(table.des_right[w])
-        for s in range(cx.rank):
-            if des_l >> s & 1:
-                wall = Face(1 << s, int(table.left_mult[w, s]), 0)
-                expected.update(cx.lower_interval(wall))
-            if des_r >> s & 1:
-                wall = Face(0, int(table.right_mult[w, s]), 1 << s)
-                expected.update(cx.lower_interval(wall))
-        if got != expected and first_mismatch is None:
-            first_mismatch = k
-        if k > 1 and first_impure is None:
-            impure = not got
-            if not impure:
-                for f in got:
-                    if cx.face_rank(f) == codim1_rank:
-                        continue
-                    if not any(g != f and cx.leq(f, g) for g in got):
-                        impure = True
-                        break
-            if impure:
-                first_impure = k
-        prior |= boundary
+    pos = np.empty(size, dtype=np.min_scalar_type(size))
+    pos[np.asarray(order, dtype=np.intp)] = np.arange(size)
+    masks = np.arange(1 << n)
+    rows = masks[:, None] * size
+    block_pos = np.broadcast_to(pos, (len(masks), size)).ravel()
+    right_walls = (masks[:, None] & table.des_right) != 0  # [J, w]: J meets Des_R(w)
+
+    def earlier(gens_l: int) -> np.ndarray:
+        """[J, w]: whether the face (I, J, reps[I, J, w]) lies in a facet before w."""
+        at = (rows + cx.reps[gens_l]).ravel()
+        first = np.full(at.size, size, dtype=pos.dtype)  # [J * |W| + u]: first position
+        np.minimum.at(first, at, block_pos)
+        return (first[at] < block_pos).reshape(-1, size)
+
+    atoms = np.zeros(size, dtype=np.intp)  # [w]: the codimension-one X met earlier
+    right_only = earlier(0)
+    for s in range(n):
+        atoms |= right_only[1 << s].astype(np.intp) << s
+        atoms |= earlier(1 << s)[0].astype(np.intp) << n + s
+    mismatch = np.zeros(size, dtype=bool)
+    impure = np.zeros(size, dtype=bool)
+    met = np.zeros(size, dtype=bool)
+    for gens_l in range(1 << n):
+        got = earlier(gens_l)
+        walls = right_walls | ((gens_l & table.des_left) != 0)
+        mismatch |= (got != walls).any(axis=0)
+        packed = gens_l << n | masks
+        impure |= (got & ((packed[:, None] & atoms) == 0)).any(axis=0)
+        met |= got.any(axis=0)
+    impure |= ~met
+    impure[pos == 0] = False
+
+    def first_of(bad: np.ndarray) -> int | None:
+        return int(pos[bad].min()) + 1 if bad.any() else None
+
     return ShellingReport(
-        ok=first_mismatch is None,
-        first_mismatch=first_mismatch,
-        first_impure=first_impure,
+        ok=not mismatch.any(),
+        first_mismatch=first_of(mismatch),
+        first_impure=first_of(impure),
         facets_checked=len(order),
     )
 

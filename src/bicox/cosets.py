@@ -6,13 +6,17 @@ from I and Des_R(u) disjoint from J; moreover u lies below every coset member
 in the two-sided weak order.  Cosets are therefore canonicalized as triples
 (I, u, J) with u minimal, and never stored as element sets.
 
+Counting them is checked two ways that share no code:
+:func:`count_minimal_by_descents` filters W by descent sets, and
+:func:`coset_labels` closes every coset at once, labelling each element
+with the least id it reaches through the columns s.x (s in I) and x.s
+(s in J) of the multiplication tables.
+
 All functions are pure over an immutable :class:`~bicox.coxeter.GroupTable`
 and safe for concurrent use.  Generator subsets are bitmasks.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -86,34 +90,10 @@ def is_minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> bool:
 
 
 def double_coset(table: GroupTable, gens_l: int, u: int, gens_r: int) -> set[int]:
-    """All elements of W_I u W_J, by breadth-first closure from u, which may
-    be any member of the coset."""
-    left, right = table.left_mult, table.right_mult
-    seen = {u}
-    queue = deque((u,))
-    bits_l = _mask_bits(gens_l)
-    bits_r = _mask_bits(gens_r)
-    while queue:
-        x = queue.popleft()
-        for s in bits_l:
-            y = int(left[x, s])
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-        for s in bits_r:
-            y = int(right[x, s])
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
-def _mask_bits(mask: int) -> list[int]:
-    bits = []
-    while mask:
-        bits.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return bits
+    """All elements of W_I u W_J, read from :func:`coset_labels`; u may be
+    any member of the coset."""
+    labels = coset_labels(table, gens_l, gens_r)
+    return set(np.flatnonzero(labels == labels[u]).tolist())
 
 
 def count_minimal_by_descents(table: GroupTable, gens_l: int, gens_r: int) -> int:
@@ -124,17 +104,24 @@ def count_minimal_by_descents(table: GroupTable, gens_l: int, gens_r: int) -> in
 
 
 def coset_labels(table: GroupTable, gens_l: int, gens_r: int) -> np.ndarray:
-    """Entry x: the number of the double coset W_I x W_J.  Walks W in id
-    order and closes the coset of each unlabeled element with
-    :func:`double_coset`; no minimal representative is used."""
-    labels = [-1] * table.order
-    count = 0
-    for w in range(table.order):
-        if labels[w] < 0:
-            for x in double_coset(table, gens_l, w, gens_r):
-                labels[x] = count
-            count += 1
-    return np.array(labels)
+    """Entry x: the number of the double coset W_I x W_J, numbered in the
+    order of their least ids.
+
+    Each element is labelled with the least id reachable from it through the
+    columns s.x (s in I) and x.s (s in J), by repeated neighbour minima and
+    pointer jumps; labels only decrease, so this ends on any table.  No
+    descent set or minimal representative is used.
+    """
+    steps = [table.left_mult[:, s] for s in range(table.rank) if gens_l >> s & 1]
+    steps += [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
+    neighbours = np.array(steps, dtype=np.intp).reshape(len(steps), table.order)
+    labels = np.arange(table.order)
+    while True:
+        lower = np.minimum(labels, labels[neighbours].min(axis=0, initial=table.order))
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = lower
 
 
 def count_cosets_by_sweep(table: GroupTable, gens_l: int, gens_r: int) -> int:

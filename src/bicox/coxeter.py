@@ -697,17 +697,29 @@ def length_order(table: GroupTable) -> list[int]:
 
 
 def word(table: GroupTable, w: int) -> tuple[int, ...]:
-    """A reduced word for w (generator indices, leftmost letter first)."""
+    """A reduced word for w (generator indices, leftmost letter first).
+
+    Strips the lowest left descent at most length(w) times; raises
+    :class:`InternalCheckError` when that does not reach e, as on a table
+    whose descent sets or lengths are inconsistent.
+    """
     cached = table._words.get(w)
     if cached is not None:
         return cached
     letters = []
     x = w
-    while x:
+    while x and len(letters) < int(table.length[w]):
         mask = int(table.des_left[x])
+        if not mask:
+            break
         s = (mask & -mask).bit_length() - 1
         letters.append(s)
         x = int(table.left_mult[x, s])
+    if x:
+        raise InternalCheckError(
+            f"element {w}: stripping left descents stops at {x}, not e, "
+            f"after {len(letters)} of {int(table.length[w])} steps"
+        )
     result = tuple(letters)
     if len(table._words) < 1 << 16:
         table._words[w] = result

@@ -10,7 +10,8 @@ import pytest
 
 from bicox.cache import MAGIC, deserialize, load_table, save_table, serialize
 from bicox.cli import main
-from bicox.errors import CacheError
+from bicox.coxeter import word
+from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
 
@@ -102,6 +103,20 @@ def test_out_of_range_cache_contents_raise_cache_error(tmp_path, a2, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: malformed cache file")
         assert "Traceback" not in err
+
+
+def test_left_descent_missing_raises_internal_error(tmp_path, a2, capsys):
+    """A sealed blob in which s1 has no left descent: the reduced-word walk
+    stops with an internal error instead of looping."""
+    body = bytearray(serialize(a2)[:-32])
+    s1 = a2.generator_id(0)
+    body[len(body) - 2 * a2.order + s1] ^= 1  # bit s1 of Des_L(s1)
+    blob = seal(body)
+    with pytest.raises(InternalCheckError):
+        word(deserialize(blob), s1)
+    (tmp_path / "A2.gt").write_bytes(blob)
+    assert run(tmp_path, "export", "--type", "A2", "--what", "hasse") == 1
+    assert capsys.readouterr().err.startswith("internal error:")
 
 
 def test_failed_save_keeps_earlier_file(tmp_path, a3, monkeypatch):
@@ -203,11 +218,27 @@ def test_verify_json(tmp_path, capsys):
     assert "FAIL" not in statuses.values()
 
 
-def test_verify_rank4_skips_shelling(tmp_path, capsys):
+def test_verify_rank4_runs_shelling(tmp_path, capsys):
     assert run(tmp_path, "verify", "--type", "D4") == 0
     out = capsys.readouterr().out
-    assert "SKIP shelling" in out
-    assert "PASS double-quotient-oracle" in out
+    assert "PASS shelling  (all 192 facets)" in out
+    assert "PASS double-quotient-oracle  (all 256 subset pairs)" in out
+
+
+def test_verify_failed_shelling_names_both_facets(tmp_path, capsys, monkeypatch):
+    import bicox.cli
+
+    def w0_first(table):
+        return [table.longest] + [w for w in range(table.order) if w != table.longest]
+
+    monkeypatch.setattr(bicox.cli, "length_order", w0_first)
+    assert run(tmp_path, "verify", "--type", "A2") == 1
+    out = capsys.readouterr().out
+    assert "FAIL shelling  (first mismatch at facet 1, first impure at facet 2)" in out
+    monkeypatch.setattr(bicox.cli, "length_order", lambda table: list(range(table.order))[::-1])
+    assert run(tmp_path, "verify", "--type", "A2") == 1
+    out = capsys.readouterr().out
+    assert "FAIL shelling  (first mismatch at facet 1, first impure at facet none)" in out
 
 
 def test_verify_reports_coverage(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """The two-sided complex: structure, topology, and the embedded complex."""
 
 import copy
+import random
 
 import pytest
 
 import bicox.complexes
 from bicox.complexes import (
     Face,
+    ShellingReport,
     TwoSidedComplex,
     classical_coxeter_complex,
     codim_one_of_facet,
@@ -209,7 +211,17 @@ def with_entry(cx, gens_l, gens_r, w, value):
     return bad
 
 
-ORDER_CHECKS = [verify_boolean, verify_weak_order_monotone, verify_sigma_embedding, verify_thin]
+def verify_shelling_by_length(cx):
+    return verify_shelling(cx, length_order(cx.table))
+
+
+ORDER_CHECKS = [
+    verify_boolean,
+    verify_weak_order_monotone,
+    verify_sigma_embedding,
+    verify_thin,
+    verify_shelling_by_length,
+]
 
 
 @pytest.mark.parametrize(
@@ -218,12 +230,15 @@ ORDER_CHECKS = [verify_boolean, verify_weak_order_monotone, verify_sigma_embeddi
         # reps[0, {s1}, s1] is e, the minimal element of s1 W_{s1} = {e, s1}
         ("A3", (0, 0b001, "s1"), "w0", ORDER_CHECKS),
         ("A3", (0, 0b001, "s1"), "s2", ORDER_CHECKS),  # minimal, in another coset
-        ("A3", (0, 0b001, "s1"), "s1", [verify_boolean, verify_sigma_embedding]),
-        ("A3", (0b111, 0b111, "w0"), "s1", [verify_boolean]),  # the minimum is (S, e, S)
-        ("A3", (0b110, 0b111, "w0"), "s1", [verify_balanced]),  # the vertex (S - s1, e, S)
+        ("A3", (0, 0b001, "s1"), "s1",
+         [verify_boolean, verify_sigma_embedding, verify_shelling_by_length]),
+        # the minimum is (S, e, S)
+        ("A3", (0b111, 0b111, "w0"), "s1", [verify_boolean, verify_shelling_by_length]),
+        # the vertex (S - s1, e, S)
+        ("A3", (0b110, 0b111, "w0"), "s1", [verify_balanced, verify_shelling_by_length]),
         # in A2 only the covers adding a left (then a right) index see these
-        ("A2", (0, 0b01, "s1"), "s2", [verify_boolean]),
-        ("A2", (0b01, 0, "s1"), "s2", [verify_boolean]),
+        ("A2", (0, 0b01, "s1"), "s2", [verify_boolean, verify_shelling_by_length]),
+        ("A2", (0b01, 0, "s1"), "s2", [verify_boolean, verify_shelling_by_length]),
     ],
     ids=["non-minimal", "other-coset", "same-coset", "minimum", "vertex", "left-cover", "right-cover"],
 )
@@ -266,6 +281,71 @@ def test_shelling_along_length_order(spec, complexes):
     assert report.first_impure is None
 
 
+def shelling_by_walk(cx, order):
+    """Reference shelling check: walks face sets facet by facet.
+
+    The boundary of each new facet is intersected with the union of all
+    earlier boundaries and compared with the union of the closed lower
+    intervals under its descent-type walls; the intersection must also be
+    nonempty and pure of codimension one (each face strictly below another).
+    """
+    table = cx.table
+    codim1_rank = 2 * cx.rank - 1
+    prior = set()
+    first_mismatch = None
+    first_impure = None
+    for k, w in enumerate(order, start=1):
+        boundary = set(cx.lower_interval(Face(0, w, 0)))
+        boundary.discard(Face(0, w, 0))
+        got = boundary & prior
+        expected = set()
+        des_l, des_r = int(table.des_left[w]), int(table.des_right[w])
+        for s in range(cx.rank):
+            if des_l >> s & 1:
+                expected.update(cx.lower_interval(Face(1 << s, int(table.left_mult[w, s]), 0)))
+            if des_r >> s & 1:
+                expected.update(cx.lower_interval(Face(0, int(table.right_mult[w, s]), 1 << s)))
+        if got != expected and first_mismatch is None:
+            first_mismatch = k
+        if k > 1 and first_impure is None:
+            impure = not got or any(
+                cx.face_rank(f) != codim1_rank
+                and not any(g != f and cx.leq(f, g) for g in got)
+                for f in got
+            )
+            if impure:
+                first_impure = k
+        prior |= boundary
+    return ShellingReport(first_mismatch is None, first_mismatch, first_impure, len(order))
+
+
+def shelling_orders(table, seed):
+    """The length order, ten shuffles and ten orders with a few adjacent swaps."""
+    rng = random.Random(seed)
+    base = length_order(table)
+    orders = [base]
+    for _ in range(10):
+        orders.append(rng.sample(base, len(base)))
+    for _ in range(10):
+        order = list(base)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(order) - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        orders.append(order)
+    return orders
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "H3", "I2(5)"])
+def test_shelling_matches_walk(spec, complexes):
+    cx = complexes(spec)
+    outcomes = set()
+    for order in shelling_orders(cx.table, seed=sum(map(ord, spec))):
+        report = verify_shelling(cx, order)
+        assert report == shelling_by_walk(cx, order), order
+        outcomes.add(report.ok)
+    assert outcomes == {True, False}
+
+
 def test_shelling_rejects_bad_order(complexes):
     cx = complexes("A2")
     w0_first = [cx.table.longest] + [w for w in range(6) if w != cx.table.longest]
@@ -273,6 +353,18 @@ def test_shelling_rejects_bad_order(complexes):
     assert not report.ok
     assert report.first_mismatch == 1
     assert report.first_impure == 2
+
+
+def test_shelling_disjoint_facets_are_impure(complexes):
+    """A table in which the facet of s shares no face with that of e: the
+    intersection is empty, which counts as impure."""
+    cx = complexes("A1")
+    bad = copy.copy(cx)
+    bad.reps = cx.reps.copy()
+    bad.reps[..., 1] = 1
+    report = verify_shelling(bad, [0, 1])
+    assert report == shelling_by_walk(bad, [0, 1])
+    assert (report.first_mismatch, report.first_impure) == (2, 2)
 
 
 def test_shelling_rejects_non_permutation(complexes):

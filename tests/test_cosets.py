@@ -1,5 +1,6 @@
 """Double cosets: minimal representatives, closures, quotient counts."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from bicox.cosets import (
     minimal_rep,
     minimal_rep_table,
 )
+from bicox.errors import InternalCheckError
 
 from conftest import build
 
@@ -144,13 +146,31 @@ def test_coset_sweep_needs_no_minimal_rep(a3, monkeypatch):
     import bicox.cosets
 
     def never(*args):
-        raise AssertionError("the sweep oracle called minimal_rep")
+        raise AssertionError("the sweep oracle called minimal_rep or double_coset")
 
     monkeypatch.setattr(bicox.cosets, "minimal_rep", never)
+    monkeypatch.setattr(bicox.cosets, "double_coset", never)
     for gens_l in range(a3.full_mask + 1):
         for gens_r in range(a3.full_mask + 1):
             expected = count_minimal_by_descents(a3, gens_l, gens_r)
             assert count_cosets_by_sweep(a3, gens_l, gens_r) == expected
+
+
+def test_corrupt_right_mult_column_fails_oracle(a3):
+    """Swapping two entries of one right_mult column merges two cosets of
+    W_{s}, which only the closure sees; the descent filter does not."""
+    right = a3.right_mult.copy()
+    right[[0, 2], 0] = right[[2, 0], 0]
+    bad = dataclasses.replace(a3, right_mult=right, _words={})
+    full = a3.full_mask
+    failed = []
+    for gens_l in range(full + 1):
+        for gens_r in range(full + 1):
+            try:
+                double_quotient_size(bad, gens_l, gens_r)
+            except InternalCheckError:
+                failed.append((gens_l, gens_r))
+    assert (0, 0b001) in failed
 
 
 # --- pinned examples ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Group construction: classification, BFS tables, weak order."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -19,7 +20,7 @@ from bicox.coxeter import (
     two_sided_down_reach,
     word,
 )
-from bicox.errors import CapacityError, NotFiniteError
+from bicox.errors import CapacityError, InternalCheckError, NotFiniteError
 
 from conftest import build
 
@@ -357,6 +358,17 @@ def test_words_are_reduced(b3):
         for s in reversed(letters):
             x = int(b3.left_mult[x, s])
         assert x == w
+
+
+def test_word_walk_is_bounded(a2):
+    """A left_mult column that sends s1s2 back to itself would make the
+    descent walk cycle; it stops after length(w) steps with an error."""
+    s1s2 = int(a2.left_mult[a2.generator_id(1), 0])
+    left = a2.left_mult.copy()
+    left[s1s2, 0] = s1s2
+    bad = dataclasses.replace(a2, left_mult=left, _words={})
+    with pytest.raises(InternalCheckError, match="not e"):
+        word(bad, s1s2)
 
 
 def test_mult(b3):
