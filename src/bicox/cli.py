@@ -50,7 +50,7 @@ from .enumeration import (
     reciprocity_holds,
     two_sided_eulerian,
 )
-from .errors import BicoxError, CacheError, CapacityError, NotFiniteError
+from .errors import BicoxError, CacheError, CapacityError, InternalCheckError, NotFiniteError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -98,12 +98,23 @@ def emit(args, text: str) -> None:
 
 
 def run_verification(table):
-    """All checks as (name, status, detail); statuses PASS/FAIL/SKIP/FLAG."""
+    """All checks as (name, status, detail); statuses PASS/FAIL/SKIP/FLAG.
+
+    A check that raises :class:`InternalCheckError` is recorded as FAIL with
+    the error text, and the remaining checks still run.
+    """
     n = table.rank
     results = []
 
     def record(name, ok, detail=""):
         results.append((name, "PASS" if ok else "FAIL", detail))
+
+    def check(name, run, detail=""):
+        try:
+            ok = run()
+        except InternalCheckError as err:
+            ok, detail = False, str(err)
+        record(name, ok, detail)
 
     f = flag_f(table)
     h = flag_h(table)
@@ -125,13 +136,16 @@ def run_verification(table):
 
     if n <= 4:
         full = table.full_mask
-        ok = all(
-            f[full ^ gens_l][full ^ gens_r]
-            == double_quotient_size(table, gens_l, gens_r)
-            for gens_l in range(full + 1)
-            for gens_r in range(full + 1)
+        check(
+            "double-quotient-oracle",
+            lambda: all(
+                f[full ^ gens_l][full ^ gens_r]
+                == double_quotient_size(table, gens_l, gens_r)
+                for gens_l in range(full + 1)
+                for gens_r in range(full + 1)
+            ),
+            f"all {4 ** n} subset pairs",
         )
-        record("double-quotient-oracle", ok, f"all {4 ** n} subset pairs")
     else:
         results.append(("double-quotient-oracle", "SKIP", "rank > 4"))
 
@@ -142,22 +156,26 @@ def run_verification(table):
         )
         return results
 
-    cx = TwoSidedComplex.build(table)
+    try:
+        cx = TwoSidedComplex.build(table)
+    except InternalCheckError as err:
+        record("complex", False, str(err))
+        return results
     every_face = f"all {len(cx.faces)} faces"
     every_facet = f"all {table.order} facets"
-    record("boolean-intervals", verify_boolean(cx), every_face)
-    record("balanced-coloring", verify_balanced(cx), every_face)
-    record("interval-partition", verify_partition(cx), every_face)
+    check("boolean-intervals", lambda: verify_boolean(cx), every_face)
+    check("balanced-coloring", lambda: verify_balanced(cx), every_face)
+    check("interval-partition", lambda: verify_partition(cx), every_face)
     if table.order <= 20000:
-        record("weak-order-monotone", verify_weak_order_monotone(cx), every_face)
+        check("weak-order-monotone", lambda: verify_weak_order_monotone(cx), every_face)
     else:
         results.append(("weak-order-monotone", "SKIP", f"order {table.order} over 20000"))
-    record("facet-count", verify_facet_count(cx), every_facet)
+    check("facet-count", lambda: verify_facet_count(cx), every_facet)
     pairs = f"all {len(sigma_ideal(cx))}^2 ideal pairs"
-    record("sigma-embedding", verify_sigma_embedding(cx), pairs)
-    record("thin", verify_thin(cx), every_face)
-    record("pseudomanifold", verify_pseudomanifold(cx), every_facet)
-    record("euler-characteristic", euler_characteristic(cx) == 0, every_face)
+    check("sigma-embedding", lambda: verify_sigma_embedding(cx), pairs)
+    check("thin", lambda: verify_thin(cx), every_face)
+    check("pseudomanifold", lambda: verify_pseudomanifold(cx), every_facet)
+    check("euler-characteristic", lambda: euler_characteristic(cx) == 0, every_face)
     report = verify_shelling(cx, length_order(table))
     if report.ok:
         record("shelling", True, every_facet)
@@ -166,7 +184,7 @@ def run_verification(table):
         where = f"first mismatch at facet {report.first_mismatch}, first impure at facet {impure}"
         record("shelling", False, where)
     if table.system.is_irreducible("A") and n <= 3:
-        record("contingency-isomorphism", verify_refinement_isomorphism(table))
+        check("contingency-isomorphism", lambda: verify_refinement_isomorphism(table))
     return results
 
 

@@ -125,6 +125,8 @@ class SymmetricGroupFaces:
         perms = [tuple(range(1, self.n + 1))] * self.table.order
         for w in range(1, self.table.order):
             mask = int(self.table.des_left[w])
+            if not mask:
+                raise InternalCheckError(f"element {w} is not e but has no left descent")
             s = (mask & -mask).bit_length() - 1
             shorter = perms[int(self.table.left_mult[w, s])]
             a = self._position[s] + 1

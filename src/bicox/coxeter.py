@@ -6,22 +6,27 @@ is accepted only if every connected component of its diagram matches one of
 the finite types A_n, B_n, D_n, E6, E7, E8, F4, H3, H4 or I2(m); anything
 else raises :class:`NotFiniteError`.
 
-Accepted groups are enumerated by breadth-first search of the left Cayley
-graph.  Elements receive dense ids in discovery order, so ids are weakly
-sorted by length and id 0 is the identity.  The finished
-:class:`GroupTable` stores, per element: length, left and right
-multiplication by each generator, the inverse, and both descent sets as
-bitmasks over the generator indices.  All downstream code works from this
-table alone and never sees the representation used during the search.
+Accepted groups are enumerated one length layer at a time, by array
+operations over the whole layer.  Each s*w lies one layer above or below w;
+the ones below are already known, since s*(s*w) = w was found from the
+layer below, and the others, sorted and deduplicated, form the next layer.
+New elements take dense ids in order of first occurrence in (w, s) order,
+which is exactly the discovery order of a breadth-first search of the left
+Cayley graph, so ids are weakly sorted by length and id 0 is the identity.
+The finished :class:`GroupTable` stores, per element: length, left and
+right multiplication by each generator, the inverse, and both descent sets
+as bitmasks over the generator indices.  All downstream code works from
+this table alone and never sees the representation used during the search.
 
-During the search W acts by permutation on its roots, one table
-``sigma[s][root]`` over the disjoint union of the components' roots: a
+During the search W acts by permutation on its roots, one array
+``sigma[s, root]`` over the disjoint union of the components' roots: a
 rank-2 component with bond m permutes the 2m roots of the regular 2m-gon,
 and every other component is closed exactly over Z[phi] (phi the golden
-ratio) from its Cartan matrix.  An element w is identified by the tuple of
-root indices of the images of the simple roots under w, so left
-multiplication by a generator only looks up root indices, which keeps the
-search loop cheap.
+ratio) from its Cartan matrix.  An element w is identified by the root
+indices of the images of the simple roots under w, packed into one uint64
+in a mixed radix (the digit of generator t is the index of w(alpha_t)
+among the roots of t's component), so deduplicating a layer is one sort
+of integers.
 """
 
 from __future__ import annotations
@@ -425,7 +430,7 @@ def _root_permutations(system: CoxeterSystem):
     """W's permutation action on the disjoint union of its components' roots.
 
     Returns ``(identity, sigma)``: ``identity[s]`` is the index of the simple
-    root of generator s, and ``sigma[s][r]`` is the index of s applied to
+    root of generator s, and ``sigma[s, r]`` is the index of s applied to
     root r.  A rank-2 component with bond m acts on the 2m roots of the
     regular 2m-gon; any other component is closed over Z[phi] from its
     Cartan matrix.  Raises :class:`InternalCheckError` when a component's
@@ -487,7 +492,7 @@ def _root_permutations(system: CoxeterSystem):
             row = local[verts.index(s)] if s in verts else range(count)
             sigma[s].extend(offset + r for r in row)
         offset += count
-    return tuple(identity), sigma
+    return tuple(identity), np.array(sigma, dtype=np.min_scalar_type(offset - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +542,49 @@ class GroupTable:
         return f"GroupTable({self.system.canonical_name}, order={self.order})"
 
 
+def _key_digits(system: CoxeterSystem) -> tuple[list[int], list[int]]:
+    """Per-generator ``(offset, radix)`` of the packed element key.
+
+    The key digit of generator t is the index of w(alpha_t) among the roots
+    of t's component: its root index minus ``offset[t]``, below ``radix[t]``,
+    the component's root count.  Components are numbered as in
+    :func:`_root_permutations`.
+    """
+    offset = [0] * system.rank
+    radix = [0] * system.rank
+    start = 0
+    for comp in system.components:
+        for v in comp.vertices:
+            offset[v] = start
+            radix[v] = comp.label.root_count
+        start += comp.label.root_count
+    return offset, radix
+
+
+def _unique_first(values: np.ndarray):
+    """``np.unique(values, return_index=True, return_inverse=True)``.
+
+    Takes the first index of each value as a minimum over its run, so the
+    sort need not be stable: numpy's unstable argsort is several times
+    faster on uint64 keys than the stable one ``np.unique`` uses.
+    """
+    perm = values.argsort()
+    ordered = values[perm]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    where = np.empty(len(values), dtype=np.intp)
+    where[perm] = np.cumsum(new) - 1
+    return ordered[starts], np.minimum.reduceat(perm, starts), where
+
+
 def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTable:
     """Enumerate the group of ``system`` into a :class:`GroupTable`.
 
     Raises :class:`CapacityError` before enumerating when the rank exceeds
-    :data:`MAX_RANK` or the classified order exceeds ``budget`` (default
-    10**7 elements).
+    :data:`MAX_RANK`, the classified order exceeds ``budget`` (default
+    10**7 elements), or the packed element keys would not fit in 64 bits.
     """
     if system.rank > MAX_RANK:
         raise CapacityError(f"rank {system.rank} is over the maximum of {MAX_RANK}")
@@ -551,52 +593,73 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         raise CapacityError(
             f"{system.canonical_name} has {order} elements, over the budget of {budget}"
         )
+    # Key bits are at most 2.69*log2|W| (the worst irreducible ratio, at
+    # A11), so within the default budget a key never needs over 62.5 bits.
+    offset, radix = _key_digits(system)
+    if math.prod(radix) >= 1 << 64:
+        raise CapacityError(
+            f"{system.canonical_name} needs {math.log2(math.prod(radix)):.1f}-bit "
+            "element keys, over the 64 bits of a packed key"
+        )
     n = system.rank
     identity, sigma = _root_permutations(system)
+    # digits[t][r, s] is the packed-key term of generator t when w(alpha_t)
+    # is root r and s*w takes it to sigma[s, r]; a component's roots stay in
+    # that component, so only its own rows are ever read.
+    place = [math.prod(radix[:t]) for t in range(n)]
+    digits = np.zeros((n, sigma.shape[1], n), dtype=np.uint64)
+    for t in range(n):
+        rows = slice(offset[t], offset[t] + radix[t])
+        digits[t, rows] = (sigma.T[rows] - offset[t]).astype(np.uint64) * np.uint64(place[t])
 
     length = np.zeros(order, dtype=np.int16)
-    left = np.zeros((order, n), dtype=np.int32)
+    left = np.full((order, n), -1, dtype=np.int32)
     parent = np.zeros(order, dtype=np.int32)
     parent_gen = np.zeros(order, dtype=np.int8)
 
-    ids: dict = {identity: 0}
-    keys = [identity]
-    images = [sig.__getitem__ for sig in sigma]
-    get = ids.get
-    w = 0
-    while w < len(keys):
-        key = keys[w]
-        next_len = length[w] + 1
-        for s in range(n):
-            nk = tuple(map(images[s], key))
-            j = get(nk)
-            if j is None:
-                j = len(keys)
-                if j >= order:
-                    raise InternalCheckError(
-                        f"BFS closure exceeds classified order {order}"
-                    )
-                ids[nk] = j
-                keys.append(nk)
-                length[j] = next_len
-                parent[j] = w
-                parent_gen[j] = s
-            left[w, s] = j
-        w += 1
-    if len(keys) != order:
+    # One length layer [start, end) at a time, with ``keys`` its keys in id
+    # order.  Each s*w lies one layer up or down, and s*(s*w) = w, so the
+    # entries pointing down were written while the layer below was done:
+    # the ones still -1 are the children in the next layer.
+    layers = [0, 1]
+    keys = np.array([identity], dtype=sigma.dtype)
+    start, end = 0, 1
+    while start < end:
+        cand = digits[0][keys[:, 0]]  # cand[w, s] is the packed key of s*w
+        for t in range(1, n):
+            cand += digits[t][keys[:, t]]
+        up = np.flatnonzero(left[start:end].ravel() < 0)  # in (w, s) order
+        fresh, first, where = _unique_first(cand.ravel()[up])
+        nxt = end + len(fresh)
+        if nxt > order:
+            raise InternalCheckError(f"closure exceeds classified order {order}")
+        # New ids follow first occurrence in (w, s) order, as a BFS would.
+        by_first = np.argsort(first)
+        ids = np.empty(len(fresh), dtype=np.int32)
+        ids[by_first] = np.arange(end, nxt, dtype=np.int32)
+        w, s, child = start + up // n, up % n, ids[where]
+        left[w, s] = child
+        left[child, s] = w
+        born = up[first[by_first]]
+        length[end:nxt] = length[start] + 1
+        parent[end:nxt] = start + born // n
+        parent_gen[end:nxt] = born % n
+        keys = sigma[parent_gen[end:nxt, None], keys[born // n]]
+        start, end = end, nxt
+        layers.append(end)
+    if end != order:
         raise InternalCheckError(
-            f"BFS closure found {len(keys)} elements, classified order is {order}"
+            f"closure found {end} elements, classified order is {order}"
         )
-    del ids, keys
 
     right = np.zeros((order, n), dtype=np.int32)
     inverse = np.zeros(order, dtype=np.int32)
     right[0] = left[0]
-    for v in range(1, order):
-        p = parent[v]
-        t = parent_gen[v]
-        right[v] = left[right[p], t]
-        inverse[v] = right[inverse[p], t]
+    for a, b in zip(layers[1:], layers[2:]):  # each layer from the one below
+        p = parent[a:b]
+        t = parent_gen[a:b]
+        right[a:b] = left[right[p], t[:, None]]
+        inverse[a:b] = right[inverse[p], t]
 
     bits = (1 << np.arange(n, dtype=np.int64)).astype(np.uint16)
     des_left = ((length[left] < length[:, None]) * bits).sum(axis=1).astype(np.uint16)
@@ -637,6 +700,17 @@ def _validate(table: GroupTable) -> None:
         raise InternalCheckError("left descents disagree with inverse right descents")
     if int(table.des_right[table.longest]) != table.full_mask:
         raise InternalCheckError("longest element is missing a right descent")
+    # The closure and the coset code rely on these; the number of positive
+    # roots comes from the classification, not from the closure.
+    if table.length[0] != 0:
+        raise InternalCheckError(f"id 0 has length {table.length[0]}, not 0")
+    if not np.all(np.diff(table.length) >= 0):
+        raise InternalCheckError("ids are not weakly sorted by length")
+    positive = sum(c.label.root_count // 2 for c in table.system.components)
+    if int(table.length[-1]) != positive:  # the last id is a longest one
+        raise InternalCheckError(
+            f"longest length {int(table.length[-1])} is not the {positive} positive roots"
+        )
 
 
 # ---------------------------------------------------------------------------

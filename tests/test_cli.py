@@ -105,15 +105,19 @@ def test_out_of_range_cache_contents_raise_cache_error(tmp_path, a2, capsys):
         assert "Traceback" not in err
 
 
-def test_left_descent_missing_raises_internal_error(tmp_path, a2, capsys):
-    """A sealed blob in which s1 has no left descent: the reduced-word walk
-    stops with an internal error instead of looping."""
+def descent_flipped_blob(a2):
+    """A sealed A2 blob in which s1 has no left descent."""
     body = bytearray(serialize(a2)[:-32])
     s1 = a2.generator_id(0)
     body[len(body) - 2 * a2.order + s1] ^= 1  # bit s1 of Des_L(s1)
-    blob = seal(body)
+    return seal(body)
+
+
+def test_left_descent_missing_raises_internal_error(tmp_path, a2, capsys):
+    """The reduced-word walk stops with an internal error instead of looping."""
+    blob = descent_flipped_blob(a2)
     with pytest.raises(InternalCheckError):
-        word(deserialize(blob), s1)
+        word(deserialize(blob), a2.generator_id(0))
     (tmp_path / "A2.gt").write_bytes(blob)
     assert run(tmp_path, "export", "--type", "A2", "--what", "hasse") == 1
     assert capsys.readouterr().err.startswith("internal error:")
@@ -239,6 +243,44 @@ def test_verify_failed_shelling_names_both_facets(tmp_path, capsys, monkeypatch)
     assert run(tmp_path, "verify", "--type", "A2") == 1
     out = capsys.readouterr().out
     assert "FAIL shelling  (first mismatch at facet 1, first impure at facet none)" in out
+
+
+def test_verify_keeps_report_when_oracle_trips(tmp_path, a2, capsys):
+    """The double-quotient oracle's mismatch on a corrupt table is one FAIL
+    line, and every check after it still reports."""
+    assert run(tmp_path / "clean", "verify", "--type", "A2") == 0
+    clean = capsys.readouterr().out
+    (tmp_path / "A2.gt").write_bytes(descent_flipped_blob(a2))
+    assert run(tmp_path, "verify", "--type", "A2") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""  # no traceback, no internal-error line
+    out = captured.out
+    assert (
+        "FAIL double-quotient-oracle  (double quotient count mismatch for I=1, J=0: "
+        "descent filter 4, coset sweep 3)"
+    ) in out
+    assert "FAIL contingency-isomorphism  (element 1 is not e but has no left descent)" in out
+
+    def checks_from_oracle_on(report):
+        names = [line.split()[1] for line in report.splitlines()[1:]]
+        return names[names.index("double-quotient-oracle") :]
+
+    assert checks_from_oracle_on(out) == checks_from_oracle_on(clean)
+
+
+def test_verify_records_failed_complex_build(tmp_path, capsys, monkeypatch):
+    import bicox.cli
+
+    class Unbuildable:
+        @staticmethod
+        def build(table):
+            raise InternalCheckError("face count mismatch")
+
+    monkeypatch.setattr(bicox.cli, "TwoSidedComplex", Unbuildable)
+    assert run(tmp_path, "verify", "--type", "A2") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL complex  (face count mismatch)"
+    assert lines[-2].split()[1] == "double-quotient-oracle"
 
 
 def test_verify_reports_coverage(tmp_path, capsys):

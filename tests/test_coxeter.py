@@ -1,13 +1,21 @@
 """Group construction: classification, BFS tables, weak order."""
 
 import dataclasses
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import bicox.coxeter as coxeter
+from bicox.cache import serialize
 from bicox.coxeter import (
     CoxeterMatrix,
+    GroupTable,
+    _key_digits,
+    _unique_first,
+    _validate,
     build_group,
     classify,
     classify_spec,
@@ -219,13 +227,13 @@ def irreducible_degrees(factor):
     }[factor]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "A1", "A2", "B2", "I2(5)", "I2(9)", "I2(12)", "H3", "H4", "F4", "D5", "E6",
-        "B4xA1", "I2(9)xH3xA3", "A2xI2(5)xB3",
-    ],
-)
+DEGREE_SPECS = [
+    "A1", "A2", "B2", "I2(5)", "I2(9)", "I2(12)", "H3", "H4", "F4", "D5", "E6",
+    "B4xA1", "I2(9)xH3xA3", "A2xI2(5)xB3",
+]
+
+
+@pytest.mark.parametrize("spec", DEGREE_SPECS)
 def test_length_distribution_matches_degrees(spec, tables):
     """The Poincare polynomial is the product of [d]_q over the degrees d."""
     poly = [1]
@@ -248,6 +256,110 @@ def test_capacity_budget():
         build("A4", budget=100)
     with pytest.raises(CapacityError):
         build_group(classify_spec("E8"))  # over the default budget
+
+
+# SHA-256 of cache.serialize(build_group(spec)), recorded from the per-element
+# dict BFS that the length-layered closure replaced: ids, arrays and blobs are
+# unchanged.
+GOLDEN_DIGESTS = {
+    "A1": "7d1416701f487915bb876261c4a5318a8582fa0eb072f509244be1e20327f047",
+    "A3": "3c8a514c94dbba51a7f231134d6fedadca40d3b6f423473d84804b5e7900b0f4",
+    "B3": "b03d3e1befb86e04a6169c14f520aa90fd4897173c096d7bfbe63203aae40992",
+    "H3": "6426ad8f27ecaa406ab3d4a6b10bdaa7d00a20e1b7e74841c0e9d8865f300ec2",
+    "I2(7)": "5d9f1663e957f061afe8b8b7794a0b47033c7e1651dfc09051ad163c9892e441",
+    "A4": "01041668ca5f6dfda09b08fb511e254e900aa67a0b592b24ed6ea8f4c1f256aa",
+    "B4": "ea2fc7fa835ec552e3737f9fde5fc39c24719b017c2ccb70fadec2dc971d12d3",
+    "D4": "45b3eef7f401cc3ce68eeedcaa3f88926d86f38686b7f06794ed764af321ce02",
+    "F4": "b72bc55e4d8ce88fa3384bc5167ef0c8f9fbd78a3be7bd906915035d2249d1c9",
+    "H4": "a31e19e16fa5c6bde6c64fe6266ee40552aed2b1894c786370b8e74f6bccdd7b",
+    "A1xA1xA1": "d511730a06a1e3d732a0cbd3bf89e866b27fe96319782544fe70a2f2600e2c83",
+    "D4xD4": "c235023bd4ef954e6bfb89671a7899bfb101928436f0c9c2ccd8593c9237bf44",
+    "H3xI2(7)xA3": "bc031484fe7762d84e464e504746e4187869c32409e249c6f6289730f1b8ce16",
+    "E6": "dc64e41ea816efffddca659ad8c1627a8a882659c83e190cc8959b6e82644601",
+    "I2(9)xH3xA3": "f7e23db9eed66ef34dc9a7de460a57d5dc2854ce5413947765f587b5ef8395d4",
+}
+
+
+@pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
+def test_build_group_bytes_unchanged(spec, tables):
+    assert hashlib.sha256(serialize(tables(spec))).hexdigest() == GOLDEN_DIGESTS[spec]
+
+
+def test_key_capacity_refused_before_enumerating(monkeypatch):
+    """A8xA4 (43.5M elements) needs 66.6-bit packed keys."""
+
+    def enumerate_roots(system):
+        raise AssertionError("started enumerating")
+
+    monkeypatch.setattr(coxeter, "_root_permutations", enumerate_roots)
+    with pytest.raises(CapacityError, match="66.6-bit"):
+        build("A8xA4", budget=10**8)
+
+
+@pytest.mark.parametrize("spec", DEGREE_SPECS)
+def test_degree_specs_fit_the_key(spec):
+    system = classify_spec(spec)
+    bits = math.log2(math.prod(_key_digits(system)[1]))
+    assert bits < 64
+    assert bits <= 2.69 * math.log2(system.order)  # the bound the budget relies on
+
+
+def test_unique_first_matches_numpy():
+    rng = np.random.default_rng(7)
+    for size, high in ((1, 5), (60, 8), (2000, 300), (2000, 2**64 - 1)):
+        values = rng.integers(0, high, size, dtype=np.uint64)
+        want = np.unique(values, return_index=True, return_inverse=True)
+        for got, expected in zip(_unique_first(values), want):
+            assert np.array_equal(got, expected.ravel())
+
+
+def relabeled(table, new_to_old, length):
+    """``table`` with element ``new_to_old[k]`` renamed k, and the lengths
+    ``length`` (indexed by old id) in place of its own."""
+    old = np.asarray(new_to_old)
+    new = np.empty_like(old)
+    new[old] = np.arange(len(old))
+    return GroupTable(
+        system=table.system,
+        order=table.order,
+        length=np.asarray(length, dtype=np.int16)[old],
+        left_mult=new[table.left_mult[old]].astype(np.int32),
+        right_mult=new[table.right_mult[old]].astype(np.int32),
+        inverse=new[table.inverse[old]].astype(np.int32),
+        des_left=table.des_left[old],
+        des_right=table.des_right[old],
+        longest=int(new[table.longest]),
+    )
+
+
+def test_validate_accepts_an_order_preserving_relabeling(a2):
+    _validate(relabeled(a2, [0, 2, 1, 4, 3, 5], a2.length))
+
+
+def test_validate_id_zero_has_length_zero():
+    """A1xA1 = {e, s, t, st} with lengths 2, 1, 1, 2: each generator still
+    changes length by one, the maximum is the 2 positive roots, and
+    renaming s and t first keeps the ids sorted, but id 0 has length 1."""
+    table = build("A1xA1")
+    bad = relabeled(table, [1, 2, 0, 3], 2 - table.length % 2)
+    with pytest.raises(InternalCheckError, match="id 0 has length 1"):
+        _validate(bad)
+
+
+def test_validate_ids_sorted_by_length(a2):
+    bad = relabeled(a2, [0, 1, 3, 2, 4, 5], a2.length)
+    assert list(bad.length) == [0, 1, 2, 1, 2, 3]
+    with pytest.raises(InternalCheckError, match="not weakly sorted"):
+        _validate(bad)
+
+
+def test_validate_longest_length_is_positive_root_count():
+    """A1xA1 with length the parity of l(w): sorted, e first, every step
+    +-1, but the longest length is 1 where 2 roots are positive."""
+    table = build("A1xA1")
+    bad = relabeled(table, [0, 3, 1, 2], table.length % 2)
+    with pytest.raises(InternalCheckError, match="2 positive roots"):
+        _validate(bad)
 
 
 def test_bfs_invariants(a3):
