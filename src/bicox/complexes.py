@@ -14,6 +14,11 @@ below it is boolean of size 2^r.  There is one facet (0, w, 0) per group
 element, one minimum (S, e, S), and the classical Coxeter complex sits
 inside as the upper order ideal of faces with empty left subset.
 
+Faces are stored packed: (I, w, J) is X * |W| + w with X = I << n | J, its
+flat position in ``reps`` reshaped to (4^n, |W|), and the complex is the
+ascending array of the positions where w is minimal.  :class:`Face` tuples
+come only from :meth:`TwoSidedComplex.as_faces`.
+
 Besides construction this module carries the verification suite: boolean
 lower intervals, balanced coloring, interval partition, weak-order
 monotonicity, shelling along a facet order, thinness, the pseudomanifold
@@ -26,9 +31,7 @@ earlier facets with its descent walls.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +45,7 @@ from .coxeter import (
 from .cosets import coset_labels, minimal_rep_table
 from .errors import CapacityError, InternalCheckError
 
-DEFAULT_FACE_BUDGET = 2_000_000
+FACE_BUDGET = 500_000  # most faces a complex is built with
 
 
 class Face(NamedTuple):
@@ -80,71 +83,57 @@ def restriction(table: GroupTable, w: int) -> Face:
     return Face(full ^ int(table.des_left[w]), w, full ^ int(table.des_right[w]))
 
 
-def codim_one_of_facet(table: GroupTable, w: int) -> list[Face]:
-    """The 2n codimension-one faces of the facet (0, w, 0).
+def facet_walls(table: GroupTable) -> np.ndarray:
+    """[bit, w]: the representative of the wall X = 1 << bit of the facet
+    (0, w, 0), with X = I << n | J.  On the left it is s.w when s is a left
+    descent of w and w otherwise, on the right w.s or w; read from the
+    descent masks and multiplication columns, not from ``reps``."""
+    gens = np.arange(table.rank)[:, None]
+    ids = np.arange(table.order)
+    right = np.where(table.des_right >> gens & 1, table.right_mult.T, ids)
+    left = np.where(table.des_left >> gens & 1, table.left_mult.T, ids)
+    return np.concatenate([right, left])
 
-    Descent-type walls first (left then right), then ascent-type walls.
-    """
-    faces = []
-    des_l, des_r = int(table.des_left[w]), int(table.des_right[w])
-    for s in range(table.rank):
-        if des_l >> s & 1:
-            faces.append(Face(1 << s, int(table.left_mult[w, s]), 0))
-    for s in range(table.rank):
-        if des_r >> s & 1:
-            faces.append(Face(0, int(table.right_mult[w, s]), 1 << s))
-    for s in range(table.rank):
-        if not des_l >> s & 1:
-            faces.append(Face(1 << s, w, 0))
-    for s in range(table.rank):
-        if not des_r >> s & 1:
-            faces.append(Face(0, w, 1 << s))
-    return faces
+
+def interval_sizes(table: GroupTable) -> np.ndarray:
+    """[w]: the number of faces represented by w.  They form the boolean
+    interval [R_w, F_w], of size 2^(ascents of w)."""
+    n = table.rank
+    pop = popcount_table(n)
+    return np.int64(1) << (2 * n - pop[table.des_left].astype(np.int64) - pop[table.des_right])
 
 
 def face_count(table: GroupTable) -> int:
-    """Total number of faces, from the interval partition: the faces
-    represented by w form a boolean interval of size 2^(ascents of w)."""
-    n = table.rank
-    pop = popcount_table(n)
-    sizes = np.int64(1) << (
-        2 * n - pop[table.des_left].astype(np.int64) - pop[table.des_right]
-    )
-    return int(sizes.sum())
+    """Total number of faces, from the interval partition."""
+    return int(interval_sizes(table).sum())
 
 
 class TwoSidedComplex:
-    """All faces of the two-sided complex of a finite Coxeter group, and the
-    table ``reps[I, J, w]`` of minimal representatives that orders them."""
+    """All faces of the two-sided complex of a finite Coxeter group, packed
+    as X * |W| + w in ascending order, and the table ``reps[I, J, w]`` of
+    minimal representatives that orders them."""
 
-    def __init__(self, table: GroupTable, faces: list[Face]):
+    def __init__(self, table: GroupTable, faces: np.ndarray):
         self.table = table
         self.faces = faces
         self.reps = minimal_rep_table(table)
 
     @classmethod
-    def build(
-        cls, table: GroupTable, face_budget: int = DEFAULT_FACE_BUDGET
-    ) -> "TwoSidedComplex":
-        """Enumerate the intervals [R_w, F_w] over all w; their disjoint
-        union is the whole complex."""
-        full = table.full_mask
+    def build(cls, table: GroupTable) -> "TwoSidedComplex":
+        """Every pair (X, w) with w minimal for X; their number must be the
+        sum of the interval sizes [R_w, F_w] over all w."""
         total = face_count(table)
-        if total > face_budget:
+        if total > FACE_BUDGET:
             raise CapacityError(
                 f"complex of {table.system.canonical_name} has {total} faces, "
-                f"over the budget of {face_budget}"
+                f"over the budget of {FACE_BUDGET}"
             )
-        faces = [
-            Face(gens_l, w, gens_r)
-            for w in range(table.order)
-            for gens_l in submasks(full ^ int(table.des_left[w]))
-            for gens_r in submasks(full ^ int(table.des_right[w]))
-        ]
+        faces = np.flatnonzero(_minimal(table))
         if len(faces) != total:
             raise InternalCheckError(
                 f"enumerated {len(faces)} faces, the interval sizes sum to {total}"
             )
+        faces.flags.writeable = False
         return cls(table, faces)
 
     @property
@@ -153,6 +142,18 @@ class TwoSidedComplex:
 
     def face_rank(self, face: Face) -> int:
         return face_rank(self.rank, face)
+
+    def ranks(self, packed: np.ndarray) -> np.ndarray:
+        """The poset rank of each packed face."""
+        n = self.rank
+        return 2 * n - popcount_table(2 * n)[packed // self.table.order].astype(np.intp)
+
+    def as_faces(self, packed: np.ndarray) -> list[Face]:
+        """Packed faces as :class:`Face` tuples, in the given order."""
+        n = self.rank
+        pairs, w = np.divmod(np.asarray(packed), self.table.order)
+        full = self.table.full_mask
+        return [Face(x >> n, u, x & full) for x, u in zip(pairs.tolist(), w.tolist())]
 
     def faces_of_element(self, w: int) -> list[Face]:
         """The interval [R_w, F_w]: every face represented by w."""
@@ -193,20 +194,9 @@ class TwoSidedComplex:
                 out.append(Face(face.left, int(self.reps[face.left, gens_r, face.w]), gens_r))
         return out
 
-    def faces_of_rank(self, r: int) -> list[Face]:
-        return [f for f in self.faces if self.face_rank(f) == r]
-
 
 # ---------------------------------------------------------------------------
 # Structural verification
-
-
-def _face_arrays(cx: TwoSidedComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Every face as its index pair packed into I << n | J, which is its row
-    of ``cx.reps`` reshaped to (4^n, |W|), and its representative."""
-    flat = chain.from_iterable(cx.faces)
-    faces = np.fromiter(flat, dtype=np.intp, count=3 * len(cx.faces)).reshape(-1, 3)
-    return faces[:, 0] << cx.rank | faces[:, 2], faces[:, 1]
 
 
 def _minimal(table: GroupTable) -> np.ndarray:
@@ -245,32 +235,31 @@ def verify_boolean(cx: TwoSidedComplex) -> bool:
 
 def verify_balanced(cx: TwoSidedComplex) -> bool:
     """Every face has distinctly colored vertices whose colors union to
-    (S-I, S-J).  Its vertices are the rank-1 faces v with v <= face; each
-    has a one-index color, so rank-many covering the face's color differ."""
-    n = cx.rank
+    (S-I, S-J).  The vertices below (X, w) are (V, reps[V, w]) for the
+    one-index colors V = full ^ 1 << b with b not in X, one per color, so
+    this holds when each of them is a face."""
+    n, order = cx.rank, cx.table.order
     flat = cx.reps.reshape(1 << 2 * n, -1)
-    packed, w = _face_arrays(cx)
+    is_face = np.zeros(flat.shape, dtype=bool)
+    is_face.ravel()[cx.faces] = True
+    packed, w = np.divmod(cx.faces, order)
     full = (1 << 2 * n) - 1
-    rank = 2 * n - popcount_table(2 * n)[packed]
-    count = np.zeros(len(w), dtype=np.intp)
-    union = np.zeros(len(w), dtype=np.intp)
-    for vx, vw in zip(packed[rank == 1], w[rank == 1]):
-        below = (packed & ~vx == 0) & (flat[vx, w] == vw)
-        count += below
-        union |= np.where(below, full ^ vx, 0)
-    return np.array_equal(count, rank) and np.array_equal(union, full ^ packed)
+    for bit in range(2 * n):
+        vertex = full ^ 1 << bit
+        if not is_face[vertex, flat[vertex, w[packed >> bit & 1 == 0]]].all():
+            return False
+    return True
 
 
 def verify_partition(cx: TwoSidedComplex) -> bool:
-    """The by-element enumeration agrees with a by-(I, J) re-enumeration,
-    so the intervals [R_w, F_w] are disjoint and cover everything: the faces
-    are distinct triples (I, u, J) with u minimal, and as many as there are
-    such triples."""
-    packed, w = _face_arrays(cx)
-    minimal = _minimal(cx.table)
-    if len(np.unique(packed * cx.table.order + w)) != len(w):
+    """The by-(I, J) enumeration agrees with the by-element one, so the
+    intervals [R_w, F_w] are disjoint and cover everything: the faces are
+    distinct pairs (X, u) with u minimal for X, and each u represents as
+    many of them as its interval has elements."""
+    faces, order = cx.faces, cx.table.order
+    if not (np.diff(faces) > 0).all() or not _minimal(cx.table).ravel()[faces].all():
         return False
-    return bool(minimal[packed, w].all()) and len(w) == np.count_nonzero(minimal)
+    return np.array_equal(np.bincount(faces % order, minlength=order), interval_sizes(cx.table))
 
 
 def verify_weak_order_monotone(cx: TwoSidedComplex) -> bool:
@@ -289,9 +278,10 @@ def verify_weak_order_monotone(cx: TwoSidedComplex) -> bool:
 
 
 def verify_facet_count(cx: TwoSidedComplex) -> bool:
-    """Top-dimensional faces are in bijection with the group."""
-    top = cx.faces_of_rank(2 * cx.rank)
-    return sorted(f.w for f in top) == list(range(cx.table.order))
+    """Top-dimensional faces are in bijection with the group: the faces
+    (0, w, 0) are the packed values below |W|."""
+    order = cx.table.order
+    return np.array_equal(cx.faces[cx.faces < order], np.arange(order))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +370,7 @@ def verify_thin(cx: TwoSidedComplex) -> bool:
     complex with a top element adjoined.
     """
     flat = cx.reps.reshape(1 << 2 * cx.rank, -1)
-    packed, w = _face_arrays(cx)
+    packed, w = np.divmod(cx.faces, cx.table.order)
     for x in range(2 * cx.rank):
         for y in range(x):
             both = 1 << x | 1 << y
@@ -394,19 +384,25 @@ def verify_thin(cx: TwoSidedComplex) -> bool:
 
 
 def verify_pseudomanifold(cx: TwoSidedComplex) -> bool:
-    """Every codimension-one face lies in exactly two facets."""
-    counts = Counter()
-    for w in range(cx.table.order):
-        counts.update(codim_one_of_facet(cx.table, w))
-    if any(v != 2 for v in counts.values()):
-        return False
-    return set(counts) == set(cx.faces_of_rank(2 * cx.rank - 1))
+    """Every codimension-one face lies in exactly two facets.
+
+    The wall X = 1 << bit of each facet comes from :func:`facet_walls`; each
+    face (1 << bit, u) must be that wall of two facets, and no other u may
+    be hit.
+    """
+    order = cx.table.order
+    packed, w = np.divmod(cx.faces, order)
+    for bit, walls in enumerate(facet_walls(cx.table)):
+        expected = np.zeros(order, dtype=np.intp)
+        expected[w[packed == 1 << bit]] = 2
+        if not np.array_equal(np.bincount(walls, minlength=order), expected):
+            return False
+    return True
 
 
 def euler_characteristic(cx: TwoSidedComplex) -> int:
     """Alternating sum of face counts by dimension, empty face excluded."""
-    packed, _ = _face_arrays(cx)
-    rank = 2 * cx.rank - popcount_table(2 * cx.rank)[packed].astype(np.intp)
+    rank = cx.ranks(cx.faces)
     return int(np.sum(np.where(rank % 2 == 1, 1, -1)[rank >= 1]))  # dimension rank - 1
 
 
@@ -414,12 +410,13 @@ def euler_characteristic(cx: TwoSidedComplex) -> int:
 # The classical Coxeter complex inside
 
 
-def sigma_ideal(cx: TwoSidedComplex) -> list[Face]:
-    """The upper order ideal above (0, e, S): all faces with empty left set.
+def sigma_ideal(cx: TwoSidedComplex) -> np.ndarray:
+    """The upper order ideal above (0, e, S): all faces with empty left set,
+    which are the packed values below 2^n * |W|.
 
     This sub-poset is a copy of the classical Coxeter complex.
     """
-    return [f for f in cx.faces if f.left == 0]
+    return cx.faces[cx.faces < (cx.table.full_mask + 1) * cx.table.order]
 
 
 def classical_coxeter_complex(table: GroupTable) -> list[frozenset[int]]:
@@ -448,8 +445,7 @@ def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
     masks = np.arange(table.full_mask + 1)
     labels = np.array([coset_labels(table, 0, gens) for gens in range(table.full_mask + 1)])
     in_ideal = np.zeros(labels.shape, dtype=bool)  # [K, u]: (0, u, K) is a face
-    for f in sigma_ideal(cx):
-        in_ideal[f.right, f.w] = True
+    in_ideal.ravel()[sigma_ideal(cx)] = True
     for gens, row in enumerate(labels):
         if not np.array_equal(np.sort(row[in_ideal[gens]]), np.arange(row.max() + 1)):
             return False
@@ -487,14 +483,19 @@ def face_label(table: GroupTable, face: Face) -> str:
     return f"({_mask_str(face.left)}|{_word_str(table, face.w)}|{_mask_str(face.right)})"
 
 
+def rank_sorted(cx: TwoSidedComplex, packed: np.ndarray) -> np.ndarray:
+    """Packed faces in (rank, packed) order, which is (rank, I, J, w)."""
+    return packed[np.lexsort((packed, cx.ranks(packed)))]
+
+
 def hasse_dot(
     cx: TwoSidedComplex,
     min_rank: int = 0,
     max_rank: int | None = None,
-    faces: list[Face] | None = None,
+    faces: np.ndarray | None = None,
 ) -> str:
     """Hasse diagram of the face poset (or a rank range, or an upward-closed
-    subset such as the classical-complex ideal) in DOT format.
+    subset of packed faces such as the classical-complex ideal) in DOT format.
 
     One node per face, one edge per cover, deterministic ordering.
     """
@@ -502,11 +503,9 @@ def hasse_dot(
         max_rank = 2 * cx.rank
     if faces is None:
         faces = cx.faces
-    chosen = [
-        f
-        for f in sorted(faces, key=lambda f: (cx.face_rank(f), f.left, f.right, f.w))
-        if min_rank <= cx.face_rank(f) <= max_rank
-    ]
+    ordered = rank_sorted(cx, faces)
+    rank = cx.ranks(ordered)
+    chosen = cx.as_faces(ordered[(min_rank <= rank) & (rank <= max_rank)])
     index = {f: i for i, f in enumerate(chosen)}
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for f, i in index.items():

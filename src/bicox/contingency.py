@@ -368,8 +368,9 @@ def verify_refinement_isomorphism(table: GroupTable) -> bool:
     """
     model = SymmetricGroupFaces(table)
     cx = TwoSidedComplex.build(table)
-    mapping = {face: model.face_to_table(face) for face in cx.faces}
-    if len(set(mapping.values())) != len(cx.faces):
+    faces = cx.as_faces(cx.faces)
+    mapping = {face: model.face_to_table(face) for face in faces}
+    if len(set(mapping.values())) != len(faces):
         return False
     for face, tab in mapping.items():
         if model.table_to_face(tab) != face:
@@ -379,7 +380,7 @@ def verify_refinement_isomorphism(table: GroupTable) -> bool:
     if set(mapping.values()) != set(enumerate_tables(model.n)):
         return False
     complex_edges = set()
-    for face in cx.faces:
+    for face in faces:
         for below in cx.down_covers(face):
             complex_edges.add((mapping[below], mapping[face]))
     split_edges = set()

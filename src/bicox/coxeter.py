@@ -41,6 +41,7 @@ from .errors import CapacityError, InternalCheckError, NotFiniteError
 
 DEFAULT_BUDGET = 10**7
 MAX_RANK = 16  # descent masks are uint16, and the cache stores them in 2 bytes
+DOWN_REACH_LIMIT = 20_000  # largest order given one down-reach bitmask per element
 
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 _E_ROOTS = {6: 72, 7: 126, 8: 240}
@@ -808,14 +809,14 @@ def mult(table: GroupTable, u: int, v: int) -> int:
     return x
 
 
-def two_sided_down_reach(table: GroupTable, limit: int = 20000) -> list[int]:
+def two_sided_down_reach(table: GroupTable) -> list[int]:
     """For each v, the bitmask of all u with u <= v in two-sided weak order.
 
-    Intended for small groups (order <= ``limit``); used as an exact oracle
-    for :func:`leq_two_sided` and for order-theoretic verification sweeps.
+    Limited to order <= DOWN_REACH_LIMIT; used as an exact oracle for
+    :func:`leq_two_sided` and for order-theoretic verification sweeps.
     """
-    if table.order > limit:
-        raise CapacityError(f"down-reach bitmasks limited to order <= {limit}")
+    if table.order > DOWN_REACH_LIMIT:
+        raise CapacityError(f"order {table.order} over {DOWN_REACH_LIMIT}")
     reach = [0] * table.order
     for v in range(table.order):  # ids are length-sorted, covers point down
         acc = 1 << v

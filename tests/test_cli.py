@@ -229,6 +229,32 @@ def test_verify_rank4_runs_shelling(tmp_path, capsys):
     assert "PASS double-quotient-oracle  (all 256 subset pairs)" in out
 
 
+def test_verify_b5_runs_double_quotient_oracle(tmp_path, capsys):
+    """4^5 subset pairs x 3840 elements is under the oracle's cost gate."""
+    assert run(tmp_path, "verify", "--type", "B5") == 0
+    assert "PASS double-quotient-oracle  (all 1024 subset pairs)" in capsys.readouterr().out
+
+
+def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
+    assert run(tmp_path, "verify", "--type", "A6", "--format", "json") == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["double-quotient-oracle"]["status"] == "SKIP"
+    assert "20643840 over 4000000" in checks["double-quotient-oracle"]["detail"]
+    assert checks["complex"] == {
+        "name": "complex",
+        "status": "SKIP",
+        "detail": "complex of A6 has 546193 faces, over the budget of 500000",
+    }
+
+
+def test_verify_skips_weak_order_over_the_down_reach_limit(tmp_path, capsys, monkeypatch):
+    import bicox.coxeter
+
+    monkeypatch.setattr(bicox.coxeter, "DOWN_REACH_LIMIT", 5)
+    assert run(tmp_path, "verify", "--type", "A2") == 0
+    assert "SKIP weak-order-monotone  (order 6 over 5)" in capsys.readouterr().out
+
+
 def test_verify_failed_shelling_names_both_facets(tmp_path, capsys, monkeypatch):
     import bicox.cli
 
@@ -341,6 +367,29 @@ def test_export_contingency_dot(tmp_path, capsys):
     dot = capsys.readouterr().out
     assert dot.count("label=") == 5
     assert '[[2]]' in dot
+
+
+# SHA-256 of the export output, recorded before the complex stored packed faces.
+EXPORT_GOLDENS = [
+    ("A1", "hasse", "dot", "7766e8c97d8e93a8d58861ab9829d9c7770214d392a5180dbf357fbd99146cbf"),
+    ("A2", "hasse", "dot", "7b33896c333bda6bcac5ea18a91f108ff809e86cd16bab7b77cef3f7248799bb"),
+    ("A3", "hasse", "dot", "6e2dd2ad32cb605d2618b5fc47084d1f963df930d705b2f6f2f45e671d19f116"),
+    ("B3", "hasse", "dot", "e0ddada07b608253b753c2a26b053252a8adadca56a98e3f99997e69d96ed882"),
+    ("A3", "sigma", "dot", "d37b27781bac6b0a9e8ffc2c57722b02b85194611cd5b3578bd0783bd7023830"),
+    ("A3", "contingency", "json", "3281a16538c408a74bed08dcbeb375a38d3c8e1b8683f6a95b695699aa8f4311"),
+    ("A3", "contingency", "dot", "f9f6a82de39830463f6c6c6bf61cf53279da9bc832f07ebd0ebce6ee19ace7df"),
+]
+
+
+@pytest.mark.parametrize("spec, what, fmt, digest", EXPORT_GOLDENS)
+def test_export_matches_golden(spec, what, fmt, digest, tmp_path, capsys):
+    assert run(tmp_path, "export", "--type", spec, "--what", what, "--format", fmt) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_export_over_face_budget_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "export", "--type", "A6", "--what", "hasse") == 3
+    assert "over the budget of 500000" in capsys.readouterr().err
 
 
 def test_export_to_file(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import copy
 import random
 
+import numpy as np
 import pytest
 
 import bicox.complexes
@@ -11,8 +12,8 @@ from bicox.complexes import (
     ShellingReport,
     TwoSidedComplex,
     classical_coxeter_complex,
-    codim_one_of_facet,
     euler_characteristic,
+    facet_walls,
     face_color,
     hasse_dot,
     restriction,
@@ -47,7 +48,7 @@ def complexes(tables):
 
 def dim_counts(cx):
     counts = {}
-    for face in cx.faces:
+    for face in cx.as_faces(cx.faces):
         d = cx.face_rank(face) - 1
         counts[d] = counts.get(d, 0) + 1
     return counts
@@ -78,9 +79,22 @@ def test_build_face_count_mismatch_raises(tables, monkeypatch):
         TwoSidedComplex.build(tables("A2"))
 
 
-def test_face_budget(tables):
+def test_face_budget(tables, monkeypatch):
+    monkeypatch.setattr(bicox.complexes, "FACE_BUDGET", 10)
     with pytest.raises(CapacityError):
-        TwoSidedComplex.build(tables("A3"), face_budget=10)
+        TwoSidedComplex.build(tables("A3"))
+
+
+def test_faces_are_packed_table_positions(complexes):
+    cx = complexes("A3")
+    order = cx.table.order
+    assert cx.faces.dtype == np.int64 and not cx.faces.flags.writeable
+    assert (np.diff(cx.faces) > 0).all()
+    flat = cx.reps.reshape(-1, order)
+    for face, packed in zip(cx.as_faces(cx.faces), cx.faces.tolist()):
+        x = face.left << cx.rank | face.right
+        assert packed == x * order + face.w
+        assert flat[x, face.w] == face.w
 
 
 def test_faces_of_element_partition(complexes):
@@ -96,7 +110,7 @@ def test_faces_of_element_partition(complexes):
         bottom = restriction(table, w)
         assert all(cx.leq(bottom, f) for f in interval)
         seen.extend(interval)
-    assert sorted(seen) == sorted(cx.faces)
+    assert sorted(seen) == sorted(cx.as_faces(cx.faces))
 
 
 # --- the face order ----------------------------------------------------------
@@ -106,11 +120,10 @@ def test_faces_of_element_partition(complexes):
 def test_leq_matches_coset_containment_oracle(spec, complexes):
     cx = complexes(spec)
     table = cx.table
-    cosets = {
-        f: frozenset(coset_oracle(table, f.left, f.w, f.right)) for f in cx.faces
-    }
-    for f in cx.faces:
-        for g in cx.faces:
+    faces = cx.as_faces(cx.faces)
+    cosets = {f: frozenset(coset_oracle(table, f.left, f.w, f.right)) for f in faces}
+    for f in faces:
+        for g in faces:
             expected = (
                 f.left & g.left == g.left
                 and f.right & g.right == g.right
@@ -122,7 +135,7 @@ def test_leq_matches_coset_containment_oracle(spec, complexes):
 def test_leq_examples(complexes):
     cx = complexes("A2")
     bottom = Face(0b11, 0, 0b11)
-    for f in cx.faces:
+    for f in cx.as_faces(cx.faces):
         assert cx.leq(bottom, f)
     s1, s2 = 1, 2
     w0 = cx.table.longest
@@ -162,22 +175,29 @@ def test_restriction(a2):
     assert restriction(a2, w0) == Face(0, w0, 0)
 
 
+def walls_of_facet(table, w):
+    """The codimension-one faces of the facet (0, w, 0), from facet_walls."""
+    n, full = table.rank, table.full_mask
+    walls = facet_walls(table)[:, w].tolist()
+    return {Face(1 << bit >> n, u, 1 << bit & full) for bit, u in enumerate(walls)}
+
+
 def test_codim_one_of_facet(a2, tables):
     s1 = 1
-    assert set(codim_one_of_facet(a2, 0)) == {
+    assert set(walls_of_facet(a2, 0)) == {
         Face(0, 0, 0b01),
         Face(0, 0, 0b10),
         Face(0b01, 0, 0),
         Face(0b10, 0, 0),
     }
-    assert set(codim_one_of_facet(a2, s1)) == {
+    assert set(walls_of_facet(a2, s1)) == {
         Face(0b01, 0, 0),
         Face(0, 0, 0b01),
         Face(0b10, s1, 0),
         Face(0, s1, 0b10),
     }
     a1 = tables("A1")
-    assert set(codim_one_of_facet(a1, 1)) == {Face(0b01, 0, 0), Face(0, 0, 0b01)}
+    assert set(walls_of_facet(a1, 1)) == {Face(0b01, 0, 0), Face(0, 0, 0b01)}
 
 
 # --- structural suite --------------------------------------------------------
@@ -256,7 +276,10 @@ def test_corrupt_table_entry_fails(spec, where, value, failing, complexes):
 @pytest.mark.parametrize(
     "replacement, failing",
     [
-        (lambda cx: Face(0, cx.table.longest, 0b001), [verify_partition, verify_sigma_embedding]),
+        (  # the packed face (0, w0, {s1}), in sorted position
+            lambda cx: 1 * cx.table.order + cx.table.longest,
+            [verify_partition, verify_sigma_embedding],
+        ),
         (lambda cx: cx.faces[0], [verify_partition]),  # a face listed twice
     ],
     ids=["not-minimal", "repeated"],
@@ -264,10 +287,21 @@ def test_corrupt_table_entry_fails(spec, where, value, failing, complexes):
 def test_wrong_face_list_fails(replacement, failing, complexes):
     cx = complexes("A3")
     bad = copy.copy(cx)
-    bad.faces = cx.faces[:-1] + [replacement(cx)]
+    bad.faces = np.sort(np.append(cx.faces[:-1], replacement(cx)))
     for check in failing:
         assert check(cx)
         assert not check(bad), check.__name__
+
+
+def test_non_minimal_face_with_the_right_counts_fails(complexes):
+    """(0, w0, {s1}) in place of the facet (0, w0, 0): every element still
+    represents as many faces as its interval has, but w0 is not minimal."""
+    cx = complexes("A3")
+    w0 = cx.table.longest
+    bad = copy.copy(cx)
+    bad.faces = np.sort(np.append(cx.faces[cx.faces != w0], cx.table.order + w0))
+    assert verify_partition(cx)
+    assert not verify_partition(bad)
 
 
 # --- topology ----------------------------------------------------------------
@@ -389,7 +423,7 @@ def test_euler_characteristic_a2_by_dimension(complexes):
 def test_wall_lies_in_two_specific_facets(complexes):
     cx = complexes("A2")
     wall = Face(0b01, 0, 0)  # ({s1}, e, empty)
-    containing = [w for w in range(6) if wall in codim_one_of_facet(cx.table, w)]
+    containing = [w for w in range(6) if wall in walls_of_facet(cx.table, w)]
     assert containing == [0, 1]  # the facets of e and s1
 
 
@@ -408,7 +442,7 @@ def test_sigma_ideal_a1(complexes):
 def test_sigma_ideal_facets_a3(complexes):
     cx = complexes("A3")
     ideal = sigma_ideal(cx)
-    top = [f for f in ideal if f.right == 0]
+    top = [f for f in cx.as_faces(ideal) if f.right == 0]
     assert len(top) == 24
 
 

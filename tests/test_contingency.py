@@ -121,7 +121,7 @@ def test_facet_maps_to_permutation_matrix(s3_model):
 def test_round_trip_all_faces(spec, tables):
     model = SymmetricGroupFaces(tables(spec))
     cx = TwoSidedComplex.build(model.table)
-    for face in cx.faces:
+    for face in cx.as_faces(cx.faces):
         assert model.table_to_face(model.face_to_table(face)) == face
 
 

@@ -3,10 +3,12 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from bicox.coxeter import leq_two_sided, mult, word
 from bicox.cosets import (
+    coset_labels,
     count_cosets_by_sweep,
     count_minimal_by_descents,
     double_coset,
@@ -140,6 +142,19 @@ def test_minimal_rep_table_matches_scalar(spec, tables):
         for gens_r in range(full + 1):
             expected = [minimal_rep(table, gens_l, w, gens_r) for w in range(table.order)]
             assert reps[gens_l, gens_r].tolist() == expected, (gens_l, gens_r)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "F4", "H4"])
+def test_minimal_rep_table_matches_closure_labels(spec, tables):
+    """The least id of each closure-labelled coset, which is its shortest
+    element since ids are length-sorted, is the table's representative."""
+    table = tables(spec)
+    reps = minimal_rep_table(table)
+    for gens_l in range(table.full_mask + 1):
+        for gens_r in range(table.full_mask + 1):
+            labels = coset_labels(table, gens_l, gens_r)
+            least = np.unique(labels, return_index=True)[1]
+            assert np.array_equal(least[labels], reps[gens_l, gens_r]), (gens_l, gens_r)
 
 
 def test_coset_sweep_needs_no_minimal_rep(a3, monkeypatch):
