@@ -34,7 +34,6 @@ from .complexes import (
     verify_pseudomanifold,
     verify_shelling,
     verify_sigma_embedding,
-    verify_thin,
     verify_weak_order_monotone,
 )
 from .contingency import SymmetricGroupFaces, verify_refinement_isomorphism
@@ -110,16 +109,17 @@ def run_verification(table):
 
     def record(name, ok, detail=""):
         results.append((name, "PASS" if ok else "FAIL", detail))
+        return results[-1][1]
 
     def check(name, run, detail=""):
         try:
             ok = run()
         except CapacityError as err:
             results.append((name, "SKIP", str(err)))
-            return
+            return "SKIP"
         except InternalCheckError as err:
             ok, detail = False, str(err)
-        record(name, ok, detail)
+        return record(name, ok, detail)
 
     f = flag_f(table)
     h = flag_h(table)
@@ -166,15 +166,16 @@ def run_verification(table):
         return results
     every_face = f"all {len(cx.faces)} faces"
     every_facet = f"all {table.order} facets"
-    check("boolean-intervals", lambda: verify_boolean(cx), every_face)
+    boolean = check("boolean-intervals", lambda: verify_boolean(cx), every_face)
     check("balanced-coloring", lambda: verify_balanced(cx), every_face)
     check("interval-partition", lambda: verify_partition(cx), every_face)
     check("weak-order-monotone", lambda: verify_weak_order_monotone(cx), every_face)
     check("facet-count", lambda: verify_facet_count(cx), every_facet)
     pairs = f"all {len(sigma_ideal(cx))}^2 ideal pairs"
     check("sigma-embedding", lambda: verify_sigma_embedding(cx), pairs)
-    check("thin", lambda: verify_thin(cx), every_face)
-    check("pseudomanifold", lambda: verify_pseudomanifold(cx), every_facet)
+    manifold = check("pseudomanifold", lambda: verify_pseudomanifold(cx), every_facet)
+    # thin is boolean and pseudomanifold (see verify_thin), listed before the latter
+    results.insert(-1, ("thin", "PASS" if boolean == manifold == "PASS" else "FAIL", every_face))
     check("euler-characteristic", lambda: euler_characteristic(cx) == 0, every_face)
     report = verify_shelling(cx, length_order(table))
     if report.ok:
@@ -184,7 +185,7 @@ def run_verification(table):
         where = f"first mismatch at facet {report.first_mismatch}, first impure at facet {impure}"
         record("shelling", False, where)
     if table.system.is_irreducible("A") and n <= 3:
-        check("contingency-isomorphism", lambda: verify_refinement_isomorphism(table))
+        check("contingency-isomorphism", lambda: verify_refinement_isomorphism(cx))
     return results
 
 
@@ -277,28 +278,23 @@ def cmd_tables(args) -> int:
 
 def cmd_export(args) -> int:
     table, _, _ = get_table(args)
+    if args.what == "contingency":
+        model = SymmetricGroupFaces(table)  # ValueError unless type A, before any complex
     cx = TwoSidedComplex.build(table)
     if args.what == "hasse":
         emit(args, hasse_dot(cx, min_rank=args.min_rank, max_rank=args.max_rank))
-        return EXIT_OK
-    if args.what == "sigma":
+    elif args.what == "sigma":
         emit(args, hasse_dot(cx, faces=sigma_ideal(cx)))
-        return EXIT_OK
-    model = SymmetricGroupFaces(table)  # raises ValueError unless type A
-    order = cx.as_faces(rank_sorted(cx, cx.faces))
-    drawn = [model.face_to_table(face).display() for face in order]
-    if args.format == "dot":
-        index = {face: i for i, face in enumerate(order)}
-        lines = ["digraph tables {", "  rankdir=BT;"]
-        for i, cells in enumerate(drawn):
-            lines.append(f'  n{i} [label="{json.dumps(cells, separators=(",", ":"))}"];')
-        for face in order:
-            for g in cx.down_covers(face):
-                lines.append(f"  n{index[g]} -> n{index[face]};")
-        lines.append("}")
-        emit(args, "\n".join(lines))
+    elif args.format == "dot":
+        def drawn(face):
+            return json.dumps(model.face_to_table(face).display(), separators=(",", ":"))
+
+        emit(args, hasse_dot(cx, label=drawn, name="tables"))
     else:
-        entries = [{"face": face_label(table, f), "table": t} for f, t in zip(order, drawn)]
+        entries = [
+            {"face": face_label(table, f), "table": model.face_to_table(f).display()}
+            for f in cx.as_faces(rank_sorted(cx, cx.faces))
+        ]
         emit(args, json.dumps(entries, indent=2))
     return EXIT_OK
 

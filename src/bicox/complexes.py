@@ -17,7 +17,8 @@ inside as the upper order ideal of faces with empty left subset.
 Faces are stored packed: (I, w, J) is X * |W| + w with X = I << n | J, its
 flat position in ``reps`` reshaped to (4^n, |W|), and the complex is the
 ascending array of the positions where w is minimal.  :class:`Face` tuples
-come only from :meth:`TwoSidedComplex.as_faces`.
+come only from :meth:`TwoSidedComplex.as_faces`, and the covers of packed
+faces are one array of table gathers, :meth:`TwoSidedComplex.covers`.
 
 Besides construction this module carries the verification suite: boolean
 lower intervals, balanced coloring, interval partition, weak-order
@@ -26,13 +27,15 @@ property, the Euler characteristic, and the embedding of the classical
 complex.  Every check covers the whole complex, most as whole-array
 checks over the table; shelling along a facet order is one pass over the
 table per left subset I, comparing each facet's boundary faces met by
-earlier facets with its descent walls.
+earlier facets with its descent walls.  Thinness is not checked on its
+own: it follows from the boolean intervals and the pseudomanifold property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -140,9 +143,6 @@ class TwoSidedComplex:
     def rank(self) -> int:
         return self.table.rank
 
-    def face_rank(self, face: Face) -> int:
-        return face_rank(self.rank, face)
-
     def ranks(self, packed: np.ndarray) -> np.ndarray:
         """The poset rank of each packed face."""
         n = self.rank
@@ -181,18 +181,27 @@ class TwoSidedComplex:
                 out.append(Face(gens_l, int(self.reps[gens_l, gens_r, face.w]), gens_r))
         return out
 
-    def down_covers(self, face: Face) -> list[Face]:
-        """The faces covered by ``face``: one per index addable to I or J."""
-        out = []
-        for s in range(self.rank):
-            gens_l = face.left | 1 << s
-            if gens_l != face.left:
-                out.append(Face(gens_l, int(self.reps[gens_l, face.right, face.w]), face.right))
-        for s in range(self.rank):
-            gens_r = face.right | 1 << s
-            if gens_r != face.right:
-                out.append(Face(face.left, int(self.reps[face.left, gens_r, face.w]), gens_r))
-        return out
+    def covers(self, packed: np.ndarray) -> np.ndarray:
+        """[face, index]: the packed face covered by each face across each
+        index, left indices first and then right ones; -1 where the index
+        is already in I or J."""
+        n, order = self.rank, self.table.order
+        flat = self.reps.reshape(1 << 2 * n, -1)
+        x, w = np.divmod(packed[:, None], order)
+        bits = 1 << (np.arange(2 * n) + n) % (2 * n)  # I is the high half of X
+        below = x | bits
+        return np.where(x & bits, -1, below * order + flat[below, w])
+
+    def cover_edges(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high): positions in ``packed`` of every cover with both ends
+        in it, packed[low] covered by packed[high], in the order of high and
+        then of :meth:`covers`' columns."""
+        sorter = np.argsort(packed)
+        covers = self.covers(packed)
+        at = np.searchsorted(packed, covers, sorter=sorter)
+        low = sorter[np.minimum(at, len(packed) - 1)]
+        high, col = np.nonzero(packed[low] == covers)
+        return low[high, col], high
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +369,22 @@ def verify_shelling(cx: TwoSidedComplex, order: list[int]) -> ShellingReport:
 
 
 def verify_thin(cx: TwoSidedComplex) -> bool:
-    """Every rank-2 interval of the face poset has exactly four elements.
+    """Every rank-2 interval of the face poset, with a top element adjoined
+    above the facets, has exactly four elements.
 
-    A face two covers below (I, w, J) adds two indices x != y to I or J; the
-    two orders of adding them are the only paths to it, so the interval has
-    four elements exactly when both paths reach the same representative.
-    Together with :func:`verify_pseudomanifold` (the role of the intervals
-    ending at a virtual maximum above all facets) this gives thinness of the
-    complex with a top element adjoined.
+    This follows from :func:`verify_boolean` and :func:`verify_pseudomanifold`
+    (Bjorner, "Posets, regular CW complexes and Bruhat order", 1984: in a
+    simplicial poset every interval below a face is boolean).  A face two
+    covers below (X, w) adds two indices x != y to X, and the two orders of
+    adding them are the only paths to it.  Boolean checks the cover identity
+    reps[X+x][reps[X][w]] == reps[X+x][w] for every X, bit and w, faces or
+    not.  Applied once with X+x and bit y, and once with X+y and bit x, it
+    makes both paths equal reps[X+x+y][w], so the interval is a diamond.
+    The intervals that end at the adjoined top are a codimension-one face
+    and the top, and have four elements when that face lies in exactly two
+    facets, which is the pseudomanifold property.
     """
-    flat = cx.reps.reshape(1 << 2 * cx.rank, -1)
-    packed, w = np.divmod(cx.faces, cx.table.order)
-    for x in range(2 * cx.rank):
-        for y in range(x):
-            both = 1 << x | 1 << y
-            sel = packed & both == 0
-            low, ws = packed[sel], w[sel]
-            via_x = flat[low | both, flat[low | 1 << x, ws]]
-            via_y = flat[low | both, flat[low | 1 << y, ws]]
-            if not np.array_equal(via_x, via_y):
-                return False
-    return True
+    return verify_boolean(cx) and verify_pseudomanifold(cx)
 
 
 def verify_pseudomanifold(cx: TwoSidedComplex) -> bool:
@@ -493,26 +497,28 @@ def hasse_dot(
     min_rank: int = 0,
     max_rank: int | None = None,
     faces: np.ndarray | None = None,
+    label: Callable[[Face], str] | None = None,
+    name: str = "hasse",
 ) -> str:
     """Hasse diagram of the face poset (or a rank range, or an upward-closed
     subset of packed faces such as the classical-complex ideal) in DOT format.
 
-    One node per face, one edge per cover, deterministic ordering.
+    One node per face, labelled by ``label`` (by default
+    :func:`face_label`), one edge per cover, deterministic ordering, in a
+    digraph named ``name``.
     """
     if max_rank is None:
         max_rank = 2 * cx.rank
     if faces is None:
         faces = cx.faces
+    if label is None:
+        label = partial(face_label, cx.table)
     ordered = rank_sorted(cx, faces)
     rank = cx.ranks(ordered)
-    chosen = cx.as_faces(ordered[(min_rank <= rank) & (rank <= max_rank)])
-    index = {f: i for i, f in enumerate(chosen)}
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for f, i in index.items():
-        lines.append(f'  n{i} [label="{face_label(cx.table, f)}"];')
-    for f in chosen:
-        for g in cx.down_covers(f):
-            if g in index:
-                lines.append(f"  n{index[g]} -> n{index[f]};")
+    chosen = ordered[(min_rank <= rank) & (rank <= max_rank)]
+    low, high = cx.cover_edges(chosen)
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines.extend(f'  n{i} [label="{label(f)}"];' for i, f in enumerate(cx.as_faces(chosen)))
+    lines.extend(f"  n{a} -> n{b};" for a, b in zip(low.tolist(), high.tolist()))
     lines.append("}")
     return "\n".join(lines)

@@ -359,37 +359,28 @@ def enumerate_tables(n: int) -> list[ContingencyTable]:
     return out
 
 
-def verify_refinement_isomorphism(table: GroupTable) -> bool:
-    """Whether faces map bijectively and order-isomorphically onto tables.
+def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:
+    """Whether the faces of a type-A complex map bijectively and
+    order-isomorphically onto tables.
 
     Checks round trips, surjectivity against :func:`enumerate_tables`, and
-    that the cover relations computed on each side (interval covers in the
-    complex; splits and merges on tables) produce the same edges.
+    that the cover relations computed on each side (:meth:`TwoSidedComplex.covers`
+    in the complex; splits and merges on tables) produce the same edges.
     """
-    model = SymmetricGroupFaces(table)
-    cx = TwoSidedComplex.build(table)
+    model = SymmetricGroupFaces(cx.table)
     faces = cx.as_faces(cx.faces)
-    mapping = {face: model.face_to_table(face) for face in faces}
-    if len(set(mapping.values())) != len(faces):
+    tabs = [model.face_to_table(face) for face in faces]
+    if len(set(tabs)) != len(faces):
         return False
-    for face, tab in mapping.items():
-        if model.table_to_face(tab) != face:
+    for face, tab, rank in zip(faces, tabs, cx.ranks(cx.faces).tolist()):
+        if model.table_to_face(tab) != face or tab.order_rank != rank:  # both count the bars
             return False
-        if tab.order_rank != cx.face_rank(face):  # both count the bars
-            return False
-    if set(mapping.values()) != set(enumerate_tables(model.n)):
+    if set(tabs) != set(enumerate_tables(model.n)):
         return False
-    complex_edges = set()
-    for face in faces:
-        for below in cx.down_covers(face):
-            complex_edges.add((mapping[below], mapping[face]))
-    split_edges = set()
-    merge_edges = set()
-    for tab in mapping.values():
-        for above in upper_covers(tab):
-            split_edges.add((tab, above))
-        for below in lower_covers(tab):
-            merge_edges.add((below, tab))
+    low, high = cx.cover_edges(cx.faces)
+    complex_edges = {(tabs[i], tabs[j]) for i, j in zip(low.tolist(), high.tolist())}
+    split_edges = {(tab, above) for tab in tabs for above in upper_covers(tab)}
+    merge_edges = {(below, tab) for tab in tabs for below in lower_covers(tab)}
     return complex_edges == split_edges == merge_edges
 
 

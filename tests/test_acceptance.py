@@ -222,7 +222,7 @@ def test_criterion_8_reciprocity(tables):
             assert eulerian_from_flag(f, table.rank) == two_sided_eulerian(table), spec
 
 
-def test_criterion_9_contingency_model(tables):
+def test_criterion_9_contingency_model(tables, complexes):
     with criterion(9, "contingency model: golden tables, covers, isomorphism"):
         start = time.monotonic()
         model = SymmetricGroupFaces(tables("A6"))
@@ -239,7 +239,7 @@ def test_criterion_9_contingency_model(tables):
         assert set(downs) == {ContingencyTable.from_display(t) for t in LOWER_COVERS_7}
 
         for n in (2, 3, 4):
-            assert verify_refinement_isomorphism(tables(f"A{n - 1}")), n
+            assert verify_refinement_isomorphism(complexes(f"A{n - 1}")), n
 
         partition_table = ContingencyTable.from_display(
             [[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0],

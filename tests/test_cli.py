@@ -294,6 +294,29 @@ def test_verify_keeps_report_when_oracle_trips(tmp_path, a2, capsys):
     assert checks_from_oracle_on(out) == checks_from_oracle_on(clean)
 
 
+@pytest.mark.parametrize(
+    "failing, passing",
+    [
+        (("verify_pseudomanifold", "FAIL pseudomanifold  (all 6 facets)"),
+         "PASS boolean-intervals  (all 33 faces)"),
+        (("verify_boolean", "FAIL boolean-intervals  (all 33 faces)"),
+         "PASS pseudomanifold  (all 6 facets)"),
+    ],
+    ids=["pseudomanifold", "boolean"],
+)
+def test_verify_thin_follows_its_two_checks(failing, passing, tmp_path, capsys, monkeypatch):
+    """Thin is derived from boolean and pseudomanifold: either failing fails
+    thin, while the other still passes."""
+    import bicox.cli
+
+    check, line = failing
+    monkeypatch.setattr(bicox.cli, check, lambda cx: False)
+    assert run(tmp_path, "verify", "--type", "A2") == 1
+    out = capsys.readouterr().out
+    assert line in out and passing in out
+    assert "FAIL thin  (all 33 faces)" in out
+
+
 def test_verify_records_failed_complex_build(tmp_path, capsys, monkeypatch):
     import bicox.cli
 
@@ -416,6 +439,12 @@ def test_cache_dir_is_a_file(tmp_path, capsys):
 
 def test_export_contingency_wrong_type(tmp_path, capsys):
     assert run(tmp_path, "export", "--type", "B2", "--what", "contingency") == 2
+
+
+def test_export_contingency_checks_the_type_before_the_complex(tmp_path, capsys):
+    """D6's complex is over the face budget; the type is refused first."""
+    assert run(tmp_path, "export", "--type", "D6", "--what", "contingency") == 2
+    assert "irreducible type-A group, got D6" in capsys.readouterr().err
 
 
 def test_bad_spec(tmp_path, capsys):

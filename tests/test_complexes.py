@@ -15,6 +15,7 @@ from bicox.complexes import (
     euler_characteristic,
     facet_walls,
     face_color,
+    face_rank,
     hasse_dot,
     restriction,
     sigma_ideal,
@@ -47,11 +48,8 @@ def complexes(tables):
 
 
 def dim_counts(cx):
-    counts = {}
-    for face in cx.as_faces(cx.faces):
-        d = cx.face_rank(face) - 1
-        counts[d] = counts.get(d, 0) + 1
-    return counts
+    dims, counts = np.unique(cx.ranks(cx.faces) - 1, return_counts=True)
+    return dict(zip(dims.tolist(), counts.tolist()))
 
 
 # --- face enumeration --------------------------------------------------------
@@ -200,6 +198,47 @@ def test_codim_one_of_facet(a2, tables):
     assert set(walls_of_facet(a1, 1)) == {Face(0b01, 0, 0), Face(0, 0, 0b01)}
 
 
+def down_covers_by_loop(cx, face):
+    """Reference covers: one face per index addable to I, then to J."""
+    out = []
+    for s in range(cx.rank):
+        gens_l = face.left | 1 << s
+        if gens_l != face.left:
+            out.append(Face(gens_l, int(cx.reps[gens_l, face.right, face.w]), face.right))
+    for s in range(cx.rank):
+        gens_r = face.right | 1 << s
+        if gens_r != face.right:
+            out.append(Face(face.left, int(cx.reps[face.left, gens_r, face.w]), gens_r))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B3", "H3", "I2(5)", "A1xA1xA1"])
+def test_covers_match_loop(spec, complexes):
+    cx = complexes(spec)
+    covers = cx.covers(cx.faces)
+    assert covers.dtype == np.int64 and covers.shape == (len(cx.faces), 2 * cx.rank)
+    for face, row in zip(cx.as_faces(cx.faces), covers):
+        assert cx.as_faces(row[row >= 0]) == down_covers_by_loop(cx, face)
+        present = [face.left >> s & 1 for s in range(cx.rank)]
+        present += [face.right >> s & 1 for s in range(cx.rank)]
+        assert (row < 0).tolist() == [bool(bit) for bit in present]
+
+
+def test_cover_edges_stay_inside_the_chosen_faces(complexes):
+    cx = complexes("A2")
+    chosen = cx.faces[::-1][:20]  # not in ascending order
+    faces = cx.as_faces(chosen)
+    expected = [
+        (faces.index(g), j)
+        for j, f in enumerate(faces)
+        for g in down_covers_by_loop(cx, f)
+        if g in faces
+    ]
+    low, high = cx.cover_edges(chosen)
+    assert expected and list(zip(low.tolist(), high.tolist())) == expected
+    assert [len(ends) for ends in cx.cover_edges(cx.faces[:0])] == [0, 0]
+
+
 # --- structural suite --------------------------------------------------------
 
 
@@ -244,6 +283,23 @@ ORDER_CHECKS = [
 ]
 
 
+def thin_by_pairs(cx):
+    """Reference thinness below the top: both orders of adding two indices
+    x != y to a face reach the same representative."""
+    flat = cx.reps.reshape(1 << 2 * cx.rank, -1)
+    packed, w = np.divmod(cx.faces, cx.table.order)
+    for x in range(2 * cx.rank):
+        for y in range(x):
+            both = 1 << x | 1 << y
+            sel = packed & both == 0
+            low, ws = packed[sel], w[sel]
+            via_x = flat[low | both, flat[low | 1 << x, ws]]
+            via_y = flat[low | both, flat[low | 1 << y, ws]]
+            if not np.array_equal(via_x, via_y):
+                return False
+    return True
+
+
 @pytest.mark.parametrize(
     "spec, where, value, failing",
     [
@@ -271,6 +327,9 @@ def test_corrupt_table_entry_fails(spec, where, value, failing, complexes):
     for check in failing:
         assert check(cx)
         assert not check(bad), check.__name__
+    assert thin_by_pairs(cx) and verify_thin(cx)
+    if not thin_by_pairs(bad):  # the derived check is no weaker than the pair loop
+        assert not verify_thin(bad)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +402,7 @@ def shelling_by_walk(cx, order):
             first_mismatch = k
         if k > 1 and first_impure is None:
             impure = not got or any(
-                cx.face_rank(f) != codim1_rank
+                face_rank(cx.rank, f) != codim1_rank
                 and not any(g != f and cx.leq(f, g) for g in got)
                 for f in got
             )
@@ -413,6 +472,12 @@ def test_thin_pseudomanifold_euler(spec, complexes):
     assert verify_thin(cx)
     assert verify_pseudomanifold(cx)
     assert euler_characteristic(cx) == 0
+
+
+def test_thin_needs_pseudomanifold(complexes, monkeypatch):
+    cx = complexes("A2")
+    monkeypatch.setattr(bicox.complexes, "verify_pseudomanifold", lambda cx: False)
+    assert verify_boolean(cx) and not verify_thin(cx)
 
 
 def test_euler_characteristic_a2_by_dimension(complexes):

@@ -1,5 +1,6 @@
 """Balls-in-boxes: faces of type-A complexes as contingency tables."""
 
+import copy
 import math
 
 import pytest
@@ -200,7 +201,14 @@ def test_enumerate_tables_count():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_refinement_isomorphism(n, tables):
-    assert verify_refinement_isomorphism(tables(f"A{n - 1}"))
+    assert verify_refinement_isomorphism(TwoSidedComplex.build(tables(f"A{n - 1}")))
+
+
+def test_refinement_isomorphism_compares_ranks(tables):
+    cx = TwoSidedComplex.build(tables("A2"))
+    bad = copy.copy(cx)
+    bad.ranks = lambda packed: cx.ranks(packed) + 1
+    assert not verify_refinement_isomorphism(bad)
 
 
 # --- ordered set partitions -------------------------------------------------------
