@@ -34,7 +34,6 @@ own: it follows from the boolean intervals and the pseudomanifold property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -471,20 +470,20 @@ def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
 # DOT export
 
 
-def _mask_str(mask: int) -> str:
-    if not mask:
-        return "-"
-    return "".join(str(s + 1) for s in range(mask.bit_length()) if mask >> s & 1)
-
-
-def _word_str(table: GroupTable, w: int) -> str:
-    if w == 0:
-        return "e"
-    return "".join(f"s{s + 1}" for s in word(table, w))
-
-
-def face_label(table: GroupTable, face: Face) -> str:
-    return f"({_mask_str(face.left)}|{_word_str(table, face.w)}|{_mask_str(face.right)})"
+def face_labels(cx: TwoSidedComplex, packed: np.ndarray) -> list[str]:
+    """Labels (I|w|J) of packed faces: masks as 1-based digits ("-" when
+    empty), w as a reduced word ("e" for the identity).  Each mask string
+    and each representative's word is built once."""
+    n, full = cx.rank, cx.table.full_mask
+    pairs, w = np.divmod(packed, cx.table.order)
+    masks = ["".join(str(s + 1) for s in range(n) if x >> s & 1) or "-" for x in range(full + 1)]
+    words = {  # in ascending ids, so a word mostly extends one stored just before
+        u: "".join(f"s{s + 1}" for s in word(cx.table, u)) or "e" for u in np.unique(w).tolist()
+    }
+    return [
+        f"({masks[x >> n]}|{words[u]}|{masks[x & full]})"
+        for x, u in zip(pairs.tolist(), w.tolist())
+    ]
 
 
 def rank_sorted(cx: TwoSidedComplex, packed: np.ndarray) -> np.ndarray:
@@ -504,21 +503,21 @@ def hasse_dot(
     subset of packed faces such as the classical-complex ideal) in DOT format.
 
     One node per face, labelled by ``label`` (by default
-    :func:`face_label`), one edge per cover, deterministic ordering, in a
+    :func:`face_labels`), one edge per cover, deterministic ordering, in a
     digraph named ``name``.
     """
     if max_rank is None:
         max_rank = 2 * cx.rank
     if faces is None:
         faces = cx.faces
-    if label is None:
-        label = partial(face_label, cx.table)
     ordered = rank_sorted(cx, faces)
     rank = cx.ranks(ordered)
     chosen = ordered[(min_rank <= rank) & (rank <= max_rank)]
+    labels = face_labels(cx, chosen) if label is None else map(label, cx.as_faces(chosen))
     low, high = cx.cover_edges(chosen)
+    nodes = [f"n{i}" for i in range(len(chosen))]
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    lines.extend(f'  n{i} [label="{label(f)}"];' for i, f in enumerate(cx.as_faces(chosen)))
-    lines.extend(f"  n{a} -> n{b};" for a, b in zip(low.tolist(), high.tolist()))
+    lines.extend(f'  {node} [label="{text}"];' for node, text in zip(nodes, labels))
+    lines.extend(f"  {nodes[a]} -> {nodes[b]};" for a, b in zip(low.tolist(), high.tolist()))
     lines.append("}")
     return "\n".join(lines)

@@ -43,8 +43,16 @@ DEFAULT_BUDGET = 10**7
 MAX_RANK = 16  # descent masks are uint16, and the cache stores them in 2 bytes
 DOWN_REACH_LIMIT = 20_000  # largest order given one down-reach bitmask per element
 
-_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
-_E_ROOTS = {6: 72, 7: 126, 8: 240}
+# Order, root count and degrees of each exceptional type, from the
+# classification tables; the families A, B, D and I2 have formulas.
+_EXCEPTIONAL = {
+    "E6": (51840, 72, (2, 5, 6, 8, 9, 12)),
+    "E7": (2903040, 126, (2, 6, 8, 10, 12, 14, 18)),
+    "E8": (696729600, 240, (2, 8, 12, 14, 18, 20, 24, 30)),
+    "F4": (1152, 48, (2, 6, 8, 12)),
+    "H3": (120, 30, (2, 6, 10)),
+    "H4": (14400, 120, (2, 12, 20, 30)),
+}
 
 
 @dataclass(frozen=True)
@@ -69,15 +77,9 @@ class TypeLabel:
             return 2**self.rank * math.factorial(self.rank)
         if self.family == "D":
             return 2 ** (self.rank - 1) * math.factorial(self.rank)
-        if self.family == "E":
-            return _E_ORDERS[self.rank]
-        if self.family == "F":
-            return 1152
-        if self.family == "H":
-            return 120 if self.rank == 3 else 14400
         if self.family == "I2":
             return 2 * self.bond
-        raise ValueError(f"unknown family {self.family!r}")
+        return _EXCEPTIONAL[str(self)][0]
 
     @property
     def root_count(self) -> int:
@@ -88,15 +90,24 @@ class TypeLabel:
             return 2 * self.rank**2
         if self.family == "D":
             return 2 * self.rank * (self.rank - 1)
-        if self.family == "E":
-            return _E_ROOTS[self.rank]
-        if self.family == "F":
-            return 48
-        if self.family == "H":
-            return 30 if self.rank == 3 else 120
         if self.family == "I2":
             return 2 * self.bond
-        raise ValueError(f"unknown family {self.family!r}")
+        return _EXCEPTIONAL[str(self)][1]
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic invariants: their product is the order and
+        the Poincare polynomial is the product of 1 + q + ... + q^(d-1)."""
+        n = self.rank
+        if self.family == "A":
+            return tuple(range(2, n + 2))
+        if self.family == "B":
+            return tuple(range(2, 2 * n + 1, 2))
+        if self.family == "D":
+            return tuple(range(2, 2 * n - 1, 2)) + (n,)
+        if self.family == "I2":
+            return (2, self.bond)
+        return _EXCEPTIONAL[str(self)][2]
 
 
 @dataclass(frozen=True)
@@ -701,16 +712,21 @@ def _validate(table: GroupTable) -> None:
         raise InternalCheckError("left descents disagree with inverse right descents")
     if int(table.des_right[table.longest]) != table.full_mask:
         raise InternalCheckError("longest element is missing a right descent")
-    # The closure and the coset code rely on these; the number of positive
-    # roots comes from the classification, not from the closure.
+    # The closure and the coset code rely on these.  The degrees come from the
+    # classification, not from the closure; the Poincare polynomial they give
+    # has degree the number of positive roots, the longest length.
     if table.length[0] != 0:
         raise InternalCheckError(f"id 0 has length {table.length[0]}, not 0")
     if not np.all(np.diff(table.length) >= 0):
         raise InternalCheckError("ids are not weakly sorted by length")
-    positive = sum(c.label.root_count // 2 for c in table.system.components)
-    if int(table.length[-1]) != positive:  # the last id is a longest one
+    poincare = np.ones(1, dtype=np.int64)
+    for d in (d for comp in table.system.components for d in comp.label.degrees):
+        poincare = np.convolve(poincare, np.ones(d, dtype=np.int64))
+    counts = np.bincount(table.length)
+    if not np.array_equal(counts, poincare):
         raise InternalCheckError(
-            f"longest length {int(table.length[-1])} is not the {positive} positive roots"
+            f"length distribution {counts.tolist()} is not {poincare.tolist()}, the product "
+            f"of 1 + q + ... + q^(d-1) over degrees that give {len(poincare) - 1} positive roots"
         )
 
 
@@ -774,28 +790,26 @@ def length_order(table: GroupTable) -> list[int]:
 def word(table: GroupTable, w: int) -> tuple[int, ...]:
     """A reduced word for w (generator indices, leftmost letter first).
 
-    Strips the lowest left descent at most length(w) times; raises
-    :class:`InternalCheckError` when that does not reach e, as on a table
-    whose descent sets or lengths are inconsistent.
+    Strips the lowest left descent at most length(w) times, until e or an
+    element whose word is already stored, which is where this walk would
+    go on; raises :class:`InternalCheckError` when it reaches neither, as on
+    a table whose descent sets or lengths are inconsistent.
     """
-    cached = table._words.get(w)
-    if cached is not None:
-        return cached
     letters = []
     x = w
-    while x and len(letters) < int(table.length[w]):
+    while x not in table._words and x and len(letters) < int(table.length[w]):
         mask = int(table.des_left[x])
         if not mask:
             break
         s = (mask & -mask).bit_length() - 1
         letters.append(s)
         x = int(table.left_mult[x, s])
-    if x:
+    if x and x not in table._words:
         raise InternalCheckError(
             f"element {w}: stripping left descents stops at {x}, not e, "
             f"after {len(letters)} of {int(table.length[w])} steps"
         )
-    result = tuple(letters)
+    result = tuple(letters) + table._words.get(x, ())
     if len(table._words) < 1 << 16:
         table._words[w] = result
     return result

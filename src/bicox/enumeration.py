@@ -1,8 +1,9 @@
 """Exact face and descent enumeration for a finite group table.
 
-All counts here are exact integers; the gamma change of basis runs over
-exact rationals.  A subset-indexed table is a 2^n x 2^n int64 array indexed
-by generator bitmasks, returned to callers as lists of Python ints.
+All counts here are exact integers, and so is the gamma change of basis: the
+basis is unitriangular, so it is solved by integer forward substitution.  A
+subset-indexed table is a 2^n x 2^n int64 array indexed by generator
+bitmasks, returned to callers as lists of Python ints.
 
 The two tables of interest are
 
@@ -11,9 +12,9 @@ The two tables of interest are
     h[I][J] = |{w : Des_L(w) = I and Des_R(w) = J}|,
 
 related by subset sums one way and by inclusion-exclusion the other.  Both
-transforms view a table as a cube with one {0, 1} axis per generator bit of
-I and of J: the subset sum is a cumulative sum along every axis and its
-inverse a first difference along every axis.  The coarse specialization of
+are the fast zeta transform over the 2n bits of the flat index I * 2^n + J:
+for each bit in turn, every entry with the bit set gains (or, inverting,
+loses) the entry with the bit cleared.  The coarse specialization of
 h by descent counts is the two-sided Eulerian matrix, which is symmetric,
 anti-diagonally symmetric, and (conjecturally) expands with nonnegative
 coefficients in the basis
@@ -24,7 +25,6 @@ coefficients in the basis
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -42,11 +42,17 @@ def _census(table: GroupTable) -> np.ndarray:
 
 
 def _subset_transform(values: np.ndarray, n: int, inverse: bool) -> np.ndarray:
-    """Subset sums over both indices, or with ``inverse`` their Moebius inverse."""
-    cube = values.reshape((2,) * (2 * n))
-    for axis in range(2 * n):
-        cube = np.diff(cube, axis=axis, prepend=0) if inverse else np.cumsum(cube, axis=axis)
-    return cube.reshape(values.shape)
+    """Subset sums over both indices, or with ``inverse`` their Moebius inverse.
+
+    Works in place on one int64 copy: viewed as (-1, 2, 2^k), the second half
+    of each block holds the entries with bit k of the flat index set.
+    """
+    out = np.array(values, dtype=np.int64)
+    step = np.subtract if inverse else np.add
+    for k in range(2 * n):
+        block = out.reshape(-1, 2, 1 << k)
+        step(block[:, 1], block[:, 0], out=block[:, 1])
+    return out
 
 
 def flag_h(table: GroupTable) -> Table2D:
@@ -70,7 +76,7 @@ def flag_h_from_f(f: Table2D, n: int) -> Table2D:
     Raises :class:`InternalCheckError` if any entry comes out negative,
     which would mean the input was not a valid f-table.
     """
-    h = _subset_transform(np.asarray(f, dtype=np.int64), n, inverse=True)
+    h = _subset_transform(f, n, inverse=True)
     if (h < 0).any():
         raise InternalCheckError("inclusion-exclusion produced a negative entry")
     return h.tolist()
@@ -197,53 +203,31 @@ def gamma_basis_coeffs(n: int, a: int, b: int) -> Table2D:
 def gamma_expansion(matrix: Table2D) -> GammaTable:
     """Solve for the gamma coefficients of a two-sided Eulerian matrix.
 
-    Exact Gaussian elimination over the rationals, pivoting the unknowns in
-    lexicographic (a, b) order; the per-rank pivot sweep doubles as a
-    computational check that the basis is linearly independent.  Raises
-    :class:`GammaBasisError` if the basis fails to span or the solution is
-    not integral.  Negative coefficients are reported as data, not errors.
+    The basis is unitriangular.  In lexicographic (a, b) order, basis (a, b)
+    has coefficient exactly 1 at cell (a, a + b): the lowest power of x in
+    it is x^a, taken only from 1 in (x + y)^b and in (1 + xy)^c.  Every
+    later unknown has 0 there: x^a needs a' <= a, and a' = a leaves y^(a+b')
+    only, so b' = b.  Hence gamma_{a,b} is the residual at (a, a + b) once
+    the earlier unknowns' columns are subtracted, all in Python ints.  The
+    triangular pattern is checked on the coefficients (it proves the basis
+    independent), and the residual must end at zero in all (n+1)^2 cells
+    (the reconstruction check); either failure raises
+    :class:`GammaBasisError`.  Negative coefficients are reported as data,
+    not errors.
     """
     n = len(matrix) - 1
     unknowns = [(a, b) for a in range(n // 2 + 1) for b in range(n - 2 * a + 1)]
-    columns = [gamma_basis_coeffs(n, a, b) for a, b in unknowns]
-    cells = [(i, j) for i in range(n + 1) for j in range(n + 1)]
-    rows = [
-        [Fraction(col[i][j]) for col in columns] + [Fraction(matrix[i][j])]
-        for i, j in cells
-    ]
-    pivot_rows: list[int] = []
-    r = 0
-    for c in range(len(unknowns)):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pivot is None:
-            raise GammaBasisError(
-                f"gamma basis is linearly dependent at unknown {unknowns[c]}"
-            )
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                factor = rows[k][c]
-                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[r])]
-        pivot_rows.append(r)
-        r += 1
-    for k in range(r, len(rows)):
-        if rows[k][-1]:
-            raise GammaBasisError(
-                f"gamma basis does not span: residual {rows[k][-1]} remains"
-            )
-    solution = {}
-    for idx, key in enumerate(unknowns):
-        value = rows[idx][-1]
-        if value.denominator != 1:
-            raise GammaBasisError(f"gamma coefficient {key} is not integral: {value}")
-        solution[key] = int(value)
-    reconstructed = [[0] * (n + 1) for _ in range(n + 1)]
-    for key, value in solution.items():
-        coeffs = columns[unknowns.index(key)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                reconstructed[i][j] += value * coeffs[i][j]
-    if reconstructed != matrix:
-        raise GammaBasisError("gamma reconstruction failed to reproduce the input")
-    return GammaTable(n=n, entries=solution)
+    columns = np.array([gamma_basis_coeffs(n, a, b) for a, b in unknowns], dtype=object)
+    pivots = np.array([[col[a, a + b] for a, b in unknowns] for col in columns])  # [col, cell]
+    if not np.array_equal(np.tril(pivots), np.eye(len(unknowns))):
+        raise GammaBasisError("gamma basis is not unitriangular at its pivot cells")
+    residual = np.array(matrix, dtype=object)
+    entries = {}
+    for (a, b), column in zip(unknowns, columns):
+        entries[a, b] = value = int(residual[a, a + b])
+        residual -= value * column
+    nonzero = np.argwhere(residual != 0)
+    if len(nonzero):
+        i, j = nonzero[0]
+        raise GammaBasisError(f"gamma reconstruction leaves {residual[i, j]} at cell ({i}, {j})")
+    return GammaTable(n=n, entries=entries)

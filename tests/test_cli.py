@@ -341,6 +341,17 @@ def test_verify_reports_coverage(tmp_path, capsys):
     assert details["pseudomanifold"] == "all 192 facets"
 
 
+def test_verify_reports_enumerative_coverage(tmp_path, capsys):
+    assert run(tmp_path, "verify", "--type", "F4", "--format", "json") == 0
+    details = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert details["inclusion-exclusion"] == "all 256 subset pairs"
+    assert details["reciprocity"] == "all 256 subset pairs"
+    assert details["eulerian-from-flag"] == "all 25 cells"
+    assert details["eulerian-symmetries"] == "all 25 cells"
+    assert details["gamma-reconstruction"] == "9 unknowns, all 25 cells"
+    assert details["gamma-nonnegative"] == "all 9 coefficients"
+
+
 def test_tables_text(tmp_path, capsys):
     assert run(tmp_path, "tables", "--type", "D4") == 0
     out = capsys.readouterr().out

@@ -221,6 +221,8 @@ def irreducible_degrees(factor):
         return list(range(2, 2 * n - 1, 2)) + [n]
     return {
         "E6": [2, 5, 6, 8, 9, 12],
+        "E7": [2, 6, 8, 10, 12, 14, 18],
+        "E8": [2, 8, 12, 14, 18, 20, 24, 30],
         "F4": [2, 6, 8, 12],
         "H3": [2, 6, 10],
         "H4": [2, 12, 20, 30],
@@ -245,6 +247,32 @@ def test_length_distribution_matches_degrees(spec, tables):
                     out[i + j] += c
             poly = out
     assert np.bincount(tables(spec).length).tolist() == poly
+
+
+CLASSIFIED_IRREDUCIBLES = (
+    [f"A{n}" for n in range(1, coxeter.MAX_RANK + 1)]
+    + [f"B{n}" for n in range(2, coxeter.MAX_RANK + 1)]
+    + [f"D{n}" for n in range(4, coxeter.MAX_RANK + 1)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(5, 31)]
+)
+
+
+@pytest.mark.parametrize("spec", CLASSIFIED_IRREDUCIBLES)
+def test_degrees_give_order_and_positive_roots(spec):
+    (component,) = classify_spec(spec).components
+    label = component.label
+    assert str(label) == spec
+    assert list(label.degrees) == irreducible_degrees(spec)
+    assert math.prod(label.degrees) == label.order
+    assert sum(d - 1 for d in label.degrees) == label.root_count // 2
+
+
+def test_validate_rejects_a_wrong_degree_product(a3, monkeypatch):
+    """(2, 2, 5) has the 6 positive roots of A3 but product 20, not 24."""
+    monkeypatch.setattr(coxeter.TypeLabel, "degrees", property(lambda self: (2, 2, 5)))
+    with pytest.raises(InternalCheckError, match="length distribution"):
+        _validate(a3)
 
 
 def test_b4_order_matches_signed_permutations():
@@ -283,6 +311,11 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
 def test_build_group_bytes_unchanged(spec, tables):
     assert hashlib.sha256(serialize(tables(spec))).hexdigest() == GOLDEN_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
+def test_golden_groups_pass_the_degree_clause(spec, tables):
+    _validate(tables(spec))
 
 
 def test_key_capacity_refused_before_enumerating(monkeypatch):
@@ -470,6 +503,16 @@ def test_words_are_reduced(b3):
         for s in reversed(letters):
             x = int(b3.left_mult[x, s])
         assert x == w
+
+
+def test_stored_words_do_not_change_the_walk(tables):
+    """Ascending ids reuse the stored word of s.w; descending ids walk to e."""
+    h3 = tables("H3")
+    ascending = dataclasses.replace(h3, _words={})
+    descending = dataclasses.replace(h3, _words={})
+    up = [word(ascending, w) for w in range(h3.order)]
+    down = [word(descending, w) for w in reversed(range(h3.order))]
+    assert up == down[::-1]
 
 
 def test_word_walk_is_bounded(a2):

@@ -2,13 +2,18 @@
 
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bicox.enumeration as enumeration
 from bicox.cosets import double_quotient_size
 from bicox.enumeration import (
     GammaTable,
+    _submask_sums,
+    _subset_transform,
     eulerian_from_flag,
     eulerian_symmetric,
     flag_f,
@@ -232,6 +237,34 @@ def test_flag_layer_on_arbitrary_tables(nh, data):
     assert not reciprocity_holds(f, bad_h, n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_subset_transform_matches_submask_sums(n):
+    rng = np.random.default_rng(n)
+    values = rng.integers(-10**6, 10**6, size=(1 << n, 1 << n), dtype=np.int64)
+    forward = _subset_transform(values, n, inverse=False)
+    assert np.array_equal(forward, _submask_sums(values))
+    assert np.array_equal(_subset_transform(forward, n, inverse=True), values)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_subset_transform_leaves_its_input_alone(inverse):
+    values = np.arange(16, dtype=np.int64).reshape(4, 4)
+    values.flags.writeable = False
+    out = _subset_transform(values, 2, inverse=inverse)
+    assert np.array_equal(values, np.arange(16).reshape(4, 4))
+    assert out.flags.writeable and not np.shares_memory(out, values)
+
+
+def test_reciprocity_does_not_use_the_transform(a3, monkeypatch):
+    f, h = flag_f(a3), flag_h(a3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reciprocity oracle called _subset_transform")
+
+    monkeypatch.setattr(enumeration, "_subset_transform", forbidden)
+    assert reciprocity_holds(f, h, a3.rank)
+
+
 # --- Eulerian matrices ---------------------------------------------------------
 
 
@@ -327,6 +360,96 @@ def test_h_specialization(spec, tables):
 # --- gamma expansion ------------------------------------------------------------
 
 
+def fraction_gamma_reference(matrix):
+    """Gamma coefficients by Gauss-Jordan elimination over the rationals,
+    pivoting the unknowns in lexicographic (a, b) order; None when the
+    basis does not reproduce the matrix with integer coefficients."""
+    n = len(matrix) - 1
+    unknowns = [(a, b) for a in range(n // 2 + 1) for b in range(n - 2 * a + 1)]
+    columns = [gamma_basis_coeffs(n, a, b) for a, b in unknowns]
+    rows = [
+        [Fraction(col[i][j]) for col in columns] + [Fraction(matrix[i][j])]
+        for i in range(n + 1)
+        for j in range(n + 1)
+    ]
+    for c in range(len(unknowns)):
+        pivot = next(k for k in range(c, len(rows)) if rows[k][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for k in range(len(rows)):
+            if k != c and rows[k][c]:
+                factor = rows[k][c]
+                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[c])]
+    if any(row[-1] for row in rows[len(unknowns):]):
+        return None
+    if any(rows[k][-1].denominator != 1 for k in range(len(unknowns))):
+        return None
+    return {key: int(rows[k][-1]) for k, key in enumerate(unknowns)}
+
+
+GAMMA_SPECS = ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4",
+               "I2(5)", "I2(6)", "I2(7)"]
+
+
+@pytest.mark.parametrize("spec", GAMMA_SPECS)
+def test_gamma_matches_fraction_reference(spec, tables):
+    census = two_sided_eulerian(tables(spec))
+    assert gamma_expansion(census).entries == fraction_gamma_reference(census)
+
+
+@pytest.mark.parametrize("spec", list(EULERIAN))
+def test_gamma_matches_fraction_reference_on_goldens(spec):
+    assert gamma_expansion(EULERIAN[spec]).entries == fraction_gamma_reference(EULERIAN[spec])
+
+
+def gamma_matrix(n, entries):
+    total = [[0] * (n + 1) for _ in range(n + 1)]
+    for (a, b), value in entries.items():
+        coeffs = gamma_basis_coeffs(n, a, b)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                total[i][j] += value * coeffs[i][j]
+    return total
+
+
+@st.composite
+def gamma_dicts(draw):
+    n = draw(st.integers(0, 8))
+    keys = [(a, b) for a in range(n // 2 + 1) for b in range(n - 2 * a + 1)]
+    values = st.integers(-10**12, 10**12)
+    return n, {key: draw(values) for key in keys}
+
+
+@settings(deadline=None)
+@given(gamma_dicts(), st.data())
+def test_gamma_recovers_random_coefficients(n_entries, data):
+    n, entries = n_entries
+    matrix = gamma_matrix(n, entries)
+    assert gamma_expansion(matrix).entries == entries
+    cell = st.integers(0, n)
+    i, j = data.draw(cell), data.draw(cell)
+    delta = data.draw(st.sampled_from([-1, 1]))
+    bad = [row[:] for row in matrix]
+    bad[i][j] += delta
+    if n % 2 == 0 and i == j == n // 2:
+        # the centre cell alone is (xy)^(n/2), the basis element (n/2, 0)
+        shifted = dict(entries)
+        shifted[(n // 2, 0)] += delta
+        assert gamma_expansion(bad).entries == shifted
+    else:
+        with pytest.raises(GammaBasisError, match="reconstruction"):
+            gamma_expansion(bad)
+
+
+def test_gamma_guard_rejects_a_non_triangular_basis(monkeypatch):
+    def swapped(n, a, b):
+        return gamma_basis_coeffs(n, a, 1 - b) if a == 0 and b < 2 else gamma_basis_coeffs(n, a, b)
+
+    monkeypatch.setattr(enumeration, "gamma_basis_coeffs", swapped)
+    with pytest.raises(GammaBasisError, match="unitriangular"):
+        gamma_expansion(EULERIAN["A2"])
+
+
 def test_gamma_basis_coeffs():
     # (x + y)(1 + xy) over n = 2: x + y + x^2 y + x y^2
     assert gamma_basis_coeffs(2, 0, 1) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
@@ -352,13 +475,8 @@ def test_gamma_reference_grids_reconstruct():
     """The pinned gamma grids reproduce the pinned Eulerian matrices."""
     for spec, grid in GAMMA.items():
         n = len(EULERIAN[spec]) - 1
-        total = [[0] * (n + 1) for _ in range(n + 1)]
-        for (row, a), value in grid_entries(grid).items():
-            coeffs = gamma_basis_coeffs(n, a, row - a)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    total[i][j] += value * coeffs[i][j]
-        assert total == EULERIAN[spec], spec
+        entries = {(a, row - a): value for (row, a), value in grid_entries(grid).items()}
+        assert gamma_matrix(n, entries) == EULERIAN[spec], spec
 
 
 def test_gamma_dihedral(tables):
@@ -374,7 +492,7 @@ def test_gamma_nonnegative_observed(spec, tables):
 
 
 def test_gamma_rejects_asymmetric_input():
-    with pytest.raises(GammaBasisError):
+    with pytest.raises(GammaBasisError, match=r"leaves 5 at cell \(1, 0\)"):
         gamma_expansion([[1, 0], [5, 1]])
 
 
