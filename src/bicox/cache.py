@@ -6,6 +6,10 @@ then flat arrays (lengths as 8-bit when the maximum length fits, id tables
 as 32-bit, descent sets as n-bit masks padded to whole bytes), and a
 trailing SHA-256 of everything before it.  Serialization is deterministic,
 so a round trip is bit-identical.
+
+The blob is written and hashed part by part, straight from the table's
+arrays, so saving a table holds no copy of the whole blob; loading hashes
+and parses the file's bytes in place and copies only into the new table.
 """
 
 from __future__ import annotations
@@ -34,37 +38,48 @@ def _mask_dtype(n: int) -> str:
     raise CacheError(f"rank {n} masks not supported by the cache format")
 
 
-def serialize(table: GroupTable) -> bytes:
+def _parts(table: GroupTable) -> list:
+    """The blob as a list of bytes-like parts, the last one the SHA-256 of
+    all the others.
+
+    Id arrays are passed as little-endian views of the table's own arrays:
+    ids are nonnegative int32, so their bytes are those of ``<u4``.
+    """
     name = table.system.canonical_name.encode()
     n = table.rank
-    order = table.order
     len_width = 1 if int(table.length.max()) < 256 else 4
+    mask_dtype = _mask_dtype(n)
     parts = [
         MAGIC,
         struct.pack("<I", VERSION),
         struct.pack("<H", len(name)),
         name,
-        struct.pack("<IQ", n, order),
+        struct.pack("<IQ", n, table.order),
     ]
     for row in table.system.matrix.entries:
         parts.append(struct.pack(f"<{n}I", *row))
     parts.append(struct.pack("<IB", table.longest, len_width))
-    parts.append(table.length.astype("<u1" if len_width == 1 else "<u4").tobytes())
-    parts.append(table.left_mult.astype("<u4").tobytes())
-    parts.append(table.right_mult.astype("<u4").tobytes())
-    parts.append(table.inverse.astype("<u4").tobytes())
-    mask_dtype = _mask_dtype(n)
-    parts.append(table.des_left.astype(mask_dtype).tobytes())
-    parts.append(table.des_right.astype(mask_dtype).tobytes())
-    blob = b"".join(parts)
-    return blob + hashlib.sha256(blob).digest()
+    parts.append(table.length.astype("<u1" if len_width == 1 else "<u4"))
+    for ids in (table.left_mult, table.right_mult, table.inverse):
+        parts.append(np.ascontiguousarray(ids, dtype="<i4"))
+    for masks in (table.des_left, table.des_right):
+        parts.append(np.ascontiguousarray(masks, dtype=mask_dtype))
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    parts.append(digest.digest())
+    return parts
+
+
+def serialize(table: GroupTable) -> bytes:
+    return b"".join(_parts(table))
 
 
 def deserialize(blob: bytes) -> GroupTable:
     if len(blob) < len(MAGIC) + 38 or blob[: len(MAGIC)] != MAGIC:
         raise CacheError("not a group table cache file")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise CacheError("cache checksum mismatch")
     offset = len(MAGIC)
 
@@ -77,9 +92,7 @@ def deserialize(blob: bytes) -> GroupTable:
 
     def array(dtype, count, shape=None):
         nonlocal offset
-        arr = np.frombuffer(
-            body, dtype=dtype, count=count, offset=offset
-        ).copy()
+        arr = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
         offset += arr.nbytes
         return arr if shape is None else arr.reshape(shape)
 
@@ -139,7 +152,7 @@ def save_table(table: GroupTable, cache_dir: str | Path) -> Path:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as out:
-            out.write(serialize(table))
+            out.writelines(_parts(table))
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, path)

@@ -673,9 +673,11 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         right[a:b] = left[right[p], t[:, None]]
         inverse[a:b] = right[inverse[p], t]
 
-    bits = (1 << np.arange(n, dtype=np.int64)).astype(np.uint16)
-    des_left = ((length[left] < length[:, None]) * bits).sum(axis=1).astype(np.uint16)
-    des_right = ((length[right] < length[:, None]) * bits).sum(axis=1).astype(np.uint16)
+    # Ids are weakly sorted by length, so s is a descent of w exactly when
+    # s*w (or w*s) has an id below the first id of w's layer.
+    floor = np.repeat(np.array(layers[:-1], dtype=np.int32), np.diff(layers))
+    des_left = _descent_masks(left, floor)
+    des_right = _descent_masks(right, floor)
 
     max_len = int(length.max())
     top = np.flatnonzero(length == max_len)
@@ -698,16 +700,26 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
     return table
 
 
+def _descent_masks(mult: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """uint16 masks of the s with ``mult[w, s] < floor[w]``, bit s for s."""
+    packed = np.packbits(mult < floor[:, None], axis=1, bitorder="little")
+    masks = packed[:, 0].astype(np.uint16)
+    if packed.shape[1] > 1:
+        masks |= packed[:, 1].astype(np.uint16) << 8
+    return masks
+
+
 def _validate(table: GroupTable) -> None:
     ar = np.arange(table.order)
+    length = table.length
     for s in range(table.rank):
         if not np.array_equal(table.left_mult[table.left_mult[:, s], s], ar):
             raise InternalCheckError(f"left generator {s} is not an involution")
         if not np.array_equal(table.right_mult[table.right_mult[:, s], s], ar):
             raise InternalCheckError(f"right generator {s} is not an involution")
-    jumps = np.abs(table.length[table.right_mult] - table.length[:, None])
-    if not np.all(jumps == 1):
-        raise InternalCheckError("a generator changed length by something other than 1")
+        # One generator column at a time, so no (order x rank) temporary.
+        if not np.all(np.abs(length[table.right_mult[:, s]] - length) == 1):
+            raise InternalCheckError("a generator changed length by something other than 1")
     if not np.array_equal(table.des_left, table.des_right[table.inverse]):
         raise InternalCheckError("left descents disagree with inverse right descents")
     if int(table.des_right[table.longest]) != table.full_mask:

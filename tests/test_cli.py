@@ -4,10 +4,16 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bicox
 from bicox.cache import MAGIC, deserialize, load_table, save_table, serialize
 from bicox.cli import main
 from bicox.coxeter import word
@@ -135,6 +141,85 @@ def test_failed_save_keeps_earlier_file(tmp_path, a3, monkeypatch):
         save_table(a3, tmp_path)
     assert path.read_bytes() == b"earlier"
     assert os.listdir(tmp_path) == ["A3.gt"]
+
+
+WRITER = """
+import sys, time
+from pathlib import Path
+from bicox.cache import save_table
+from bicox.coxeter import build_group, classify_spec
+table = build_group(classify_spec("B5"))
+cache, name = Path(sys.argv[1]), sys.argv[2]
+(cache / f"ready-{name}").touch()
+while not (cache / "go").exists():
+    time.sleep(0.001)
+for _ in range(20):
+    save_table(table, cache)
+"""
+
+
+def test_concurrent_writers_leave_one_whole_file(tmp_path):
+    """Two processes saving the same table at once leave a loadable file,
+    and a reader never sees a partly written one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bicox.__file__).parents[1]))
+    writers = [
+        subprocess.Popen([sys.executable, "-c", WRITER, str(tmp_path), name], env=env)
+        for name in ("a", "b")
+    ]
+    table = build("B5")
+    path = tmp_path / "B5.gt"
+    deadline = time.monotonic() + 120
+    try:
+        while not all((tmp_path / f"ready-{name}").exists() for name in ("a", "b")):
+            assert all(w.poll() is None for w in writers), "a writer exited early"
+            assert time.monotonic() < deadline, "writers never became ready"
+            time.sleep(0.001)
+        (tmp_path / "go").touch()
+        while any(w.poll() is None for w in writers):
+            assert time.monotonic() < deadline, "writers did not finish"
+            if path.exists():
+                assert load_table(path).order == table.order
+        assert [w.returncode for w in writers] == [0, 0]
+    finally:
+        for w in writers:
+            w.kill()
+    assert path.read_bytes() == serialize(table)
+    assert load_table(path).order == table.order
+    assert sorted(os.listdir(tmp_path)) == ["B5.gt", "go", "ready-a", "ready-b"]
+
+
+BLOBS = [serialize(build(spec)) for spec in ("A2", "B3")]
+
+
+@st.composite
+def mutated_blobs(draw):
+    """A valid A2 or B3 blob with bytes flipped, cut off or appended, and
+    resealed with a fresh digest or left with the old one."""
+    blob = draw(st.sampled_from(BLOBS))
+    sealed = draw(st.booleans())
+    data = bytearray(blob[:-32] if sealed else blob)
+    kind = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if kind == "flip":
+        for at in draw(st.sets(st.integers(0, len(data) - 1), min_size=1, max_size=4)):
+            data[at] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    else:
+        data += draw(st.binary(min_size=1, max_size=64))
+    return seal(data) if sealed else bytes(data), sealed
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_blobs())
+def test_mutated_blobs_raise_only_cache_error(case):
+    blob, sealed = case
+    try:
+        deserialize(blob)
+    except CacheError:
+        return
+    # Only a resealed blob can load: the digest covers every byte, but the
+    # type string it covers is display metadata.
+    assert sealed
 
 
 def test_tables_are_read_only(tmp_path):

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bicox.coxeter as coxeter
-from bicox.cache import serialize
+from bicox.cache import VERSION, load_table, save_table, serialize
 from bicox.coxeter import (
     CoxeterMatrix,
     GroupTable,
@@ -314,6 +315,48 @@ def test_build_group_bytes_unchanged(spec, tables):
 
 
 @pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
+def test_saved_file_bytes_unchanged(spec, tables, tmp_path):
+    """The streamed writer puts the golden blob on disk, and the loader's
+    arrays are copies that own their memory."""
+    assert VERSION == 1
+    path = save_table(tables(spec), tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[spec]
+    loaded = load_table(path)
+    for field in ("length", "left_mult", "right_mult", "inverse", "des_left", "des_right"):
+        arr = getattr(loaded, field)
+        assert arr.flags.owndata  # so it cannot alias the file's bytes
+        assert np.array_equal(arr, getattr(tables(spec), field))
+
+
+def descents_by_length(table, mult):
+    """Descent masks from the definition: bit s when l(mult[w, s]) < l(w)."""
+    bits = 1 << np.arange(table.rank, dtype=np.int64)
+    below = table.length[mult] < table.length[:, None]
+    return (below * bits).sum(axis=1)
+
+
+# A3xA3xA3 has rank 9, so its masks need the second packed byte.
+@pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS) + ["A3xA3xA3"])
+def test_descents_match_lengths(spec, tables):
+    table = tables(spec)
+    for mult, masks in ((table.left_mult, table.des_left), (table.right_mult, table.des_right)):
+        assert masks.dtype == np.uint16
+        assert np.array_equal(masks, descents_by_length(table, mult))
+
+
+def test_save_table_holds_less_than_its_blob(tables, tmp_path):
+    """Saving streams the table's arrays instead of building the blob."""
+    table = tables("E6")
+    tracemalloc.start()
+    try:
+        path = save_table(table, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
 def test_golden_groups_pass_the_degree_clause(spec, tables):
     _validate(tables(spec))
 
@@ -383,6 +426,14 @@ def test_validate_ids_sorted_by_length(a2):
     bad = relabeled(a2, [0, 1, 3, 2, 4, 5], a2.length)
     assert list(bad.length) == [0, 1, 2, 1, 2, 3]
     with pytest.raises(InternalCheckError, match="not weakly sorted"):
+        _validate(bad)
+
+
+def test_validate_rejects_a_length_jump(a2):
+    """A2 with the longest length raised to 4: ids stay sorted, but every
+    generator takes the longest element two lengths down."""
+    bad = relabeled(a2, range(6), [0, 1, 1, 2, 2, 4])
+    with pytest.raises(InternalCheckError, match="something other than 1"):
         _validate(bad)
 
 
