@@ -2,8 +2,9 @@
 
 Subcommands: ``build`` (enumerate a group into the cache), ``verify`` (run
 the structural, topological, and enumerative check suite), ``tables`` (emit
-the two-sided Eulerian matrix and gamma table), and ``export`` (Hasse
-diagrams and contingency tables as DOT/JSON).
+the two-sided Eulerian matrix and gamma table, by parabolic factorization
+and without the cache), and ``export`` (Hasse diagrams and contingency
+tables as DOT/JSON).
 
 Exit codes: 0 success, 1 verification failure, 2 usage, configuration or
 file-system error, 3 capacity exceeded.
@@ -42,6 +43,7 @@ from .coxeter import DEFAULT_BUDGET, build_group, classify, length_order, parse_
 from .enumeration import (
     eulerian_from_flag,
     eulerian_symmetric,
+    factorize,
     flag_f,
     flag_h,
     flag_h_from_f,
@@ -67,13 +69,17 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "bicox"
 
 
-def get_table(args):
-    system = classify(parse_type_spec(args.type))
+def check_heavy(args, system) -> None:
     if system.order > HEAVY_ORDER and not args.allow_heavy:
         raise CapacityError(
             f"{system.canonical_name} has {system.order} elements; "
             "pass --allow-heavy to build it"
         )
+
+
+def get_table(args):
+    system = classify(parse_type_spec(args.type))
+    check_heavy(args, system)
     path = cache_mod.cache_path(args.cache_dir, system.canonical_name)
     if path.exists():
         table = cache_mod.load_table(path)
@@ -83,6 +89,20 @@ def get_table(args):
     table = build_group(system, budget=args.budget)
     cache_mod.save_table(table, args.cache_dir)
     return table, path, False
+
+
+def get_factorization(args):
+    """The type's parabolic factorization, without the cache.
+
+    ``--budget`` and ``--allow-heavy`` apply to each parabolic table it
+    builds, not to the group itself.
+    """
+
+    def build(system):
+        check_heavy(args, system)
+        return build_group(system, budget=args.budget)
+
+    return factorize(classify(parse_type_spec(args.type)), build)
 
 
 def emit(args, text: str) -> None:
@@ -237,14 +257,14 @@ def _matrix_csv(matrix, corner: str) -> str:
 
 
 def cmd_tables(args) -> int:
-    table, _, _ = get_table(args)
-    census = two_sided_eulerian(table)
+    group = get_factorization(args)
+    census = two_sided_eulerian(group)
     gamma = gamma_expansion(census)
     grid = gamma.as_grid()
     if args.format == "json":
         payload = {
-            "type": table.system.canonical_name,
-            "order": table.order,
+            "type": group.system.canonical_name,
+            "order": group.order,
             "eulerian": census,
             "gamma": {
                 "entries": sorted(
@@ -264,7 +284,7 @@ def cmd_tables(args) -> int:
     else:
         emit(
             args,
-            f"{table.system.canonical_name}: order {table.order}\n"
+            f"{group.system.canonical_name}: order {group.order}\n"
             "two-sided Eulerian matrix:\n"
             + _matrix_text(census)
             + "\ngamma table (row a+b, column a):\n"
@@ -314,6 +334,13 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicox",
@@ -324,7 +351,9 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--type", required=True, help='type spec, e.g. "A3", "B4xA1", "I2(7)"')
         p.add_argument("--cache-dir", default=None, help="cache directory (or $BICOX_CACHE_DIR)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="element budget")
+        p.add_argument(
+            "--budget", type=positive_int, default=DEFAULT_BUDGET, help="element budget"
+        )
         p.add_argument("--allow-heavy", action="store_true", help="permit very large groups")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 

@@ -425,6 +425,13 @@ def classify_spec(spec: str) -> CoxeterSystem:
     return classify(parse_type_spec(spec))
 
 
+def parabolic(system: CoxeterSystem, gens) -> CoxeterSystem:
+    """The standard parabolic subsystem on the generators ``gens`` (a
+    nonempty sequence of indices), renumbered 0, 1, ... in that order."""
+    m = system.matrix.entries
+    return classify(CoxeterMatrix([[m[a][b] for b in gens] for a in gens]))
+
+
 # ---------------------------------------------------------------------------
 # The root-permutation action used during enumeration
 
@@ -591,6 +598,12 @@ def _unique_first(values: np.ndarray):
     return ordered[starts], np.minimum.reduceat(perm, starts), where
 
 
+def check_rank(system: CoxeterSystem) -> None:
+    """Raise :class:`CapacityError` when the rank exceeds :data:`MAX_RANK`."""
+    if system.rank > MAX_RANK:
+        raise CapacityError(f"rank {system.rank} is over the maximum of {MAX_RANK}")
+
+
 def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTable:
     """Enumerate the group of ``system`` into a :class:`GroupTable`.
 
@@ -598,8 +611,7 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
     :data:`MAX_RANK`, the classified order exceeds ``budget`` (default
     10**7 elements), or the packed element keys would not fit in 64 bits.
     """
-    if system.rank > MAX_RANK:
-        raise CapacityError(f"rank {system.rank} is over the maximum of {MAX_RANK}")
+    check_rank(system)
     order = system.order
     if order > budget:
         raise CapacityError(

@@ -20,6 +20,10 @@ anti-diagonally symmetric, and (conjecturally) expands with nonnegative
 coefficients in the basis
 
     (xy)^a (x+y)^b (1+xy)^(n-2a-b),   0 <= 2a + b <= n.
+
+The same census can be counted without the table of W, from the table of
+one maximal parabolic subgroup per component (:func:`factorize` and
+:func:`factor_census`); that is how the CLI gets the Eulerian matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ from math import comb
 
 import numpy as np
 
-from .coxeter import GroupTable, popcount_table
+from .coxeter import (
+    CoxeterSystem,
+    GroupTable,
+    _root_permutations,
+    build_group,
+    check_rank,
+    parabolic,
+    popcount_table,
+)
 from .errors import GammaBasisError, InternalCheckError
 
 Table2D = list[list[int]]
@@ -111,12 +123,33 @@ def reciprocity_holds(f: Table2D, h: Table2D, n: int) -> bool:
     return bool(np.array_equal(signs * _submask_sums(signs * f_arr), h_arr))
 
 
-def two_sided_eulerian(table: GroupTable) -> Table2D:
-    """(n+1) x (n+1) census of (number of left, number of right) descents."""
-    n = table.rank
-    pop = popcount_table(n).astype(np.int64)
-    joint = pop[table.des_left] * (n + 1) + pop[table.des_right]
-    return np.bincount(joint, minlength=(n + 1) ** 2).reshape(n + 1, n + 1).tolist()
+def two_sided_eulerian(group: GroupTable | Factorization) -> Table2D:
+    """(n+1) x (n+1) census of (number of left, number of right) descents.
+
+    A :class:`GroupTable` is counted element by element.  A
+    :class:`Factorization` is counted one component at a time by
+    :func:`factor_census`; the matrix of a product is the 2D convolution of
+    its components' matrices, taken in Python ints.
+    """
+    if isinstance(group, GroupTable):
+        n = group.rank
+        pop = popcount_table(n).astype(np.int64)
+        joint = pop[group.des_left] * (n + 1) + pop[group.des_right]
+        return np.bincount(joint, minlength=(n + 1) ** 2).reshape(n + 1, n + 1).tolist()
+    total = np.ones((1, 1), dtype=object)
+    for factor in group.factors:
+        sizes = _by_size(factor.system.rank)
+        part = (sizes @ factor_census(factor) @ sizes.T).astype(object)
+        grown = np.zeros((len(total) + len(part) - 1,) * 2, dtype=object)
+        for (i, j), count in np.ndenumerate(total):
+            grown[i : i + len(part), j : j + len(part)] += count * part
+        total = grown
+    return total.tolist()
+
+
+def _by_size(n: int) -> np.ndarray:
+    """(n+1) x 2^n int64 indicator of |I| = i, to group a subset index by size."""
+    return (popcount_table(n)[None, :] == np.arange(n + 1)[:, None]).astype(np.int64)
 
 
 def eulerian_from_flag(f: Table2D, n: int) -> Table2D:
@@ -128,7 +161,7 @@ def eulerian_from_flag(f: Table2D, n: int) -> Table2D:
     B[i][p] = (-1)^(i-p) C(n-p, i-p) in Python ints: its partial sums can pass int64.
     """
     sizes = range(n + 1)
-    onehot = (popcount_table(n)[None, :] == np.array(sizes)[:, None]).astype(np.int64)
+    onehot = _by_size(n)
     grouped = onehot @ np.asarray(f, dtype=np.int64) @ onehot.T
     basis = np.array(
         [[(-1) ** (i - p) * comb(n - p, i - p) if i >= p else 0 for p in sizes]
@@ -158,6 +191,193 @@ def h_specialization(matrix: Table2D) -> list[int]:
         for j in range(n + 1):
             out[i + j] += matrix[i][j]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The census by parabolic factorization
+
+
+@dataclass(frozen=True)
+class ParabolicFactor:
+    """An irreducible group W split at one node d, with J = S - {d}.
+
+    Every w is uniquely u*v with u in W^J (no right descent in J) and v in
+    W_J, and l(w) = l(u) + l(v) (Bjorner-Brenti, *Combinatorics of Coxeter
+    Groups*, 2.4).  ``system`` is the irreducible group alone, generators
+    numbered 0..k-1.  ``parabolic`` is the table of W_J, its generator j
+    being the j-th of J in increasing order, or None when J is empty.
+    """
+
+    system: CoxeterSystem
+    node: int
+    parabolic: GroupTable | None
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """A group as its irreducible components, each one :class:`ParabolicFactor`."""
+
+    system: CoxeterSystem
+    factors: tuple[ParabolicFactor, ...]
+
+    @property
+    def order(self) -> int:
+        return self.system.order
+
+
+def parabolic_factor(system: CoxeterSystem, node: int, build=build_group) -> ParabolicFactor:
+    """Split the irreducible ``system`` at ``node``; ``build`` makes the table of W_J."""
+    rest = [t for t in range(system.rank) if t != node]
+    return ParabolicFactor(system, node, build(parabolic(system, rest)) if rest else None)
+
+
+def cheapest_node(system: CoxeterSystem) -> int:
+    """The node of the irreducible ``system`` to split at.
+
+    It minimizes |W_J| (the table to build) plus |W^J| * 2^(k-1) (one
+    left-descent lookup per coset), from the classified orders alone;
+    ties go to the lowest node.
+    """
+    k = system.rank
+
+    def cost(node):
+        rest = [t for t in range(k) if t != node]
+        order = parabolic(system, rest).order if rest else 1
+        return order + system.order // order * 2 ** (k - 1)
+
+    return min(range(k), key=cost)
+
+
+def factorize(system: CoxeterSystem, build=build_group) -> Factorization:
+    """Split each component of ``system`` at its :func:`cheapest_node`.
+
+    Only the tables of the W_J are built, each by ``build``; raises
+    :class:`CapacityError` before any when the rank is over the maximum.
+    """
+    check_rank(system)
+    factors = []
+    for comp in system.components:
+        part = parabolic(system, sorted(comp.vertices))
+        factors.append(parabolic_factor(part, cheapest_node(part), build))
+    return Factorization(system, tuple(factors))
+
+
+def _positive_roots(simple: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Mask of the positive roots: the closure of the simple roots under
+    r -> s(r) for r other than alpha_s, which s keeps positive."""
+    positive = np.zeros(sigma.shape[1], dtype=bool)
+    positive[simple] = True
+    frontier = simple
+    while len(frontier):
+        images = np.concatenate(
+            [sigma[s, frontier[frontier != root]] for s, root in enumerate(simple)]
+        )
+        frontier = np.unique(images[~positive[images]])
+        positive[frontier] = True
+    if 2 * positive.sum() != sigma.shape[1]:
+        raise InternalCheckError(f"{positive.sum()} positive roots of {sigma.shape[1]}")
+    return positive
+
+
+def _root_images(table: GroupTable, sigma: np.ndarray, root: int, lowest) -> np.ndarray:
+    """v(root) for every v in ``table``, whose generator j acts as ``sigma[j]``.
+
+    One gather per length layer, as v(root) = s((s*v)(root)) for the
+    ``lowest`` generator s of each left descent mask.
+    """
+    images = np.empty(table.order, dtype=np.intp)
+    images[0] = root
+    bounds = np.searchsorted(table.length, np.arange(int(table.length[-1]) + 2))
+    for a, b in zip(bounds[1:-1], bounds[2:]):
+        s = lowest[table.des_left[a:b]]
+        images[a:b] = sigma[s, images[table.left_mult[np.arange(a, b), s]]]
+    return images
+
+
+def _coset_layers(simple, sigma, positive, node: int, orbit):
+    """W^J for J = S - {node}, one length layer at a time from e.
+
+    Yields ``(images, descents)`` per layer: ``images[i]`` holds u(r) for
+    the roots r of ``simple`` and then of ``orbit``, and ``descents[i]`` is
+    the left descent mask of u.  For s not a left descent of u, s*u is one
+    longer, and it is in W^J exactly when s*u(alpha_t) > 0 for every t in J
+    (otherwise s*u = u*t, by Deodhar's lemma).  An element is known by its
+    images of the simple roots, and its left descents are the s that lead
+    to it from the layer below, since s*u stays in W^J when l(s*u) < l(u).
+    """
+    k = len(simple)
+    rest = np.delete(np.arange(k), node)
+    gens = np.arange(k)[:, None]
+    images = np.concatenate([simple, orbit])[None, :]
+    descents = np.zeros(1, dtype=np.intp)
+    while len(images):
+        yield images, descents
+        moved = sigma[:, images]  # [s, i]: s applied to each image of u_i
+        up = (descents >> gens & 1 == 0) & positive[moved[:, :, rest]].all(axis=2)
+        s, i = np.nonzero(up)
+        children = moved[s, i]
+        rows = np.ascontiguousarray(children[:, :k])
+        keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
+        _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+        images = children[first]
+        # One parent per (child, s), so summing the bits of s ORs them.
+        descents = np.bincount(where.ravel(), weights=1 << s, minlength=len(first))
+        descents = descents.astype(np.intp)
+
+
+def factor_census(factor: ParabolicFactor) -> np.ndarray:
+    """The 2^k x 2^k census of (Des_L, Des_R) over W, as :func:`_census`
+    counts it from W's table, summed one coset u of W^J at a time.
+
+    For w = u*v: t in J is a right descent of w exactly when of v, since u
+    keeps the positive roots of W_J positive; d is one exactly when
+    u(v(alpha_d)) < 0.  Left descents follow Deodhar's lemma on
+    beta = u^-1(alpha_s): s is one when beta < 0, exactly when t is one of
+    v when beta = alpha_t with t in J, and never otherwise (Geck-Pfeiffer,
+    *Characters of Finite Coxeter Groups*, 2.1).  So each coset is one
+    bincount over W_J, through a 2^(k-1) lookup from Des_L(v).
+    """
+    system, d, table = factor.system, factor.node, factor.parabolic
+    k = system.rank
+    simple, sigma = _root_permutations(system)
+    simple, sigma = np.array(simple), sigma.astype(np.intp)
+    positive = _positive_roots(simple, sigma)
+    rest = np.delete(np.arange(k), d)
+    bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1  # bit j: rest[j]
+    if table is None:
+        des_left = des_right = np.zeros(1, dtype=np.uint16)
+        images = simple[d : d + 1]
+    else:
+        des_left, des_right = table.des_left, table.des_right
+        images = _root_images(table, sigma[rest], simple[d], bits.argmax(axis=1))
+    # W_J as its distinct (Des_L(v), v(alpha_d), Des_R(v)) and their counts.
+    orbit, where = np.unique(images, return_inverse=True)
+    kinds, counts = np.unique(
+        (des_left.astype(np.intp) * len(orbit) + where) << (k - 1) | des_right,
+        return_counts=True,
+    )
+    cell = kinds >> (k - 1)
+    right = (bits << rest).sum(axis=1)[kinds & (len(bits) - 1)]  # in W's numbering
+    place = np.arange(k)
+    cosets = 0
+    # Counts are whole numbers summing to |W| < 2^53: exact in float64.
+    census = np.zeros(1 << 2 * k)
+    for coset_images, descents in _coset_layers(simple, sigma, positive, d, orbit):
+        cosets += len(descents)
+        if cosets * len(images) > system.order:
+            break
+        # moves[i, j]: the bit of s with u_i(alpha_rest[j]) = alpha_s, or 0.
+        moves = ((coset_images[:, rest, None] == simple) << place).sum(axis=2)
+        lefts = (descents[:, None] | moves @ bits.T) << k
+        highs = (~positive[coset_images[:, k:]]).astype(np.intp) << d  # d in Des_R(u*v)
+        for left, high in zip(lefts, highs):
+            key = (left[:, None] + high).ravel()[cell] + right
+            census += np.bincount(key, weights=counts, minlength=len(census))
+    if cosets * len(images) != system.order:
+        raise InternalCheckError(
+            f"{cosets} cosets of {len(images)} elements, classified order {system.order}"
+        )
+    return census.astype(np.int64).reshape(1 << k, 1 << k)
 
 
 # ---------------------------------------------------------------------------

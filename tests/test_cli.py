@@ -458,6 +458,62 @@ def test_tables_csv(tmp_path, capsys):
     assert "1,0,4,0" in out
 
 
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("A1", "A1: order 2\ntwo-sided Eulerian matrix:\n1 0\n0 1\n"),
+        ("A1xA1", "A1xA1: order 4\ntwo-sided Eulerian matrix:\n1 0 0\n0 2 0\n0 0 1\n"),
+    ],
+)
+def test_tables_rank_one_components(tmp_path, capsys, spec, text):
+    assert run(tmp_path, "tables", "--type", spec) == 0
+    assert capsys.readouterr().out.startswith(text)
+
+
+def test_tables_leave_the_cache_alone(tmp_path, capsys):
+    assert run(tmp_path, "tables", "--type", "B3") == 0
+    assert not list(tmp_path.iterdir())
+    assert run(tmp_path, "build", "--type", "A2") == 0
+    path = tmp_path / "A2.gt"
+    path.write_bytes(path.read_bytes()[:-5])  # a corrupt file that build reports
+    corrupt = path.read_bytes()
+    assert run(tmp_path, "tables", "--type", "A2") == 0
+    assert path.read_bytes() == corrupt
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A2.gt"]
+
+
+def test_tables_gates_apply_to_parabolic_tables(tmp_path, capsys):
+    assert run(tmp_path, "tables", "--type", "A4", "--budget", "50") == 0  # through A3
+    assert run(tmp_path, "tables", "--type", "E8", "--budget", "100000") == 3
+    assert "D7 has 322560 elements, over the budget of 100000" in capsys.readouterr().err
+    assert run(tmp_path, "tables", "--type", "B10") == 3
+    assert "A3xB6 has 1105920 elements; pass --allow-heavy" in capsys.readouterr().err
+
+
+def test_tables_rank_17_refused_before_enumerating(tmp_path, capsys, monkeypatch):
+    import bicox.cli
+    import bicox.coxeter
+    import bicox.enumeration
+
+    def never(system):
+        raise AssertionError("enumeration started")
+
+    for module in (bicox.coxeter, bicox.enumeration):
+        monkeypatch.setattr(module, "_root_permutations", never)
+    monkeypatch.setattr(bicox.cli, "build_group", never)
+    assert run(tmp_path, "tables", "--type", "x".join(["A1"] * 17)) == 3
+    assert "rank 17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_budget_must_be_positive(tmp_path, capsys, budget):
+    for command in ("tables", "build"):
+        with pytest.raises(SystemExit) as exit_info:
+            run(tmp_path, command, "--type", "A4", "--budget", budget)
+        assert exit_info.value.code == 2
+        assert f"--budget: must be positive, got {budget}" in capsys.readouterr().err
+
+
 def test_export_hasse(tmp_path, capsys):
     assert run(tmp_path, "export", "--type", "A2", "--what", "hasse") == 0
     dot = capsys.readouterr().out

@@ -1,0 +1,240 @@
+"""The census by parabolic factorization, against the table census and
+against the one-sided Eulerian numbers from the classified orders alone.
+
+The rank-8 exceptional group is opt-in: set RUN_E8=1 (about 10 s and
+360 MB on two cores, most of it for the route through the rank-7 table).
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bicox
+from bicox.coxeter import CoxeterMatrix, build_group, classify, classify_spec, parabolic
+from bicox.enumeration import (
+    Factorization,
+    _census,
+    cheapest_node,
+    eulerian_symmetric,
+    factor_census,
+    factorize,
+    gamma_expansion,
+    parabolic_factor,
+    two_sided_eulerian,
+)
+from bicox.errors import CapacityError
+
+from expected_tables import EULERIAN, GAMMA, grid_entries
+
+GOLDEN_UP_TO_RANK_6 = [spec for spec in EULERIAN if spec != "E7"]
+PRODUCTS = ["A1", "A1xA1", "A1xA1xA1", "B4xA1", "I2(9)xH3xA3", "D4xD4"]
+
+
+def components(system):
+    """Each component as its own system, in the order of its vertices."""
+    return [parabolic(system, sorted(comp.vertices)) for comp in system.components]
+
+
+def product_census(censuses):
+    """The census of a product whose components hold consecutive generators,
+    the first the lowest: a descent set is the union of the components' sets."""
+    out = np.ones((1, 1), dtype=np.int64)
+    for census in censuses:
+        out = np.kron(census, out)
+    return out
+
+
+def one_node(system, node):
+    """The group of the irreducible ``system`` through its split at ``node``."""
+    return Factorization(system, (parabolic_factor(system, node),))
+
+
+# --- the table census as the oracle --------------------------------------------
+
+
+@pytest.mark.parametrize("spec", GOLDEN_UP_TO_RANK_6)
+def test_every_node_matches_table_census(spec, tables):
+    system = classify_spec(spec)
+    expected = _census(tables(spec))
+    for node in range(system.rank):
+        got = factor_census(parabolic_factor(system, node))
+        assert np.array_equal(got, expected), (spec, node)
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_every_node_of_a_product_matches_table_census(spec, tables):
+    system = classify_spec(spec)
+    assert all(
+        sorted(comp.vertices) == list(range(min(comp.vertices), max(comp.vertices) + 1))
+        for comp in system.components
+    )
+    expected = _census(tables(spec))
+    parts = components(system)
+    chosen = [factor_census(parabolic_factor(p, cheapest_node(p))) for p in parts]
+    for i, part in enumerate(parts):
+        for node in range(part.rank):
+            censuses = list(chosen)
+            censuses[i] = factor_census(parabolic_factor(part, node))
+            assert np.array_equal(product_census(censuses), expected), (spec, i, node)
+    assert two_sided_eulerian(factorize(system)) == two_sided_eulerian(tables(spec))
+
+
+def test_rank_one_builds_no_table():
+    def never(system):
+        raise AssertionError(f"built {system.canonical_name}")
+
+    group = factorize(classify_spec("A1xA1"), build=never)
+    assert [f.parabolic for f in group.factors] == [None, None]
+    assert two_sided_eulerian(group) == [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "spec, parabolic_name",
+    [("H4", "H3"), ("D7", "A6"), ("E8", "D7"), ("E7", "D6"), ("E6", "D5"), ("A3", "A2")],
+)
+def test_cheapest_node(spec, parabolic_name):
+    system = classify_spec(spec)
+    node = cheapest_node(system)
+    rest = [t for t in range(system.rank) if t != node]
+    assert parabolic(system, rest).canonical_name == parabolic_name
+
+
+def test_factorize_builds_only_parabolic_tables():
+    built = []
+
+    def build(system):
+        built.append(system.canonical_name)
+        return build_group(system)
+
+    group = factorize(classify_spec("I2(9)xH3xA3"), build=build)
+    assert built == ["A1", "I2(5)", "A2"]
+    assert group.order == 51840
+
+
+def test_factorize_refuses_rank_17_before_building():
+    def never(system):
+        raise AssertionError("built a table")
+
+    with pytest.raises(CapacityError, match="rank 17"):
+        factorize(classify_spec("x".join(["A1"] * 17)), build=never)
+
+
+# --- an oracle that shares no code with either census ---------------------------
+
+
+def one_sided_eulerian(system):
+    """How many w have j right descents, for each j.
+
+    By inclusion-exclusion over |{w : Des_R(w) <= K}| = |W| / |W_{S - K}|,
+    the orders taken from the classification of each submatrix: no table,
+    no roots.
+    """
+    n, m = system.rank, system.matrix.entries
+
+    def quotient(kept):
+        rest = [s for s in range(n) if not kept >> s & 1]
+        if not rest:
+            return system.order
+        sub = classify(CoxeterMatrix([[m[a][b] for b in rest] for a in rest]))
+        return system.order // sub.order
+
+    sizes = [quotient(kept) for kept in range(1 << n)]
+    out = [0] * (n + 1)
+    for mask in range(1 << n):
+        sub = mask
+        while True:
+            out[mask.bit_count()] += (-1) ** (mask & ~sub).bit_count() * sizes[sub]
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    return out
+
+
+def assert_one_sided_sums(spec, matrix):
+    expected = one_sided_eulerian(classify_spec(spec))
+    assert [sum(col) for col in zip(*matrix)] == expected, spec
+    assert [sum(row) for row in matrix] == expected, spec
+
+
+@pytest.mark.parametrize("spec", list(EULERIAN))
+def test_golden_margins_are_one_sided_eulerian(spec):
+    assert_one_sided_sums(spec, EULERIAN[spec])
+
+
+@pytest.mark.parametrize("spec", ["B6", "H4", "D7", "I2(9)xH3xA3", "A1", "E7"])
+def test_factorized_margins_are_one_sided_eulerian(spec):
+    assert_one_sided_sums(spec, two_sided_eulerian(factorize(classify_spec(spec))))
+
+
+def test_one_sided_oracle_negative_control():
+    bad = [row[:] for row in EULERIAN["D5"]]
+    bad[1][2] += 1
+    bad[2][1] -= 1
+    with pytest.raises(AssertionError):
+        assert_one_sided_sums("D5", bad)
+
+
+# --- E7 in tier-1, E8 opt-in ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("parabolic_name, node", [("D6", 0), ("E6", 6)])
+def test_e7_through_two_nodes(parabolic_name, node):
+    system = classify_spec("E7")
+    group = one_node(system, node)
+    assert group.factors[0].parabolic.system.canonical_name == parabolic_name
+    matrix = two_sided_eulerian(group)
+    assert matrix == EULERIAN["E7"]
+    assert grid_entries(gamma_expansion(matrix).as_grid()) == grid_entries(GAMMA["E7"])
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_E8"), reason="set RUN_E8=1 to enable")
+def test_e8_through_d7_and_e7():
+    system = classify_spec("E8")
+    over_d7 = two_sided_eulerian(one_node(system, 0))
+    assert two_sided_eulerian(factorize(system)) == over_d7
+    over_e7 = two_sided_eulerian(one_node(system, 7))
+    assert over_e7 == over_d7
+    assert sum(map(sum, over_d7)) == 696_729_600
+    assert eulerian_symmetric(over_d7)
+    assert_one_sided_sums("E8", over_d7)
+    gamma = gamma_expansion(over_d7)
+    assert not gamma.negative_entries()
+    assert gamma.entries[4, 0] == 17_111_296
+
+
+# The child's own peak RSS in MB.  VmHWM starts afresh at exec, while
+# ru_maxrss on Linux keeps the parent's resident size at the fork.
+TABLES_CHILD = """
+import sys
+from bicox.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(line for line in status if line.startswith("VmHWM:"))
+print(int(peak.split()[1]) // 1024, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_E8"), reason="set RUN_E8=1 to enable")
+def test_e8_tables_command(tmp_path):
+    """``bicox tables --type E8`` exits 0 in under 30 s and 200 MB, cache untouched."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bicox.__file__).parents[1]))
+    argv = ["tables", "--type", "E8", "--format", "json", "--cache-dir", str(tmp_path / "c")]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", TABLES_CHILD, *argv], env=env, capture_output=True, text=True
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 30
+    assert int(proc.stderr.split()[-1]) < 200  # peak RSS in MB
+    payload = json.loads(proc.stdout)
+    assert payload["order"] == 696_729_600
+    assert payload["eulerian"] == two_sided_eulerian(one_node(classify_spec("E8"), 0))
+    assert not (tmp_path / "c").exists()
