@@ -39,7 +39,14 @@ from .complexes import (
 )
 from .contingency import SymmetricGroupFaces, verify_refinement_isomorphism
 from .cosets import double_quotient_size
-from .coxeter import DEFAULT_BUDGET, build_group, classify, length_order, parse_type_spec
+from .coxeter import (
+    DEFAULT_BUDGET,
+    build_group,
+    check_budget,
+    classify,
+    length_order,
+    parse_type_spec,
+)
 from .enumeration import (
     eulerian_from_flag,
     eulerian_symmetric,
@@ -69,17 +76,14 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "bicox"
 
 
-def check_heavy(args, system) -> None:
-    if system.order > HEAVY_ORDER and not args.allow_heavy:
-        raise CapacityError(
-            f"{system.canonical_name} has {system.order} elements; "
-            "pass --allow-heavy to build it"
-        )
+def check_heavy(args, name: str, count: int, unit: str = "elements") -> None:
+    if count > HEAVY_ORDER and not args.allow_heavy:
+        raise CapacityError(f"{name} has {count} {unit}; pass --allow-heavy to build it")
 
 
 def get_table(args):
     system = classify(parse_type_spec(args.type))
-    check_heavy(args, system)
+    check_heavy(args, system.canonical_name, system.order)
     path = cache_mod.cache_path(args.cache_dir, system.canonical_name)
     if path.exists():
         table = cache_mod.load_table(path)
@@ -95,14 +99,19 @@ def get_factorization(args):
     """The type's parabolic factorization, without the cache.
 
     ``--budget`` and ``--allow-heavy`` apply to each parabolic table it
-    builds, not to the group itself.
+    builds and to each component's roots and cosets, not to the group
+    itself.
     """
 
+    def admit(name, count, unit):
+        check_heavy(args, name, count, unit)
+        check_budget(name, count, args.budget, unit)
+
     def build(system):
-        check_heavy(args, system)
+        check_heavy(args, system.canonical_name, system.order)
         return build_group(system, budget=args.budget)
 
-    return factorize(classify(parse_type_spec(args.type)), build)
+    return factorize(classify(parse_type_spec(args.type)), build, admit)
 
 
 def emit(args, text: str) -> None:

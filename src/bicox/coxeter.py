@@ -448,28 +448,32 @@ _CARTAN = {
 def _root_permutations(system: CoxeterSystem):
     """W's permutation action on the disjoint union of its components' roots.
 
-    Returns ``(identity, sigma)``: ``identity[s]`` is the index of the simple
-    root of generator s, and ``sigma[s, r]`` is the index of s applied to
-    root r.  A rank-2 component with bond m acts on the 2m roots of the
-    regular 2m-gon; any other component is closed over Z[phi] from its
-    Cartan matrix.  Raises :class:`InternalCheckError` when a component's
-    root count disagrees with its type.
+    Returns ``(identity, sigma, positive)``: ``identity[s]`` is the index of
+    the simple root of generator s, ``sigma[s, r]`` is the index of s
+    applied to root r, and ``positive[r]`` tells whether root r is positive.
+    A rank-2 component with bond m acts on the 2m roots of the regular
+    2m-gon; any other component is closed over Z[phi] from its Cartan
+    matrix.  Raises :class:`InternalCheckError` when a component's root
+    count disagrees with its type.
     """
     m = system.matrix.entries
     n = system.rank
     identity = [0] * n
     sigma: list[list[int]] = [[] for _ in range(n)]
+    positive: list[bool] = []
     offset = 0
     for comp in system.components:
         verts = comp.vertices
         k = len(verts)
         if k == 2:
             # Root j sits at angle j*pi/m, the simple roots are 0 and m-1,
-            # and the reflection in root a sends j to 2a + m - j.
+            # the positive ones are 0..m-1, and the reflection in root a
+            # sends j to 2a + m - j.
             bond = m[verts[0]][verts[1]]
             count = 2 * bond
             simple = [0, bond - 1]
             local = [[(2 * a + bond - j) % count for j in range(count)] for a in simple]
+            positive.extend(j < bond for j in range(count))
         else:
             # A vector is a flat tuple (a_0, b_0, a_1, b_1, ...) of
             # coordinates a_i + b_i*phi in the simple roots; phi^2 = phi + 1.
@@ -500,6 +504,9 @@ def _root_permutations(system: CoxeterSystem):
             count = len(roots)
             simple = list(range(k))
             local = [[index[reflect(i, vec)] for vec in roots] for i in range(k)]
+            # A root's coordinates share one sign, so their sum has it too.
+            phi = (1 + math.sqrt(5)) / 2
+            positive.extend(sum(vec[0::2]) + phi * sum(vec[1::2]) > 0 for vec in roots)
         if count != comp.label.root_count:
             raise InternalCheckError(
                 f"{comp.label}: root closure produced {count} roots, "
@@ -511,7 +518,11 @@ def _root_permutations(system: CoxeterSystem):
             row = local[verts.index(s)] if s in verts else range(count)
             sigma[s].extend(offset + r for r in row)
         offset += count
-    return tuple(identity), np.array(sigma, dtype=np.min_scalar_type(offset - 1))
+    return (
+        tuple(identity),
+        np.array(sigma, dtype=np.min_scalar_type(offset - 1)),
+        np.array(positive, dtype=bool),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +615,12 @@ def check_rank(system: CoxeterSystem) -> None:
         raise CapacityError(f"rank {system.rank} is over the maximum of {MAX_RANK}")
 
 
+def check_budget(name: str, count: int, budget: int, unit: str = "elements") -> None:
+    """Raise :class:`CapacityError` when ``count`` exceeds ``budget``."""
+    if count > budget:
+        raise CapacityError(f"{name} has {count} {unit}, over the budget of {budget}")
+
+
 def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTable:
     """Enumerate the group of ``system`` into a :class:`GroupTable`.
 
@@ -613,10 +630,7 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
     """
     check_rank(system)
     order = system.order
-    if order > budget:
-        raise CapacityError(
-            f"{system.canonical_name} has {order} elements, over the budget of {budget}"
-        )
+    check_budget(system.canonical_name, order, budget)
     # Key bits are at most 2.69*log2|W| (the worst irreducible ratio, at
     # A11), so within the default budget a key never needs over 62.5 bits.
     offset, radix = _key_digits(system)
@@ -626,7 +640,7 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
             "element keys, over the 64 bits of a packed key"
         )
     n = system.rank
-    identity, sigma = _root_permutations(system)
+    identity, sigma, _ = _root_permutations(system)
     # digits[t][r, s] is the packed-key term of generator t when w(alpha_t)
     # is root r and s*w takes it to sigma[s, r]; a component's roots stay in
     # that component, so only its own rows are ever read.

@@ -34,10 +34,12 @@ from math import comb
 import numpy as np
 
 from .coxeter import (
+    DEFAULT_BUDGET,
     CoxeterSystem,
     GroupTable,
     _root_permutations,
     build_group,
+    check_budget,
     check_rank,
     parabolic,
     popcount_table,
@@ -227,8 +229,14 @@ class Factorization:
 
 def parabolic_factor(system: CoxeterSystem, node: int, build=build_group) -> ParabolicFactor:
     """Split the irreducible ``system`` at ``node``; ``build`` makes the table of W_J."""
+    sub = _maximal_parabolic(system, node)
+    return ParabolicFactor(system, node, None if sub is None else build(sub))
+
+
+def _maximal_parabolic(system: CoxeterSystem, node: int) -> CoxeterSystem | None:
+    """W_J for J = S - {node}, or None when J is empty."""
     rest = [t for t in range(system.rank) if t != node]
-    return ParabolicFactor(system, node, build(parabolic(system, rest)) if rest else None)
+    return parabolic(system, rest) if rest else None
 
 
 def cheapest_node(system: CoxeterSystem) -> int:
@@ -236,47 +244,48 @@ def cheapest_node(system: CoxeterSystem) -> int:
 
     It minimizes |W_J| (the table to build) plus |W^J| * 2^(k-1) (one
     left-descent lookup per coset), from the classified orders alone;
-    ties go to the lowest node.
+    ties go to the lowest node.  Each coset also gathers and counts W_J's
+    distinct descent kinds (at most |W_J|, 67,696 for E8 over D7); the
+    model leaves that term out, since it needs the table of W_J.
     """
     k = system.rank
 
     def cost(node):
-        rest = [t for t in range(k) if t != node]
-        order = parabolic(system, rest).order if rest else 1
+        sub = _maximal_parabolic(system, node)
+        order = 1 if sub is None else sub.order
         return order + system.order // order * 2 ** (k - 1)
 
     return min(range(k), key=cost)
 
 
-def factorize(system: CoxeterSystem, build=build_group) -> Factorization:
+def _within_default_budget(name: str, count: int, unit: str) -> None:
+    check_budget(name, count, DEFAULT_BUDGET, unit)
+
+
+def factorize(
+    system: CoxeterSystem, build=build_group, admit=_within_default_budget
+) -> Factorization:
     """Split each component of ``system`` at its :func:`cheapest_node`.
 
-    Only the tables of the W_J are built, each by ``build``; raises
-    :class:`CapacityError` before any when the rank is over the maximum.
+    Raises :class:`CapacityError` before any enumeration when the rank is
+    over the maximum.  Then ``admit(name, count, unit)`` sees the work of
+    each component that is not a table, its roots (the root closure) and
+    its cosets |W^J| (the coset search), and raises :class:`CapacityError`
+    to refuse it; by default each must be within :data:`DEFAULT_BUDGET`.
+    Only then are the tables of the W_J built, each by ``build``.
     """
     check_rank(system)
-    factors = []
-    for comp in system.components:
-        part = parabolic(system, sorted(comp.vertices))
-        factors.append(parabolic_factor(part, cheapest_node(part), build))
-    return Factorization(system, tuple(factors))
-
-
-def _positive_roots(simple: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Mask of the positive roots: the closure of the simple roots under
-    r -> s(r) for r other than alpha_s, which s keeps positive."""
-    positive = np.zeros(sigma.shape[1], dtype=bool)
-    positive[simple] = True
-    frontier = simple
-    while len(frontier):
-        images = np.concatenate(
-            [sigma[s, frontier[frontier != root]] for s, root in enumerate(simple)]
-        )
-        frontier = np.unique(images[~positive[images]])
-        positive[frontier] = True
-    if 2 * positive.sum() != sigma.shape[1]:
-        raise InternalCheckError(f"{positive.sum()} positive roots of {sigma.shape[1]}")
-    return positive
+    parts = [parabolic(system, sorted(comp.vertices)) for comp in system.components]
+    nodes = [cheapest_node(part) for part in parts]
+    for part, node in zip(parts, nodes):
+        name = part.canonical_name
+        admit(name, part.components[0].label.root_count, "roots")
+        sub = _maximal_parabolic(part, node)
+        if sub is not None:
+            admit(f"{name} over {sub.canonical_name}", part.order // sub.order, "cosets")
+    return Factorization(
+        system, tuple(parabolic_factor(part, node, build) for part, node in zip(parts, nodes))
+    )
 
 
 def _root_images(table: GroupTable, sigma: np.ndarray, root: int, lowest) -> np.ndarray:
@@ -334,14 +343,14 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
     u(v(alpha_d)) < 0.  Left descents follow Deodhar's lemma on
     beta = u^-1(alpha_s): s is one when beta < 0, exactly when t is one of
     v when beta = alpha_t with t in J, and never otherwise (Geck-Pfeiffer,
-    *Characters of Finite Coxeter Groups*, 2.1).  So each coset is one
-    bincount over W_J, through a 2^(k-1) lookup from Des_L(v).
+    *Characters of Finite Coxeter Groups*, 2.1).  So each coset is a
+    gather over W_J's distinct descent kinds, through a 2^(k-1) lookup from
+    Des_L(v), and a batch of cosets is one bincount.
     """
     system, d, table = factor.system, factor.node, factor.parabolic
     k = system.rank
-    simple, sigma = _root_permutations(system)
+    simple, sigma, positive = _root_permutations(system)
     simple, sigma = np.array(simple), sigma.astype(np.intp)
-    positive = _positive_roots(simple, sigma)
     rest = np.delete(np.arange(k), d)
     bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1  # bit j: rest[j]
     if table is None:
@@ -362,6 +371,10 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
     cosets = 0
     # Counts are whole numbers summing to |W| < 2^53: exact in float64.
     census = np.zeros(1 << 2 * k)
+    # Cosets per bincount: enough that the keys outnumber the census cells,
+    # so adding the census-sized result costs no more than the keys do.
+    batch = -(-len(census) // len(kinds))
+    weights = np.tile(counts, batch)
     for coset_images, descents in _coset_layers(simple, sigma, positive, d, orbit):
         cosets += len(descents)
         if cosets * len(images) > system.order:
@@ -370,9 +383,11 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
         moves = ((coset_images[:, rest, None] == simple) << place).sum(axis=2)
         lefts = (descents[:, None] | moves @ bits.T) << k
         highs = (~positive[coset_images[:, k:]]).astype(np.intp) << d  # d in Des_R(u*v)
-        for left, high in zip(lefts, highs):
-            key = (left[:, None] + high).ravel()[cell] + right
-            census += np.bincount(key, weights=counts, minlength=len(census))
+        for a in range(0, len(lefts), batch):
+            left, high = lefts[a : a + batch], highs[a : a + batch]
+            lookup = (left[:, :, None] + high[:, None, :]).reshape(len(left), -1)
+            keys = (np.take(lookup, cell, axis=1) + right).ravel()
+            census += np.bincount(keys, weights=weights[: len(keys)], minlength=len(census))
     if cosets * len(images) != system.order:
         raise InternalCheckError(
             f"{cosets} cosets of {len(images)} elements, classified order {system.order}"

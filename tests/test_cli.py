@@ -488,6 +488,31 @@ def test_tables_gates_apply_to_parabolic_tables(tmp_path, capsys):
     assert "D7 has 322560 elements, over the budget of 100000" in capsys.readouterr().err
     assert run(tmp_path, "tables", "--type", "B10") == 3
     assert "A3xB6 has 1105920 elements; pass --allow-heavy" in capsys.readouterr().err
+    assert run(tmp_path, "tables", "--type", "E8", "--budget", "2000", "--allow-heavy") == 3
+    assert "E8 over D7 has 2160 cosets, over the budget of 2000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        ([], "I2(100000000) has 200000000 roots; pass --allow-heavy"),
+        (["--allow-heavy"], "I2(100000000) has 200000000 roots, over the budget of 10000000"),
+    ],
+)
+def test_tables_gates_apply_to_roots(tmp_path, capsys, monkeypatch, flags, err):
+    """A dihedral W_J is only A1: the 2m roots and m cosets are the work."""
+    import bicox.cli
+    import bicox.coxeter
+    import bicox.enumeration
+
+    def never(system):
+        raise AssertionError("enumeration started")
+
+    for module in (bicox.coxeter, bicox.enumeration):
+        monkeypatch.setattr(module, "_root_permutations", never)
+    monkeypatch.setattr(bicox.cli, "build_group", never)
+    assert run(tmp_path, "tables", "--type", "I2(100000000)", *flags) == 3
+    assert err in capsys.readouterr().err
 
 
 def test_tables_rank_17_refused_before_enumerating(tmp_path, capsys, monkeypatch):

@@ -269,6 +269,20 @@ def test_degrees_give_order_and_positive_roots(spec):
     assert sum(d - 1 for d in label.degrees) == label.root_count // 2
 
 
+@pytest.mark.parametrize("spec", ["A1", "I2(7)", "G2", "B4", "D5", "E8", "H4", "I2(9)xH3xA3"])
+def test_positive_roots(spec):
+    """Half the roots, the simple ones among them, and each s negates only
+    its own simple root among them: that pins the positive system."""
+    identity, sigma, positive = coxeter._root_permutations(classify_spec(spec))
+    assert 2 * positive.sum() == len(positive)
+    assert positive[list(identity)].all()
+    for s, root in enumerate(identity):
+        others = np.flatnonzero(positive)
+        others = others[others != root]
+        assert positive[sigma[s, others]].all()
+        assert not positive[sigma[s, root]]
+
+
 def test_validate_rejects_a_wrong_degree_product(a3, monkeypatch):
     """(2, 2, 5) has the 6 positive roots of A3 but product 20, not 24."""
     monkeypatch.setattr(coxeter.TypeLabel, "degrees", property(lambda self: (2, 2, 5)))
