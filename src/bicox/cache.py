@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coxeter import CoxeterMatrix, GroupTable, classify
+from .coxeter import LENGTH_DTYPE, CoxeterMatrix, GroupTable, classify
 from .errors import CacheError, NotFiniteError
 
 MAGIC = b"BICOXGT\x00"
@@ -105,7 +105,7 @@ def deserialize(blob: bytes) -> GroupTable:
         n, order = take("<IQ")
         rows = [take(f"<{n}I") for _ in range(n)]
         longest, len_width = take("<IB")
-        length = array("<u1" if len_width == 1 else "<u4", order).astype(np.int16)
+        length = array("<u1" if len_width == 1 else "<u4", order).astype(LENGTH_DTYPE)
         left = array("<u4", order * n, (order, n)).astype(np.int32)
         right = array("<u4", order * n, (order, n)).astype(np.int32)
         inverse = array("<u4", order).astype(np.int32)

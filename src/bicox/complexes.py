@@ -8,11 +8,11 @@ representative of the double coset W_I w W_J, ordered by
 
 The last condition reduces, given the first two, to ``reps[I, J, w'] == w``,
 one lookup in the table of :func:`~bicox.cosets.minimal_rep_table`, which
-the complex builds once; the order, lower intervals and covers all go
-through it.  A face of rank r behaves like an (r-1)-simplex: the interval
-below it is boolean of size 2^r.  There is one facet (0, w, 0) per group
-element, one minimum (S, e, S), and the classical Coxeter complex sits
-inside as the upper order ideal of faces with empty left subset.
+the complex builds once; the covers and every check go through it.  A
+face of rank r behaves like an (r-1)-simplex: the interval below it is
+boolean of size 2^r.  There is one facet (0, w, 0) per group element, one
+minimum (S, e, S), and the classical Coxeter complex sits inside as the
+upper order ideal of faces with empty left subset.
 
 Faces are stored packed: (I, w, J) is X * |W| + w with X = I << n | J, its
 flat position in ``reps`` reshaped to (4^n, |W|), and the complex is the
@@ -27,8 +27,11 @@ property, the Euler characteristic, and the embedding of the classical
 complex.  Every check covers the whole complex, most as whole-array
 checks over the table; shelling along a facet order is one pass over the
 table per left subset I, comparing each facet's boundary faces met by
-earlier facets with its descent walls.  Thinness is not checked on its
-own: it follows from the boolean intervals and the pseudomanifold property.
+earlier facets with its descent walls.  Thinness and weak-order
+monotonicity are not checked on their own: thinness follows from the
+boolean intervals and the pseudomanifold property, and weak-order
+monotonicity from the boolean intervals and the table's single-index rows
+being the facet walls.
 """
 
 from __future__ import annotations
@@ -38,12 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coxeter import (
-    GroupTable,
-    popcount_table,
-    two_sided_down_reach,
-    word,
-)
+from .coxeter import GroupTable, popcount_table, word
 from .cosets import coset_labels, minimal_rep_table
 from .errors import CapacityError, InternalCheckError
 
@@ -56,27 +54,6 @@ class Face(NamedTuple):
     left: int
     w: int
     right: int
-
-
-def submasks(mask: int):
-    """All submasks of ``mask`` in increasing numeric order."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
-def face_rank(n: int, face: Face) -> int:
-    """Poset rank |S-I| + |S-J|; the dimension of the face is rank - 1."""
-    return 2 * n - face.left.bit_count() - face.right.bit_count()
-
-
-def face_color(n: int, face: Face) -> tuple[int, int]:
-    """The balanced coloring (S-I, S-J) as a pair of bitmasks."""
-    full = (1 << n) - 1
-    return (full ^ face.left, full ^ face.right)
 
 
 def restriction(table: GroupTable, w: int) -> Face:
@@ -153,32 +130,6 @@ class TwoSidedComplex:
         pairs, w = np.divmod(np.asarray(packed), self.table.order)
         full = self.table.full_mask
         return [Face(x >> n, u, x & full) for x, u in zip(pairs.tolist(), w.tolist())]
-
-    def faces_of_element(self, w: int) -> list[Face]:
-        """The interval [R_w, F_w]: every face represented by w."""
-        bottom = restriction(self.table, w)
-        return [
-            Face(gens_l, w, gens_r)
-            for gens_l in submasks(bottom.left)
-            for gens_r in submasks(bottom.right)
-        ]
-
-    def leq(self, low: Face, high: Face) -> bool:
-        """Face order: reverse containment of index sets and cosets."""
-        if low.left & high.left != high.left or low.right & high.right != high.right:
-            return False
-        return int(self.reps[low.left, low.right, high.w]) == low.w
-
-    def lower_interval(self, face: Face) -> list[Face]:
-        """All faces below ``face`` (inclusive); boolean of size 2^rank."""
-        full = self.table.full_mask
-        out = []
-        for extra_l in submasks(full ^ face.left):
-            gens_l = face.left | extra_l
-            for extra_r in submasks(full ^ face.right):
-                gens_r = face.right | extra_r
-                out.append(Face(gens_l, int(self.reps[gens_l, gens_r, face.w]), gens_r))
-        return out
 
     def covers(self, packed: np.ndarray) -> np.ndarray:
         """[face, index]: the packed face covered by each face across each
@@ -270,19 +221,32 @@ def verify_partition(cx: TwoSidedComplex) -> bool:
     return np.array_equal(np.bincount(faces % order, minlength=order), interval_sizes(cx.table))
 
 
+def verify_wall_rows(cx: TwoSidedComplex) -> bool:
+    """The single-index rows of the table are the facet walls: reps[1 << bit]
+    equals that row of :func:`facet_walls`, which reads the descent masks
+    and multiplication columns, not ``reps``."""
+    flat = cx.reps.reshape(1 << 2 * cx.rank, -1)
+    return np.array_equal(flat[1 << np.arange(2 * cx.rank)], facet_walls(cx.table))
+
+
 def verify_weak_order_monotone(cx: TwoSidedComplex) -> bool:
     """Comparable faces have weak-order comparable representatives.
 
     Every pair (X, w) occurs in the lower interval of the facet (0, w, 0),
-    so this is reps[X, w] <= w for every table entry, read off the
-    down-reach bitmasks of :func:`two_sided_down_reach`.
+    so this is reps[X, w] <= w in the two-sided weak order for every table
+    entry.  It follows from :func:`verify_boolean` and :func:`verify_wall_rows`
+    (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, 2.4).  The wall rows
+    make reps[{x}] take w and w' to the same entry, for w' = s.w when x is
+    a left index s and w' = w.s when x is a right one.  Boolean's cover
+    identity, chained from {x} up to X, gives reps[X, w] == reps[X,
+    reps[{x}, w]] == reps[X, w'] for every x in X, so reps[X] is constant on
+    each double coset.  By boolean's clause (a) the coset's minimal element
+    m has reps[X, m] == m, so every entry of the coset is m.  If w != m, some
+    s in I is a left descent of w or some s in J a right one, and s.w or w.s
+    is shorter, in the same coset and below w; by induction on length,
+    m <= w.
     """
-    order = cx.table.order
-    width = (order + 7) // 8
-    bits = b"".join(r.to_bytes(width, "little") for r in two_sided_down_reach(cx.table))
-    below = np.frombuffer(bits, dtype=np.uint8).reshape(order, width)  # [v, u // 8]
-    ids = np.arange(order)
-    return all((below[ids, row >> 3] >> (row & 7) & 1).all() for row in cx.reps)
+    return verify_boolean(cx) and verify_wall_rows(cx)
 
 
 def verify_facet_count(cx: TwoSidedComplex) -> bool:
@@ -420,17 +384,6 @@ def sigma_ideal(cx: TwoSidedComplex) -> np.ndarray:
     This sub-poset is a copy of the classical Coxeter complex.
     """
     return cx.faces[cx.faces < (cx.table.full_mask + 1) * cx.table.order]
-
-
-def classical_coxeter_complex(table: GroupTable) -> list[frozenset[int]]:
-    """The Coxeter complex as explicit left cosets w W_K, every K."""
-    out = []
-    for gens in range(table.full_mask + 1):
-        labels = coset_labels(table, 0, gens)
-        members = np.argsort(labels, kind="stable")
-        bounds = np.flatnonzero(np.diff(labels[members])) + 1
-        out.extend(frozenset(c.tolist()) for c in np.split(members, bounds))
-    return out
 
 
 def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:

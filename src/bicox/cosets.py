@@ -24,32 +24,6 @@ from .coxeter import GroupTable
 from .errors import InternalCheckError
 
 
-def minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> int:
-    """The minimal-length element of W_I w W_J for I = gens_l, J = gens_r.
-
-    Alternates left and right descent sweeps in generator-index order; any
-    sweep order reaches the same fixed point, so the choice is only for
-    reproducible traces.
-    """
-    left, right = table.left_mult, table.right_mult
-    des_l, des_r = table.des_left, table.des_right
-    while True:
-        hit = int(des_l[w]) & gens_l
-        while hit:
-            s = (hit & -hit).bit_length() - 1
-            w = int(left[w, s])
-            hit = int(des_l[w]) & gens_l
-        hit = int(des_r[w]) & gens_r
-        if not hit:
-            return w
-        while hit:
-            s = (hit & -hit).bit_length() - 1
-            w = int(right[w, s])
-            hit = int(des_r[w]) & gens_r
-        if not int(des_l[w]) & gens_l:
-            return w
-
-
 def minimal_rep_table(table: GroupTable) -> np.ndarray:
     """Read-only ``reps[I, J, w]``: the minimal element of W_I w W_J, every I, J, w.
 
@@ -87,13 +61,6 @@ def is_minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> bool:
         int(table.des_left[w]) & gens_l == 0
         and int(table.des_right[w]) & gens_r == 0
     )
-
-
-def double_coset(table: GroupTable, gens_l: int, u: int, gens_r: int) -> set[int]:
-    """All elements of W_I u W_J, read from :func:`coset_labels`; u may be
-    any member of the coset."""
-    labels = coset_labels(table, gens_l, gens_r)
-    return set(np.flatnonzero(labels == labels[u]).tolist())
 
 
 def count_minimal_by_descents(table: GroupTable, gens_l: int, gens_r: int) -> int:

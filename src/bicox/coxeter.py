@@ -41,7 +41,7 @@ from .errors import CapacityError, InternalCheckError, NotFiniteError
 
 DEFAULT_BUDGET = 10**7
 MAX_RANK = 16  # descent masks are uint16, and the cache stores them in 2 bytes
-DOWN_REACH_LIMIT = 20_000  # largest order given one down-reach bitmask per element
+LENGTH_DTYPE = np.int32  # lengths are below the order, and ids are int32
 
 # Order, root count and degrees of each exceptional type, from the
 # classification tables; the families A, B, D and I2 have formulas.
@@ -650,7 +650,7 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         rows = slice(offset[t], offset[t] + radix[t])
         digits[t, rows] = (sigma.T[rows] - offset[t]).astype(np.uint64) * np.uint64(place[t])
 
-    length = np.zeros(order, dtype=np.int16)
+    length = np.zeros(order, dtype=LENGTH_DTYPE)
     left = np.full((order, n), -1, dtype=np.int32)
     parent = np.zeros(order, dtype=np.int32)
     parent_gen = np.zeros(order, dtype=np.int8)
@@ -772,50 +772,6 @@ def _validate(table: GroupTable) -> None:
 # Queries on a built table
 
 
-def descents_right(table: GroupTable, w: int) -> int:
-    """Bitmask of generators s with l(ws) < l(w)."""
-    return int(table.des_right[w])
-
-
-def descents_left(table: GroupTable, w: int) -> int:
-    """Bitmask of generators s with l(sw) < l(w)."""
-    return int(table.des_left[w])
-
-
-def leq_two_sided(table: GroupTable, u: int, v: int) -> bool:
-    """Whether u <= v in the two-sided weak order.
-
-    Decided by searching downward from v through left and right descent
-    steps, pruned at the length of u.
-    """
-    if u == v:
-        return True
-    lu = int(table.length[u])
-    lv = int(table.length[v])
-    if lv <= lu:
-        return False
-    frontier = {v}
-    seen = {v}
-    length = table.length
-    left, right = table.left_mult, table.right_mult
-    des_l, des_r = table.des_left, table.des_right
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for table_side, mask in ((left, int(des_l[x])), (right, int(des_r[x]))):
-                while mask:
-                    s = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    y = int(table_side[x, s])
-                    if y == u:
-                        return True
-                    if int(length[y]) > lu and y not in seen:
-                        seen.add(y)
-                        nxt.add(y)
-        frontier = nxt
-    return False
-
-
 def length_order(table: GroupTable) -> list[int]:
     """All element ids sorted by length, ties broken by id.
 
@@ -859,29 +815,6 @@ def mult(table: GroupTable, u: int, v: int) -> int:
     for s in reversed(word(table, u)):
         x = int(table.left_mult[x, s])
     return x
-
-
-def two_sided_down_reach(table: GroupTable) -> list[int]:
-    """For each v, the bitmask of all u with u <= v in two-sided weak order.
-
-    Limited to order <= DOWN_REACH_LIMIT; used as an exact oracle for
-    :func:`leq_two_sided` and for order-theoretic verification sweeps.
-    """
-    if table.order > DOWN_REACH_LIMIT:
-        raise CapacityError(f"order {table.order} over {DOWN_REACH_LIMIT}")
-    reach = [0] * table.order
-    for v in range(table.order):  # ids are length-sorted, covers point down
-        acc = 1 << v
-        for side, mask in (
-            (table.left_mult, int(table.des_left[v])),
-            (table.right_mult, int(table.des_right[v])),
-        ):
-            while mask:
-                s = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                acc |= reach[int(side[v, s])]
-        reach[v] = acc
-    return reach
 
 
 def popcount_table(n: int) -> np.ndarray:

@@ -185,16 +185,6 @@ def eulerian_symmetric(matrix: Table2D) -> bool:
     return True
 
 
-def h_specialization(matrix: Table2D) -> list[int]:
-    """Coefficients of the one-variable h-polynomial, by total descents."""
-    n = len(matrix) - 1
-    out = [0] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            out[i + j] += matrix[i][j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The census by parabolic factorization
 

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from bicox.cosets import coset_labels
 from bicox.coxeter import build_group, classify_spec
 
 
@@ -33,3 +35,48 @@ def a3(tables):
 @pytest.fixture(scope="session")
 def b3(tables):
     return tables("B3")
+
+
+# --- references ------------------------------------------------------------
+
+
+def down_reach(table):
+    """For each v, the bitmask of all u with u <= v in the two-sided weak
+    order: v's own bit and the masks of s.v and v.s over its descents.
+    Ids are length-sorted, so covers point to masks already built."""
+    reach = [0] * table.order
+    for v in range(table.order):
+        acc = 1 << v
+        for side, mask in (
+            (table.left_mult, int(table.des_left[v])),
+            (table.right_mult, int(table.des_right[v])),
+        ):
+            while mask:
+                s = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                acc |= reach[int(side[v, s])]
+        reach[v] = acc
+    return reach
+
+
+def minimal_rep(table, gens_l, w, gens_r):
+    """Reference minimal element of W_I w W_J for I = gens_l, J = gens_r:
+    steps down across left descents in I and right descents in J until
+    there are none, lowest generator first."""
+    left, right = table.left_mult, table.right_mult
+    des_l, des_r = table.des_left, table.des_right
+    while True:
+        hit = int(des_l[w]) & gens_l
+        if hit:
+            w = int(left[w, (hit & -hit).bit_length() - 1])
+            continue
+        hit = int(des_r[w]) & gens_r
+        if not hit:
+            return w
+        w = int(right[w, (hit & -hit).bit_length() - 1])
+
+
+def double_coset(table, gens_l, u, gens_r):
+    """All elements of W_I u W_J, read from the closure labels."""
+    labels = coset_labels(table, gens_l, gens_r)
+    return set(np.flatnonzero(labels == labels[u]).tolist())

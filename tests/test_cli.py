@@ -332,12 +332,13 @@ def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
     }
 
 
-def test_verify_skips_weak_order_over_the_down_reach_limit(tmp_path, capsys, monkeypatch):
-    import bicox.coxeter
-
-    monkeypatch.setattr(bicox.coxeter, "DOWN_REACH_LIMIT", 5)
-    assert run(tmp_path, "verify", "--type", "A2") == 0
-    assert "SKIP weak-order-monotone  (order 6 over 5)" in capsys.readouterr().out
+def test_verify_passes_weak_order_on_a_large_dihedral_group(tmp_path, capsys):
+    """Weak order is derived from whole-table checks, with no order limit:
+    I2(10001) has order 20002."""
+    assert run(tmp_path, "verify", "--type", "I2(10001)") == 0
+    out = capsys.readouterr().out
+    assert "PASS weak-order-monotone  (all 80017 faces)" in out
+    assert "SKIP" not in out
 
 
 def test_verify_failed_shelling_names_both_facets(tmp_path, capsys, monkeypatch):
@@ -380,26 +381,30 @@ def test_verify_keeps_report_when_oracle_trips(tmp_path, a2, capsys):
 
 
 @pytest.mark.parametrize(
-    "failing, passing",
+    "failing, lines",
     [
-        (("verify_pseudomanifold", "FAIL pseudomanifold  (all 6 facets)"),
-         "PASS boolean-intervals  (all 33 faces)"),
-        (("verify_boolean", "FAIL boolean-intervals  (all 33 faces)"),
-         "PASS pseudomanifold  (all 6 facets)"),
+        ("verify_pseudomanifold",
+         ["FAIL pseudomanifold  (all 6 facets)", "PASS boolean-intervals  (all 33 faces)",
+          "FAIL thin  (all 33 faces)", "PASS weak-order-monotone  (all 33 faces)"]),
+        ("verify_boolean",
+         ["FAIL boolean-intervals  (all 33 faces)", "PASS pseudomanifold  (all 6 facets)",
+          "FAIL thin  (all 33 faces)", "FAIL weak-order-monotone  (all 33 faces)"]),
+        ("verify_wall_rows",
+         ["PASS boolean-intervals  (all 33 faces)", "PASS thin  (all 33 faces)",
+          "FAIL weak-order-monotone  (all 33 faces)"]),
     ],
-    ids=["pseudomanifold", "boolean"],
+    ids=["pseudomanifold", "boolean", "wall-rows"],
 )
-def test_verify_thin_follows_its_two_checks(failing, passing, tmp_path, capsys, monkeypatch):
-    """Thin is derived from boolean and pseudomanifold: either failing fails
-    thin, while the other still passes."""
+def test_verify_thin_follows_its_two_checks(failing, lines, tmp_path, capsys, monkeypatch):
+    """Thin is derived from boolean and pseudomanifold, and weak order from
+    boolean and the wall rows: a failing part fails what is derived from
+    it, while the other parts still pass."""
     import bicox.cli
 
-    check, line = failing
-    monkeypatch.setattr(bicox.cli, check, lambda cx: False)
+    monkeypatch.setattr(bicox.cli, failing, lambda cx: False)
     assert run(tmp_path, "verify", "--type", "A2") == 1
-    out = capsys.readouterr().out
-    assert line in out and passing in out
-    assert "FAIL thin  (all 33 faces)" in out
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in lines)
 
 
 def test_verify_records_failed_complex_build(tmp_path, capsys, monkeypatch):

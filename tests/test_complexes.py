@@ -11,11 +11,8 @@ from bicox.complexes import (
     Face,
     ShellingReport,
     TwoSidedComplex,
-    classical_coxeter_complex,
     euler_characteristic,
     facet_walls,
-    face_color,
-    face_rank,
     hasse_dot,
     restriction,
     sigma_ideal,
@@ -27,11 +24,14 @@ from bicox.complexes import (
     verify_shelling,
     verify_sigma_embedding,
     verify_thin,
+    verify_wall_rows,
     verify_weak_order_monotone,
 )
+from bicox.cosets import count_cosets_by_sweep
 from bicox.coxeter import length_order
 from bicox.errors import CapacityError, InternalCheckError
 
+from conftest import down_reach
 from test_cosets import coset_oracle
 
 
@@ -50,6 +50,42 @@ def complexes(tables):
 def dim_counts(cx):
     dims, counts = np.unique(cx.ranks(cx.faces) - 1, return_counts=True)
     return dict(zip(dims.tolist(), counts.tolist()))
+
+
+# --- references for the face order -------------------------------------------
+
+
+def submasks(mask):
+    """All submasks of ``mask`` in increasing numeric order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def face_rank(n, face):
+    """Poset rank |S-I| + |S-J|; the dimension of the face is rank - 1."""
+    return 2 * n - face.left.bit_count() - face.right.bit_count()
+
+
+def leq(cx, low, high):
+    """Face order: reverse containment of index sets and cosets."""
+    if low.left & high.left != high.left or low.right & high.right != high.right:
+        return False
+    return int(cx.reps[low.left, low.right, high.w]) == low.w
+
+
+def lower_interval(cx, face):
+    """All faces below ``face`` (inclusive), one per pair of supersets of
+    its index sets."""
+    full = cx.table.full_mask
+    return [
+        Face(gens_l, int(cx.reps[gens_l, gens_r, face.w]), gens_r)
+        for gens_l in (face.left | extra for extra in submasks(full ^ face.left))
+        for gens_r in (face.right | extra for extra in submasks(full ^ face.right))
+    ]
 
 
 # --- face enumeration --------------------------------------------------------
@@ -96,19 +132,22 @@ def test_faces_are_packed_table_positions(complexes):
 
 
 def test_faces_of_element_partition(complexes):
+    """The faces represented by w are the boolean interval [R_w, F_w] above
+    restriction(w), so these intervals partition the faces."""
     cx = complexes("B2")
     table = cx.table
-    seen = []
-    for w in range(table.order):
-        interval = cx.faces_of_element(w)
-        asc = 2 * table.rank - int(table.des_left[w]).bit_count() - int(
-            table.des_right[w]
-        ).bit_count()
-        assert len(interval) == 1 << asc
+    by_element = {}
+    for face in cx.as_faces(cx.faces):
+        by_element.setdefault(face.w, []).append(face)
+    assert sorted(by_element) == list(range(table.order))
+    for w, interval in by_element.items():
         bottom = restriction(table, w)
-        assert all(cx.leq(bottom, f) for f in interval)
-        seen.extend(interval)
-    assert sorted(seen) == sorted(cx.as_faces(cx.faces))
+        assert set(interval) == {
+            Face(gens_l, w, gens_r)
+            for gens_l in submasks(bottom.left)
+            for gens_r in submasks(bottom.right)
+        }
+        assert all(leq(cx, bottom, f) for f in interval)
 
 
 # --- the face order ----------------------------------------------------------
@@ -127,42 +166,34 @@ def test_leq_matches_coset_containment_oracle(spec, complexes):
                 and f.right & g.right == g.right
                 and cosets[f] >= cosets[g]
             )
-            assert cx.leq(f, g) == expected
+            assert leq(cx, f, g) == expected
 
 
 def test_leq_examples(complexes):
     cx = complexes("A2")
     bottom = Face(0b11, 0, 0b11)
     for f in cx.as_faces(cx.faces):
-        assert cx.leq(bottom, f)
+        assert leq(cx, bottom, f)
     s1, s2 = 1, 2
     w0 = cx.table.longest
-    assert cx.leq(Face(0b10, s1, 0b10), Face(0, w0, 0))
-    assert not cx.leq(Face(0, s1, 0), Face(0, s2, 0))
-    assert not cx.leq(Face(0, s2, 0), Face(0, s1, 0))
+    assert leq(cx, Face(0b10, s1, 0b10), Face(0, w0, 0))
+    assert not leq(cx, Face(0, s1, 0), Face(0, s2, 0))
+    assert not leq(cx, Face(0, s2, 0), Face(0, s1, 0))
 
 
 def test_lower_interval_examples(complexes):
     cx = complexes("A2")
     w0 = cx.table.longest
-    assert len(cx.lower_interval(Face(0, w0, 0))) == 16
+    assert len(lower_interval(cx, Face(0, w0, 0))) == 16
     bottom = Face(0b11, 0, 0b11)
-    assert cx.lower_interval(bottom) == [bottom]
-    got = set(cx.lower_interval(Face(0b01, 0, 0b10)))
+    assert lower_interval(cx, bottom) == [bottom]
+    got = set(lower_interval(cx, Face(0b01, 0, 0b10)))
     assert got == {
         Face(0b01, 0, 0b10),
         Face(0b11, 0, 0b10),
         Face(0b01, 0, 0b11),
         Face(0b11, 0, 0b11),
     }
-
-
-def test_face_color():
-    n = 2
-    full = 0b11
-    assert face_color(n, Face(full, 0, full ^ 0b10)) == (0, 0b10)
-    assert face_color(n, Face(full ^ 0b01, 0, full)) == (0b01, 0)
-    assert face_color(n, Face(0, 5, 0)) == (full, full)
 
 
 def test_restriction(a2):
@@ -242,13 +273,21 @@ def test_cover_edges_stay_inside_the_chosen_faces(complexes):
 # --- structural suite --------------------------------------------------------
 
 
+def weak_order_by_reach(cx):
+    """Reference monotonicity: reps[X, w] <= w for every table entry, read
+    off the down-reach bitmasks."""
+    reach = down_reach(cx.table)
+    rows = cx.reps.reshape(-1, cx.table.order).tolist()
+    return all(reach[w] >> u & 1 for row in rows for w, u in enumerate(row))
+
+
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "I2(5)"])
 def test_structural_suite_exhaustive(spec, complexes):
     cx = complexes(spec)
     assert verify_boolean(cx)
     assert verify_balanced(cx)
     assert verify_partition(cx)
-    assert verify_weak_order_monotone(cx)
+    assert verify_weak_order_monotone(cx) and weak_order_by_reach(cx)
     assert verify_facet_count(cx)
     assert verify_sigma_embedding(cx)
 
@@ -257,7 +296,7 @@ def test_structural_suite_exhaustive_rank4(complexes):
     cx = complexes("D4")
     assert verify_boolean(cx)
     assert verify_balanced(cx)
-    assert verify_weak_order_monotone(cx)
+    assert verify_weak_order_monotone(cx) and weak_order_by_reach(cx)
     assert verify_facet_count(cx)
     assert verify_sigma_embedding(cx)
 
@@ -274,13 +313,39 @@ def verify_shelling_by_length(cx):
     return verify_shelling(cx, length_order(cx.table))
 
 
-ORDER_CHECKS = [
-    verify_boolean,
-    verify_weak_order_monotone,
-    verify_sigma_embedding,
-    verify_thin,
-    verify_shelling_by_length,
-]
+@pytest.mark.parametrize("spec", ["A2", "I2(5)"])
+def test_every_single_entry_corruption_fails_weak_order(spec, complexes):
+    """Boolean and the wall rows pin every entry to its coset's minimal
+    element, so every wrong value in every entry fails."""
+    cx = complexes(spec)
+    for gens_l, gens_r, w in np.ndindex(cx.reps.shape):
+        for value in range(cx.table.order):
+            if value != cx.reps[gens_l, gens_r, w]:
+                bad = with_entry(cx, gens_l, gens_r, w, value)
+                assert not verify_weak_order_monotone(bad), (gens_l, gens_r, w, value)
+
+
+def test_boolean_needs_the_wall_rows(complexes):
+    """Relabelling the table through a swap of s2 and another element with
+    the same descent sets keeps every boolean clause; only the wall rows
+    tell, and the relabelled entries are not all below their elements."""
+    cx = complexes("A3")
+    table = cx.table
+    s2 = table.generator_id(1)
+    same = (table.des_left == table.des_left[s2]) & (table.des_right == table.des_right[s2])
+    other = int(np.flatnonzero(same)[-1])
+    assert other != s2
+    swap = np.arange(table.order)
+    swap[[s2, other]] = other, s2
+    bad = copy.copy(cx)
+    bad.reps = swap[cx.reps[..., swap]]
+    assert verify_boolean(bad)
+    assert not verify_wall_rows(bad)
+    assert not verify_weak_order_monotone(bad) and not weak_order_by_reach(bad)
+
+
+BOOLEAN_CHECKS = [verify_boolean, verify_weak_order_monotone, verify_shelling_by_length]
+ORDER_CHECKS = BOOLEAN_CHECKS + [verify_sigma_embedding, verify_thin]
 
 
 def thin_by_pairs(cx):
@@ -306,15 +371,14 @@ def thin_by_pairs(cx):
         # reps[0, {s1}, s1] is e, the minimal element of s1 W_{s1} = {e, s1}
         ("A3", (0, 0b001, "s1"), "w0", ORDER_CHECKS),
         ("A3", (0, 0b001, "s1"), "s2", ORDER_CHECKS),  # minimal, in another coset
-        ("A3", (0, 0b001, "s1"), "s1",
-         [verify_boolean, verify_sigma_embedding, verify_shelling_by_length]),
+        ("A3", (0, 0b001, "s1"), "s1", ORDER_CHECKS),
         # the minimum is (S, e, S)
-        ("A3", (0b111, 0b111, "w0"), "s1", [verify_boolean, verify_shelling_by_length]),
+        ("A3", (0b111, 0b111, "w0"), "s1", BOOLEAN_CHECKS),
         # the vertex (S - s1, e, S)
-        ("A3", (0b110, 0b111, "w0"), "s1", [verify_balanced, verify_shelling_by_length]),
+        ("A3", (0b110, 0b111, "w0"), "s1", [verify_balanced] + BOOLEAN_CHECKS),
         # in A2 only the covers adding a left (then a right) index see these
-        ("A2", (0, 0b01, "s1"), "s2", [verify_boolean, verify_shelling_by_length]),
-        ("A2", (0b01, 0, "s1"), "s2", [verify_boolean, verify_shelling_by_length]),
+        ("A2", (0, 0b01, "s1"), "s2", BOOLEAN_CHECKS),
+        ("A2", (0b01, 0, "s1"), "s2", BOOLEAN_CHECKS),
     ],
     ids=["non-minimal", "other-coset", "same-coset", "minimum", "vertex", "left-cover", "right-cover"],
 )
@@ -330,6 +394,9 @@ def test_corrupt_table_entry_fails(spec, where, value, failing, complexes):
     assert thin_by_pairs(cx) and verify_thin(cx)
     if not thin_by_pairs(bad):  # the derived check is no weaker than the pair loop
         assert not verify_thin(bad)
+    assert weak_order_by_reach(cx) and verify_weak_order_monotone(cx)
+    if not weak_order_by_reach(bad):  # nor than the down-reach reference
+        assert not verify_weak_order_monotone(bad)
 
 
 @pytest.mark.parametrize(
@@ -388,22 +455,22 @@ def shelling_by_walk(cx, order):
     first_mismatch = None
     first_impure = None
     for k, w in enumerate(order, start=1):
-        boundary = set(cx.lower_interval(Face(0, w, 0)))
+        boundary = set(lower_interval(cx, Face(0, w, 0)))
         boundary.discard(Face(0, w, 0))
         got = boundary & prior
         expected = set()
         des_l, des_r = int(table.des_left[w]), int(table.des_right[w])
         for s in range(cx.rank):
             if des_l >> s & 1:
-                expected.update(cx.lower_interval(Face(1 << s, int(table.left_mult[w, s]), 0)))
+                expected.update(lower_interval(cx, Face(1 << s, int(table.left_mult[w, s]), 0)))
             if des_r >> s & 1:
-                expected.update(cx.lower_interval(Face(0, int(table.right_mult[w, s]), 1 << s)))
+                expected.update(lower_interval(cx, Face(0, int(table.right_mult[w, s]), 1 << s)))
         if got != expected and first_mismatch is None:
             first_mismatch = k
         if k > 1 and first_impure is None:
             impure = not got or any(
                 face_rank(cx.rank, f) != codim1_rank
-                and not any(g != f and cx.leq(f, g) for g in got)
+                and not any(g != f and leq(cx, f, g) for g in got)
                 for f in got
             )
             if impure:
@@ -511,10 +578,13 @@ def test_sigma_ideal_facets_a3(complexes):
     assert len(top) == 24
 
 
-def test_classical_complex_face_count(tables):
-    # S4: sum over K of |W| / |W_K|
-    table = tables("A3")
-    assert len(classical_coxeter_complex(table)) == 24 + 12 * 3 + (4 + 6 + 4) + 1
+def test_classical_complex_face_count(complexes):
+    """S4: the ideal has one face per left coset w W_K, every K, which is
+    the sum over K of |W| / |W_K|."""
+    cx = complexes("A3")
+    table = cx.table
+    cosets = sum(count_cosets_by_sweep(table, 0, gens) for gens in range(table.full_mask + 1))
+    assert cosets == len(sigma_ideal(cx)) == 24 + 12 * 3 + (4 + 6 + 4) + 1
 
 
 # --- export -------------------------------------------------------------------

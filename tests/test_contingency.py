@@ -20,7 +20,7 @@ from bicox.contingency import (
 )
 from bicox.errors import CapacityError
 
-from conftest import build
+from conftest import build, minimal_rep
 
 
 CENTER_7 = ContingencyTable.from_display(
@@ -95,8 +95,6 @@ def test_wrong_type_rejected(tables):
 def test_fig_balls_in_boxes(s7_model):
     w = s7_model.id_of((7, 1, 4, 2, 5, 3, 6))
     gens_l, gens_r = 0b010111, 0b100110
-    from bicox.cosets import minimal_rep
-
     u = minimal_rep(s7_model.table, gens_l, w, gens_r)
     assert s7_model.one_line(u) == (7, 1, 2, 3, 5, 4, 6)
     table = s7_model.face_to_table(Face(gens_l, u, gens_r))

@@ -20,18 +20,14 @@ from bicox.coxeter import (
     build_group,
     classify,
     classify_spec,
-    descents_left,
-    descents_right,
     length_order,
-    leq_two_sided,
     mult,
     parse_type_spec,
-    two_sided_down_reach,
     word,
 )
 from bicox.errors import CapacityError, InternalCheckError, NotFiniteError
 
-from conftest import build
+from conftest import build, down_reach
 
 
 # --- oracles ---------------------------------------------------------------
@@ -342,6 +338,17 @@ def test_saved_file_bytes_unchanged(spec, tables, tmp_path):
         assert np.array_equal(arr, getattr(tables(spec), field))
 
 
+def test_lengths_past_int16_survive_the_cache(tmp_path):
+    """I2(40000) has a longest length of 40000, past int16: it builds, and
+    the cache (which stores lengths past 255 in 4 bytes) loads it back."""
+    table = build("I2(40000)")
+    assert int(table.length[table.longest]) == 40000
+    loaded = load_table(save_table(table, tmp_path))
+    assert loaded.length.dtype == table.length.dtype == coxeter.LENGTH_DTYPE
+    assert np.array_equal(loaded.length, table.length)
+    assert loaded.longest == table.longest
+
+
 def descents_by_length(table, mult):
     """Descent masks from the definition: bit s when l(mult[w, s]) < l(w)."""
     bits = 1 << np.arange(table.rank, dtype=np.int64)
@@ -412,7 +419,7 @@ def relabeled(table, new_to_old, length):
     return GroupTable(
         system=table.system,
         order=table.order,
-        length=np.asarray(length, dtype=np.int16)[old],
+        length=np.asarray(length, dtype=coxeter.LENGTH_DTYPE)[old],
         left_mult=new[table.left_mult[old]].astype(np.int32),
         right_mult=new[table.right_mult[old]].astype(np.int32),
         inverse=new[table.inverse[old]].astype(np.int32),
@@ -478,19 +485,19 @@ def test_descent_characterization(b3):
     for w in range(b3.order):
         for s in range(b3.rank):
             down = b3.length[b3.right_mult[w, s]] < b3.length[w]
-            assert bool(descents_right(b3, w) >> s & 1) == bool(down)
+            assert bool(b3.des_right[w] >> s & 1) == bool(down)
             down_l = b3.length[b3.left_mult[w, s]] < b3.length[w]
-            assert bool(descents_left(b3, w) >> s & 1) == bool(down_l)
+            assert bool(b3.des_left[w] >> s & 1) == bool(down_l)
 
 
 def test_descents_a2_examples(a2):
     s1, s2 = a2.generator_id(0), a2.generator_id(1)
     s1s2 = int(a2.left_mult[s2, 0])
-    assert descents_left(a2, s1s2) == 0b01
-    assert descents_right(a2, s1s2) == 0b10
-    assert descents_left(a2, 0) == 0 and descents_right(a2, 0) == 0
-    assert descents_left(a2, a2.longest) == 0b11
-    assert descents_right(a2, a2.longest) == 0b11
+    assert int(a2.des_left[s1s2]) == 0b01
+    assert int(a2.des_right[s1s2]) == 0b10
+    assert int(a2.des_left[0]) == 0 and int(a2.des_right[0]) == 0
+    assert int(a2.des_left[a2.longest]) == 0b11
+    assert int(a2.des_right[a2.longest]) == 0b11
     assert {s1, s2} == {1, 2}  # generators are the two length-1 elements
 
 
@@ -510,13 +517,13 @@ def test_longest_element_identities(spec, tables):
         conj.append(gens.index(image))
     for w in range(table.order):
         w0w = mult(table, w0, w)
-        assert descents_right(table, w0w) == full ^ descents_right(table, w)
+        assert int(table.des_right[w0w]) == full ^ int(table.des_right[w])
         expect = 0
-        mask = descents_left(table, w)
+        mask = int(table.des_left[w])
         for s in range(table.rank):
             if mask >> s & 1:
                 expect |= 1 << conj[s]
-        assert descents_left(table, w0w) == full ^ expect
+        assert int(table.des_left[w0w]) == full ^ expect
 
 
 # --- weak order -------------------------------------------------------------
@@ -524,22 +531,20 @@ def test_longest_element_identities(spec, tables):
 
 @pytest.mark.parametrize("spec", ["A2", "A3", "B3", "I2(5)"])
 def test_leq_two_sided_against_closure_oracle(spec, tables):
+    """The down-reach reference of the two-sided weak order is the closure
+    of its covers."""
     table = tables(spec)
-    reach = closure_leq_oracle(table)
-    fast = two_sided_down_reach(table)
-    assert fast == reach
-    for v in range(table.order):
-        for u in range(table.order):
-            assert leq_two_sided(table, u, v) == bool(reach[v] >> u & 1)
+    assert down_reach(table) == closure_leq_oracle(table)
 
 
 def test_leq_examples(a2):
     s1, s2 = a2.generator_id(0), a2.generator_id(1)
     s1s2 = int(a2.left_mult[s2, 0])
+    reach = down_reach(a2)
     for v in range(a2.order):
-        assert leq_two_sided(a2, 0, v)
-    assert not leq_two_sided(a2, s1, s2)
-    assert leq_two_sided(a2, s2, s1s2)
+        assert reach[v] & 1  # e <= v
+    assert not reach[s2] >> s1 & 1
+    assert reach[s1s2] >> s2 & 1
 
 
 def test_length_order(a2, tables):
@@ -548,7 +553,7 @@ def test_length_order(a2, tables):
     lengths = [int(a2.length[w]) for w in order]
     assert lengths == sorted(lengths)
     # linear extension property against the exact order
-    reach = two_sided_down_reach(a2)
+    reach = down_reach(a2)
     pos = {w: i for i, w in enumerate(order)}
     for v in range(a2.order):
         for u in range(a2.order):
