@@ -10,6 +10,7 @@ so a round trip is bit-identical.
 The blob is written and hashed part by part, straight from the table's
 arrays, so saving a table holds no copy of the whole blob; loading hashes
 and parses the file's bytes in place and copies only into the new table.
+A sealed blob with ids out of range or out of length order is malformed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .coxeter import LENGTH_DTYPE, CoxeterMatrix, GroupTable, classify
-from .errors import CacheError, NotFiniteError
+from .errors import CacheError, InternalCheckError, NotFiniteError
 
 MAGIC = b"BICOXGT\x00"
 VERSION = 1
@@ -115,29 +116,29 @@ def deserialize(blob: bytes) -> GroupTable:
         if offset != len(body):
             raise CacheError("cache file has trailing or missing data")
         system = classify(CoxeterMatrix(rows))
-    except (struct.error, ValueError, OverflowError, NotFiniteError) as err:
+        if system.order != order:
+            raise CacheError("cached order disagrees with the stored matrix")
+        # A sealed blob can still hold ids and masks that would index out of range.
+        if not 0 <= longest < order:
+            raise CacheError(f"malformed cache file: longest-element id {longest} out of range")
+        for ids in (left, right, inverse):
+            if ids.min() < 0 or ids.max() >= order:  # ids >= 2**31 wrapped negative
+                raise CacheError("malformed cache file: element id out of range")
+        if max(des_left.max(), des_right.max()) >= 1 << n:
+            raise CacheError("malformed cache file: descent mask wider than the rank")
+        return GroupTable(  # which checks that ids are sorted by length from e
+            system=system,
+            order=int(order),
+            length=length,
+            left_mult=left,
+            right_mult=right,
+            inverse=inverse,
+            des_left=des_left,
+            des_right=des_right,
+            longest=int(longest),
+        )
+    except (struct.error, ValueError, OverflowError, NotFiniteError, InternalCheckError) as err:
         raise CacheError(f"malformed cache file: {err}") from err
-    if system.order != order:
-        raise CacheError("cached order disagrees with the stored matrix")
-    # A sealed blob can still hold ids and masks that would index out of range.
-    if not 0 <= longest < order:
-        raise CacheError(f"malformed cache file: longest-element id {longest} out of range")
-    for ids in (left, right, inverse):
-        if ids.min() < 0 or ids.max() >= order:  # ids >= 2**31 wrapped negative
-            raise CacheError("malformed cache file: element id out of range")
-    if max(des_left.max(), des_right.max()) >= 1 << n:
-        raise CacheError("malformed cache file: descent mask wider than the rank")
-    return GroupTable(
-        system=system,
-        order=int(order),
-        length=length,
-        left_mult=left,
-        right_mult=right,
-        inverse=inverse,
-        des_left=des_left,
-        des_right=des_right,
-        longest=int(longest),
-    )
 
 
 def cache_path(cache_dir: str | Path, canonical_name: str) -> Path:

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coxeter import GroupTable, popcount_table, word
+from .coxeter import GroupTable, descent_walk, popcount_table
 from .cosets import coset_labels, minimal_rep_table
 from .errors import CapacityError, InternalCheckError
 
@@ -426,15 +426,18 @@ def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
 def face_labels(cx: TwoSidedComplex, packed: np.ndarray) -> list[str]:
     """Labels (I|w|J) of packed faces: masks as 1-based digits ("-" when
     empty), w as a reduced word ("e" for the identity).  Each mask string
-    and each representative's word is built once."""
+    is built once, and so is each element's word, in ascending ids along
+    the :func:`~bicox.coxeter.descent_walk` as s + the word of s.w."""
     n, full = cx.rank, cx.table.full_mask
     pairs, w = np.divmod(packed, cx.table.order)
     masks = ["".join(str(s + 1) for s in range(n) if x >> s & 1) or "-" for x in range(full + 1)]
-    words = {  # in ascending ids, so a word mostly extends one stored just before
-        u: "".join(f"s{s + 1}" for s in word(cx.table, u)) or "e" for u in np.unique(w).tolist()
-    }
+    letter, shorter = descent_walk(cx.table)
+    top = int(w.max(initial=0)) + 1
+    words = [""]
+    for s, x in zip(letter[1:top].tolist(), shorter[1:top].tolist()):
+        words.append(f"s{s + 1}" + words[x])
     return [
-        f"({masks[x >> n]}|{words[u]}|{masks[x & full]})"
+        f"({masks[x >> n]}|{words[u] or 'e'}|{masks[x & full]})"
         for x, u in zip(pairs.tolist(), w.tolist())
     ]
 

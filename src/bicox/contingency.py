@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .complexes import Face, TwoSidedComplex
-from .coxeter import GroupTable
+from .coxeter import GroupTable, descent_walk
 from .errors import CapacityError, InternalCheckError
 from .cosets import is_minimal_rep
 
@@ -104,6 +104,9 @@ class SymmetricGroupFaces:
     The group must be irreducible of type A; its elements are handled in
     one-line notation through the canonical generator numbering of the
     component (generator k is the adjacent transposition of k+1, k+2).
+    The one-line permutations are filled once, in ascending ids along the
+    :func:`~bicox.coxeter.descent_walk`: for s the canonical generator k,
+    s*x is x with the values k+1 and k+2 swapped.
     """
 
     def __init__(self, table: GroupTable):
@@ -116,46 +119,26 @@ class SymmetricGroupFaces:
         self.n = table.rank + 1  # letters being permuted
         component = table.system.components[0]
         self._position = {v: k for k, v in enumerate(component.vertices)}
-        self._one_line: list[tuple[int, ...]] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
-
-    def _fill(self) -> None:
-        if self._one_line is not None:
-            return
-        perms = [tuple(range(1, self.n + 1))] * self.table.order
-        for w in range(1, self.table.order):
-            mask = int(self.table.des_left[w])
-            if not mask:
-                raise InternalCheckError(f"element {w} is not e but has no left descent")
-            s = (mask & -mask).bit_length() - 1
-            shorter = perms[int(self.table.left_mult[w, s])]
+        letter, shorter = descent_walk(table)
+        perms = [tuple(range(1, self.n + 1))]
+        for s, x in zip(letter[1:].tolist(), shorter[1:].tolist()):
             a = self._position[s] + 1
             swap = {a: a + 1, a + 1: a}
-            perms[w] = tuple(swap.get(x, x) for x in shorter)
+            perms.append(tuple(swap.get(v, v) for v in perms[x]))
         self._one_line = perms
         self._index = {p: w for w, p in enumerate(perms)}
 
     def one_line(self, w: int) -> tuple[int, ...]:
-        self._fill()
         return self._one_line[w]
 
     def id_of(self, perm) -> int:
-        self._fill()
         return self._index[tuple(perm)]
 
     def _canonical_mask(self, mask: int) -> int:
-        out = 0
-        for s in range(self.table.rank):
-            if mask >> s & 1:
-                out |= 1 << self._position[s]
-        return out
+        return sum(1 << k for v, k in self._position.items() if mask >> v & 1)
 
     def _global_mask(self, mask: int) -> int:
-        out = 0
-        for v, k in self._position.items():
-            if mask >> k & 1:
-                out |= 1 << v
-        return out
+        return sum(1 << v for v, k in self._position.items() if mask >> k & 1)
 
     def face_to_table(self, face: Face) -> ContingencyTable:
         """Count balls per box: rows cut by S-I, columns cut by S-J."""
@@ -163,10 +146,7 @@ class SymmetricGroupFaces:
         perm = self.one_line(face.w)
         row_blocks = _blocks(self._canonical_mask(full ^ face.left), self.n)
         col_blocks = _blocks(self._canonical_mask(full ^ face.right), self.n)
-        row_of = {}
-        for r, block in enumerate(row_blocks):
-            for value in block:
-                row_of[value] = r
+        row_of = {value: r for r, block in enumerate(row_blocks) for value in block}
         cells = [[0] * len(col_blocks) for _ in row_blocks]
         for c, block in enumerate(col_blocks):
             for i in block:
@@ -177,16 +157,9 @@ class SymmetricGroupFaces:
         """Sort the balls of each box left-to-right and bottom-to-top."""
         if table.total != self.n:
             raise ValueError(f"table total {table.total}, expected {self.n}")
-        row_bars = 0
-        height = 0
-        for total in table.row_sums()[:-1]:
-            height += total
-            row_bars |= 1 << (height - 1)
-        col_bars = 0
-        width = 0
-        for total in table.col_sums()[:-1]:
-            width += total
-            col_bars |= 1 << (width - 1)
+        # a bar after each row or column but the last, at its running total
+        row_bars = sum(1 << (cut - 1) for cut in itertools.accumulate(table.row_sums()[:-1]))
+        col_bars = sum(1 << (cut - 1) for cut in itertools.accumulate(table.col_sums()[:-1]))
         row_blocks = _blocks(row_bars, self.n)
         # each box receives a run of consecutive values from its row block
         box_values = [[None] * table.cols for _ in range(table.rows)]

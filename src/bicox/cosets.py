@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coxeter import GroupTable
+from .coxeter import GroupTable, layer_bounds, lowest_bits
 from .errors import InternalCheckError
 
 
@@ -33,24 +33,23 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
     """
     n, order = table.rank, table.order
     masks = np.arange(1 << n)
-    lowest_bit = np.array([(m & -m).bit_length() - 1 for m in range(1 << n)])
+    lowest = lowest_bits(n)
     ids = np.arange(order)
 
     def step_down(mult, des):
         """(2^n, |W|): w across its lowest descent in the mask, else w."""
         hit = masks[:, None] & des.astype(np.intp)
-        return np.where(hit != 0, mult[ids, lowest_bit[hit]], ids)
+        return np.where(hit != 0, mult[ids, lowest[hit]], ids)
 
     down_l = step_down(table.left_mult, table.des_left)
     down_r = step_down(table.right_mult, table.des_right)
     reps = np.empty((1 << n, 1 << n, order), dtype=np.min_scalar_type(order - 1))
     reps[...] = ids
-    by_length = np.argsort(table.length, kind="stable")
-    bounds = np.flatnonzero(np.diff(table.length[by_length])) + 1
-    for layer in np.split(by_length, bounds):
-        dl = down_l[:, None, layer]
-        shorter = np.where(dl != layer, dl, down_r[None, :, layer])
-        reps[:, :, layer] = reps[masks[:, None, None], masks[None, :, None], shorter]
+    bounds = layer_bounds(table)
+    for a, b in zip(bounds[1:-1], bounds[2:]):  # e is its own entry everywhere
+        dl = down_l[:, None, a:b]
+        shorter = np.where(dl != ids[a:b], dl, down_r[None, :, a:b])
+        reps[:, :, a:b] = reps[masks[:, None, None], masks[None, :, None], shorter]
     reps.flags.writeable = False
     return reps
 

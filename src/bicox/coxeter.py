@@ -16,7 +16,8 @@ Cayley graph, so ids are weakly sorted by length and id 0 is the identity.
 The finished :class:`GroupTable` stores, per element: length, left and
 right multiplication by each generator, the inverse, and both descent sets
 as bitmasks over the generator indices.  All downstream code works from
-this table alone and never sees the representation used during the search.
+this table alone and never sees the representation used during the search;
+every recursion down its length layers follows one :func:`descent_walk`.
 
 During the search W acts by permutation on its roots, one array
 ``sigma[s, root]`` over the disjoint union of the components' roots: a
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -367,13 +368,17 @@ def parse_type_spec(spec: str) -> CoxeterMatrix:
 
     An ``~`` suffix on an A-family factor builds its affine extension (so
     e.g. ``"A1~"`` classifies as not finite).  ``"G2"`` is accepted as an
-    alias for ``"I2(6)"``.
+    alias for ``"I2(6)"``.  Raises :class:`CapacityError` when the ranks of
+    the parts sum to over :data:`MAX_RANK`, before building any matrix.
     """
-    blocks = []
-    for part in spec.replace(" ", "").split("x"):
-        match = _TYPE_RE.match(part)
+    parts = [(part, _TYPE_RE.match(part)) for part in spec.replace(" ", "").split("x")]
+    for part, match in parts:
         if not match:
             raise ValueError(f"cannot parse type spec {part!r}")
+    # I2(m) and G2 match no family group; an affine A_n~ has n + 1 nodes.
+    check_rank(sum(2 if m[1] is None else int(m[2]) + len(m[3]) for _, m in parts))
+    blocks = []
+    for part, match in parts:
         if match.group(4) is not None:
             bond, affine = int(match.group(4)), match.group(5)
             if bond < 2:
@@ -529,13 +534,15 @@ def _root_permutations(system: CoxeterSystem):
 # The group table
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupTable:
     """Immutable enumeration of a finite Coxeter group.
 
     Multiplication tables are id-valued: ``left_mult[w, s]`` is s*w and
     ``right_mult[w, s]`` is w*s.  Descent sets are bitmasks over generator
-    indices.  The table is safe for concurrent readers.
+    indices.  Id 0 is e and ids are weakly sorted by length, so each layer
+    is a run of ids; every construction checks this (else
+    :class:`InternalCheckError`).  The table is safe for concurrent readers.
     """
 
     system: CoxeterSystem
@@ -547,7 +554,6 @@ class GroupTable:
     des_left: np.ndarray
     des_right: np.ndarray
     longest: int
-    _words: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for arr in (
@@ -555,6 +561,10 @@ class GroupTable:
             self.inverse, self.des_left, self.des_right,
         ):
             arr.flags.writeable = False
+        if self.length[0] != 0:
+            raise InternalCheckError(f"id 0 has length {self.length[0]}, not 0")
+        if not np.all(np.diff(self.length) >= 0):
+            raise InternalCheckError("ids are not weakly sorted by length")
 
     @property
     def rank(self) -> int:
@@ -609,10 +619,10 @@ def _unique_first(values: np.ndarray):
     return ordered[starts], np.minimum.reduceat(perm, starts), where
 
 
-def check_rank(system: CoxeterSystem) -> None:
-    """Raise :class:`CapacityError` when the rank exceeds :data:`MAX_RANK`."""
-    if system.rank > MAX_RANK:
-        raise CapacityError(f"rank {system.rank} is over the maximum of {MAX_RANK}")
+def check_rank(rank: int) -> None:
+    """Raise :class:`CapacityError` when ``rank`` exceeds :data:`MAX_RANK`."""
+    if rank > MAX_RANK:
+        raise CapacityError(f"rank {rank} is over the maximum of {MAX_RANK}")
 
 
 def check_budget(name: str, count: int, budget: int, unit: str = "elements") -> None:
@@ -628,7 +638,7 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
     :data:`MAX_RANK`, the classified order exceeds ``budget`` (default
     10**7 elements), or the packed element keys would not fit in 64 bits.
     """
-    check_rank(system)
+    check_rank(system.rank)
     order = system.order
     check_budget(system.canonical_name, order, budget)
     # Key bits are at most 2.69*log2|W| (the worst irreducible ratio, at
@@ -652,8 +662,6 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
 
     length = np.zeros(order, dtype=LENGTH_DTYPE)
     left = np.full((order, n), -1, dtype=np.int32)
-    parent = np.zeros(order, dtype=np.int32)
-    parent_gen = np.zeros(order, dtype=np.int8)
 
     # One length layer [start, end) at a time, with ``keys`` its keys in id
     # order.  Each s*w lies one layer up or down, and s*(s*w) = w, so the
@@ -680,9 +688,7 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         left[child, s] = w
         born = up[first[by_first]]
         length[end:nxt] = length[start] + 1
-        parent[end:nxt] = start + born // n
-        parent_gen[end:nxt] = born % n
-        keys = sigma[parent_gen[end:nxt, None], keys[born // n]]
+        keys = sigma[born[:, None] % n, keys[born // n]]
         start, end = end, nxt
         layers.append(end)
     if end != order:
@@ -690,27 +696,24 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
             f"closure found {end} elements, classified order is {order}"
         )
 
-    right = np.zeros((order, n), dtype=np.int32)
-    inverse = np.zeros(order, dtype=np.int32)
-    right[0] = left[0]
-    for a, b in zip(layers[1:], layers[2:]):  # each layer from the one below
-        p = parent[a:b]
-        t = parent_gen[a:b]
-        right[a:b] = left[right[p], t[:, None]]
-        inverse[a:b] = right[inverse[p], t]
-
     # Ids are weakly sorted by length, so s is a descent of w exactly when
     # s*w (or w*s) has an id below the first id of w's layer.
     floor = np.repeat(np.array(layers[:-1], dtype=np.int32), np.diff(layers))
     des_left = _descent_masks(left, floor)
+    # Each layer from the one below along the descent walk w = s*x:
+    # w*t = s*(x*t) and w^-1 = x^-1*s.
+    letter, shorter = _descent_walk(length, left, des_left)
+    right = np.zeros((order, n), dtype=np.int32)
+    inverse = np.zeros(order, dtype=np.int32)
+    right[0] = left[0]
+    for a, b in zip(layers[1:], layers[2:]):
+        s, x = letter[a:b], shorter[a:b]
+        right[a:b] = left[right[x], s[:, None]]
+        inverse[a:b] = right[inverse[x], s]
     des_right = _descent_masks(right, floor)
 
-    max_len = int(length.max())
-    top = np.flatnonzero(length == max_len)
-    if len(top) != 1:
+    if length[-2] == length[-1]:  # ids are sorted by length, so w0 is the last
         raise InternalCheckError("longest element is not unique")
-    longest = int(top[0])
-
     table = GroupTable(
         system=system,
         order=order,
@@ -720,7 +723,7 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         inverse=inverse,
         des_left=des_left,
         des_right=des_right,
-        longest=longest,
+        longest=order - 1,
     )
     _validate(table)
     return table
@@ -750,13 +753,9 @@ def _validate(table: GroupTable) -> None:
         raise InternalCheckError("left descents disagree with inverse right descents")
     if int(table.des_right[table.longest]) != table.full_mask:
         raise InternalCheckError("longest element is missing a right descent")
-    # The closure and the coset code rely on these.  The degrees come from the
-    # classification, not from the closure; the Poincare polynomial they give
-    # has degree the number of positive roots, the longest length.
-    if table.length[0] != 0:
-        raise InternalCheckError(f"id 0 has length {table.length[0]}, not 0")
-    if not np.all(np.diff(table.length) >= 0):
-        raise InternalCheckError("ids are not weakly sorted by length")
+    # The degrees come from the classification, not from the closure; the
+    # Poincare polynomial they give has degree the number of positive roots,
+    # the longest length.
     poincare = np.ones(1, dtype=np.int64)
     for d in (d for comp in table.system.components for d in comp.label.degrees):
         poincare = np.convolve(poincare, np.ones(d, dtype=np.int64))
@@ -773,48 +772,43 @@ def _validate(table: GroupTable) -> None:
 
 
 def length_order(table: GroupTable) -> list[int]:
-    """All element ids sorted by length, ties broken by id.
+    """All element ids sorted by length, ties broken by id: the ids in order.
+    Every cover of the two-sided weak order raises length by one, so this is
+    a linear extension of that order."""
+    return list(range(table.order))
 
-    Since every cover of the two-sided weak order raises length by one, any
-    such ordering is a linear extension of that order.
+
+def layer_bounds(table: GroupTable) -> np.ndarray:
+    """The first id of each length, then the order."""
+    return np.searchsorted(table.length, np.arange(int(table.length[-1]) + 2))
+
+
+def descent_walk(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(letter, shorter)``: for each w other than e, its lowest left
+    descent s and s*w, which has a smaller id (entry 0 is 0 and e).
+
+    Following ``shorter`` from w spells a reduced word of w down to e.
+    Raises :class:`InternalCheckError` when some w other than e has no left
+    descent or s*w is not one shorter.
     """
-    return sorted(range(table.order), key=lambda w: (int(table.length[w]), w))
+    return _descent_walk(table.length, table.left_mult, table.des_left)
 
 
-def word(table: GroupTable, w: int) -> tuple[int, ...]:
-    """A reduced word for w (generator indices, leftmost letter first).
-
-    Strips the lowest left descent at most length(w) times, until e or an
-    element whose word is already stored, which is where this walk would
-    go on; raises :class:`InternalCheckError` when it reaches neither, as on
-    a table whose descent sets or lengths are inconsistent.
-    """
-    letters = []
-    x = w
-    while x not in table._words and x and len(letters) < int(table.length[w]):
-        mask = int(table.des_left[x])
-        if not mask:
-            break
-        s = (mask & -mask).bit_length() - 1
-        letters.append(s)
-        x = int(table.left_mult[x, s])
-    if x and x not in table._words:
+def _descent_walk(length, left_mult, des_left):
+    letter = lowest_bits(left_mult.shape[1])[des_left]
+    shorter = left_mult[np.arange(len(length)), letter]
+    shorter[0] = 0
+    bare = np.flatnonzero(des_left[1:] == 0)
+    if len(bare):
+        raise InternalCheckError(f"element {bare[0] + 1} is not e but has no left descent")
+    stuck = np.flatnonzero(length[shorter[1:]] != length[1:] - 1)
+    if len(stuck):
+        w = stuck[0] + 1
         raise InternalCheckError(
-            f"element {w}: stripping left descents stops at {x}, not e, "
-            f"after {len(letters)} of {int(table.length[w])} steps"
+            f"element {w}: stripping its lowest left descent gives {shorter[w]}, "
+            "not one shorter, so the walk stops there, not e"
         )
-    result = tuple(letters) + table._words.get(x, ())
-    if len(table._words) < 1 << 16:
-        table._words[w] = result
-    return result
-
-
-def mult(table: GroupTable, u: int, v: int) -> int:
-    """The product u*v, computed through a reduced word for u."""
-    x = v
-    for s in reversed(word(table, u)):
-        x = int(table.left_mult[x, s])
-    return x
+    return letter, shorter
 
 
 def popcount_table(n: int) -> np.ndarray:
@@ -825,3 +819,10 @@ def popcount_table(n: int) -> np.ndarray:
         counts += (masks & 1).astype(np.uint8)
         masks >>= 1
     return counts
+
+
+def lowest_bits(n: int) -> np.ndarray:
+    """Lookup array of the index of the lowest set bit of all n-bit masks,
+    0 for the empty mask."""
+    masks = np.arange(1 << n)
+    return popcount_table(n)[np.maximum((masks & -masks) - 1, 0)]

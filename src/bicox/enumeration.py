@@ -41,6 +41,8 @@ from .coxeter import (
     build_group,
     check_budget,
     check_rank,
+    descent_walk,
+    layer_bounds,
     parabolic,
     popcount_table,
 )
@@ -264,7 +266,7 @@ def factorize(
     to refuse it; by default each must be within :data:`DEFAULT_BUDGET`.
     Only then are the tables of the W_J built, each by ``build``.
     """
-    check_rank(system)
+    check_rank(system.rank)
     parts = [parabolic(system, sorted(comp.vertices)) for comp in system.components]
     nodes = [cheapest_node(part) for part in parts]
     for part, node in zip(parts, nodes):
@@ -278,18 +280,18 @@ def factorize(
     )
 
 
-def _root_images(table: GroupTable, sigma: np.ndarray, root: int, lowest) -> np.ndarray:
+def _root_images(table: GroupTable, sigma: np.ndarray, root: int) -> np.ndarray:
     """v(root) for every v in ``table``, whose generator j acts as ``sigma[j]``.
 
-    One gather per length layer, as v(root) = s((s*v)(root)) for the
-    ``lowest`` generator s of each left descent mask.
+    One gather per length layer along the :func:`~bicox.coxeter.descent_walk`,
+    as v(root) = s((s*v)(root)).
     """
+    letter, shorter = descent_walk(table)
     images = np.empty(table.order, dtype=np.intp)
     images[0] = root
-    bounds = np.searchsorted(table.length, np.arange(int(table.length[-1]) + 2))
+    bounds = layer_bounds(table)
     for a, b in zip(bounds[1:-1], bounds[2:]):
-        s = lowest[table.des_left[a:b]]
-        images[a:b] = sigma[s, images[table.left_mult[np.arange(a, b), s]]]
+        images[a:b] = sigma[letter[a:b], images[shorter[a:b]]]
     return images
 
 
@@ -348,7 +350,7 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
         images = simple[d : d + 1]
     else:
         des_left, des_right = table.des_left, table.des_right
-        images = _root_images(table, sigma[rest], simple[d], bits.argmax(axis=1))
+        images = _root_images(table, sigma[rest], simple[d])
     # W_J as its distinct (Des_L(v), v(alpha_d), Des_R(v)) and their counts.
     orbit, where = np.unique(images, return_inverse=True)
     kinds, counts = np.unique(

@@ -80,3 +80,24 @@ def double_coset(table, gens_l, u, gens_r):
     """All elements of W_I u W_J, read from the closure labels."""
     labels = coset_labels(table, gens_l, gens_r)
     return set(np.flatnonzero(labels == labels[u]).tolist())
+
+
+def word(table, w):
+    """Reference reduced word for w (generator indices, leftmost letter
+    first): strips the lowest left descent length(w) times, down to e."""
+    letters = []
+    for _ in range(int(table.length[w])):
+        mask = int(table.des_left[w])
+        s = (mask & -mask).bit_length() - 1
+        letters.append(s)
+        w = int(table.left_mult[w, s])
+    assert w == 0, "stripping left descents did not reach e"
+    return tuple(letters)
+
+
+def mult(table, u, v):
+    """Reference product u*v, through a reduced word for u."""
+    x = v
+    for s in reversed(word(table, u)):
+        x = int(table.left_mult[x, s])
+    return x

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bicox
-from bicox.cache import MAGIC, deserialize, load_table, save_table, serialize
+from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
 from bicox.cli import main
-from bicox.coxeter import word
+from bicox.coxeter import descent_walk
 from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
@@ -120,13 +121,42 @@ def descent_flipped_blob(a2):
 
 
 def test_left_descent_missing_raises_internal_error(tmp_path, a2, capsys):
-    """The reduced-word walk stops with an internal error instead of looping."""
+    """The descent walk stops with an internal error instead of looping."""
     blob = descent_flipped_blob(a2)
-    with pytest.raises(InternalCheckError):
-        word(deserialize(blob), a2.generator_id(0))
+    with pytest.raises(InternalCheckError, match="element 1 is not e but has no left descent"):
+        descent_walk(deserialize(blob))
     (tmp_path / "A2.gt").write_bytes(blob)
     assert run(tmp_path, "export", "--type", "A2", "--what", "hasse") == 1
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+def relabelled_blob(table, new_to_old):
+    """A sealed blob of ``table`` with element ``new_to_old[k]`` renamed k:
+    the same group, every entry consistent, in another id order."""
+    old = np.asarray(new_to_old)
+    new = np.empty_like(old)
+    new[old] = np.arange(len(old))
+    renamed = types.SimpleNamespace(
+        system=table.system, rank=table.rank, order=table.order, longest=int(new[table.longest]),
+        length=table.length[old], des_left=table.des_left[old], des_right=table.des_right[old],
+        **{name: new[getattr(table, name)[old]] for name in ("left_mult", "right_mult", "inverse")},
+    )
+    return b"".join(_parts(renamed))
+
+
+def test_cache_with_ids_out_of_length_order_is_malformed(tmp_path, a3, capsys):
+    """A3 with s1 and a length-2 element swapped, e still at id 0: the
+    contingency model would read one-line words not yet filled, so the
+    loader refuses the blob."""
+    new_to_old = np.arange(a3.order)
+    k = int(np.flatnonzero(a3.length == 2)[-1])
+    new_to_old[[1, k]] = k, 1
+    (tmp_path / "A3.gt").write_bytes(relabelled_blob(a3, new_to_old))
+    for argv in (["verify"], ["export", "--what", "contingency"]):
+        assert run(tmp_path, *argv, "--type", "A3") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: malformed cache file: ids are not weakly sorted by length\n"
+        assert captured.out == ""
 
 
 def test_failed_save_keeps_earlier_file(tmp_path, a3, monkeypatch):
@@ -533,6 +563,21 @@ def test_tables_rank_17_refused_before_enumerating(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(bicox.cli, "build_group", never)
     assert run(tmp_path, "tables", "--type", "x".join(["A1"] * 17)) == 3
     assert "rank 17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [("A99999", 3), ("A17", 3), ("A15~xA1", 3), ("E9", 2), ("I2(1)", 2), ("A2~", 2),
+     ("G2~", 2), ("B3xA0", 2), ("x", 2), ("H(4)", 2), ("I2(99999999)", 3), ("D8", 3)],
+)
+def test_fuzzed_specs_exit_cleanly(tmp_path, capsys, spec, code):
+    """Malformed, infinite, over-rank and over-budget type strings end with
+    a one-line error and exit 2 or 3, from every command."""
+    for command in ("build", "verify", "tables", "export --what hasse"):
+        assert run(tmp_path, *command.split(), "--type", spec, "--budget", "100") == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

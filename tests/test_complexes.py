@@ -12,6 +12,7 @@ from bicox.complexes import (
     ShellingReport,
     TwoSidedComplex,
     euler_characteristic,
+    face_labels,
     facet_walls,
     hasse_dot,
     restriction,
@@ -31,7 +32,7 @@ from bicox.cosets import count_cosets_by_sweep
 from bicox.coxeter import length_order
 from bicox.errors import CapacityError, InternalCheckError
 
-from conftest import down_reach
+from conftest import down_reach, word
 from test_cosets import coset_oracle
 
 
@@ -595,6 +596,20 @@ def test_hasse_dot_a2(complexes):
     assert dot.count("label=") == 33
     assert "(12|e|12)" in dot
     assert "(-|s1s2s1|-)" in dot
+
+
+@pytest.mark.parametrize("spec", ["B3", "H3"])
+def test_face_labels_spell_the_reference_words(spec, complexes):
+    """Each facet (0, w, 0) is labelled by the reference reduced word of w,
+    whichever order the faces come in."""
+    cx = complexes(spec)
+    facets = np.arange(cx.table.order)  # X = 0 packs (0, w, 0) as w
+    expected = [
+        "(-|" + ("".join(f"s{s + 1}" for s in word(cx.table, w)) or "e") + "|-)"
+        for w in range(cx.table.order)
+    ]
+    assert face_labels(cx, facets) == expected
+    assert face_labels(cx, facets[::-1]) == expected[::-1]
 
 
 def test_hasse_dot_a1(complexes):

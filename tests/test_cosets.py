@@ -6,7 +6,6 @@ import itertools
 import numpy as np
 import pytest
 
-from bicox.coxeter import mult, word
 from bicox.cosets import (
     coset_labels,
     count_cosets_by_sweep,
@@ -17,7 +16,7 @@ from bicox.cosets import (
 )
 from bicox.errors import InternalCheckError
 
-from conftest import build, double_coset, down_reach, minimal_rep
+from conftest import build, double_coset, down_reach, minimal_rep, mult, word
 
 
 # --- oracles ---------------------------------------------------------------
@@ -175,7 +174,7 @@ def test_corrupt_right_mult_column_fails_oracle(a3):
     W_{s}, which only the closure sees; the descent filter does not."""
     right = a3.right_mult.copy()
     right[[0, 2], 0] = right[[2, 0], 0]
-    bad = dataclasses.replace(a3, right_mult=right, _words={})
+    bad = dataclasses.replace(a3, right_mult=right)
     full = a3.full_mask
     failed = []
     for gens_l in range(full + 1):

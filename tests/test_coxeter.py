@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bicox.coxeter as coxeter
 from bicox.cache import VERSION, load_table, save_table, serialize
@@ -20,14 +21,13 @@ from bicox.coxeter import (
     build_group,
     classify,
     classify_spec,
+    descent_walk,
     length_order,
-    mult,
     parse_type_spec,
-    word,
 )
 from bicox.errors import CapacityError, InternalCheckError, NotFiniteError
 
-from conftest import build, down_reach
+from conftest import build, down_reach, mult, word
 
 
 # --- oracles ---------------------------------------------------------------
@@ -107,6 +107,63 @@ def test_relabeling_invariance():
         rng.shuffle(perm)
         rows = [[mat.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         assert classify(CoxeterMatrix(rows)).canonical_name == spec
+
+
+@st.composite
+def coxeter_matrices(draw):
+    """Symmetric matrices of rank at most 6 with bonds in {0, 2, ..., 7},
+    half of them 2 so that finite components are common."""
+    n = draw(st.integers(1, 6))
+    bond = st.one_of(st.just(2), st.sampled_from([0, 2, 3, 4, 5, 6, 7]))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(bond)
+    return CoxeterMatrix(rows)
+
+
+@settings(deadline=None, max_examples=400)
+@given(coxeter_matrices())
+def test_classify_accepts_exactly_the_positive_definite(matrix):
+    """A Coxeter group is finite exactly when its cosine Gram matrix, 1 on
+    the diagonal and -cos(pi/m) elsewhere (-1 for m = 0), is positive
+    definite; the smallest eigenvalue of an accepted one is about 0.0055."""
+    m = np.array(matrix.entries, dtype=float)
+    gram = np.where(m == 0, -1.0, -np.cos(np.pi / np.where(m == 0, 1.0, m)))
+    np.fill_diagonal(gram, 1.0)
+    smallest = np.linalg.eigvalsh(gram)[0]
+    try:
+        classify(matrix)
+    except NotFiniteError:
+        assert smallest < 1e-6
+    else:
+        assert smallest > 1e-6
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.text(alphabet="ABDEFGHI0123456789()x~", max_size=14))
+@example("A99999")
+@example("A16xA1")
+@example("I2(5)xI2(5)xI2(5)xI2(5)xI2(5)xI2(5)xI2(5)xI2(5)xA1")
+@example("A15~")
+def test_fuzzed_type_specs_raise_only_typed_errors(spec):
+    """Type strings parse, or raise ValueError, NotFiniteError or
+    CapacityError; no matrix over the maximum rank is ever built."""
+    built = []
+    original = coxeter.CoxeterMatrix.__init__
+
+    def guarded(self, entries):
+        original(self, entries)
+        built.append(self.rank)
+
+    coxeter.CoxeterMatrix.__init__ = guarded
+    try:
+        classify(parse_type_spec(spec))
+    except (ValueError, NotFiniteError, CapacityError):
+        pass
+    finally:
+        coxeter.CoxeterMatrix.__init__ = original
+    assert max(built, default=0) <= coxeter.MAX_RANK
 
 
 def test_reducible_classification():
@@ -433,21 +490,22 @@ def test_validate_accepts_an_order_preserving_relabeling(a2):
     _validate(relabeled(a2, [0, 2, 1, 4, 3, 5], a2.length))
 
 
-def test_validate_id_zero_has_length_zero():
+def test_table_id_zero_has_length_zero():
     """A1xA1 = {e, s, t, st} with lengths 2, 1, 1, 2: each generator still
     changes length by one, the maximum is the 2 positive roots, and
-    renaming s and t first keeps the ids sorted, but id 0 has length 1."""
+    renaming s and t first keeps the ids sorted, but id 0 has length 1.
+    Constructing that table fails."""
     table = build("A1xA1")
-    bad = relabeled(table, [1, 2, 0, 3], 2 - table.length % 2)
     with pytest.raises(InternalCheckError, match="id 0 has length 1"):
-        _validate(bad)
+        relabeled(table, [1, 2, 0, 3], 2 - table.length % 2)
 
 
-def test_validate_ids_sorted_by_length(a2):
-    bad = relabeled(a2, [0, 1, 3, 2, 4, 5], a2.length)
-    assert list(bad.length) == [0, 1, 2, 1, 2, 3]
+def test_table_ids_sorted_by_length(a2):
+    """A2 with a length-1 and a length-2 id swapped: constructing it fails."""
+    new_to_old = [0, 1, 3, 2, 4, 5]
+    assert list(a2.length[new_to_old]) == [0, 1, 2, 1, 2, 3]
     with pytest.raises(InternalCheckError, match="not weakly sorted"):
-        _validate(bad)
+        relabeled(a2, new_to_old, a2.length)
 
 
 def test_validate_rejects_a_length_jump(a2):
@@ -566,34 +624,29 @@ def test_length_order(a2, tables):
 
 
 def test_words_are_reduced(b3):
+    """The descent walk from w reads a reduced word of w: the reference one."""
+    letter, shorter = descent_walk(b3)
     for w in range(b3.order):
-        letters = word(b3, w)
+        letters, x = [], w
+        while x:
+            letters.append(int(letter[x]))
+            x = int(shorter[x])
+        assert tuple(letters) == word(b3, w)
         assert len(letters) == int(b3.length[w])
-        x = 0
         for s in reversed(letters):
             x = int(b3.left_mult[x, s])
         assert x == w
 
 
-def test_stored_words_do_not_change_the_walk(tables):
-    """Ascending ids reuse the stored word of s.w; descending ids walk to e."""
-    h3 = tables("H3")
-    ascending = dataclasses.replace(h3, _words={})
-    descending = dataclasses.replace(h3, _words={})
-    up = [word(ascending, w) for w in range(h3.order)]
-    down = [word(descending, w) for w in reversed(range(h3.order))]
-    assert up == down[::-1]
-
-
 def test_word_walk_is_bounded(a2):
     """A left_mult column that sends s1s2 back to itself would make the
-    descent walk cycle; it stops after length(w) steps with an error."""
+    descent walk cycle; the walk refuses it."""
     s1s2 = int(a2.left_mult[a2.generator_id(1), 0])
     left = a2.left_mult.copy()
     left[s1s2, 0] = s1s2
-    bad = dataclasses.replace(a2, left_mult=left, _words={})
-    with pytest.raises(InternalCheckError, match="not e"):
-        word(bad, s1s2)
+    bad = dataclasses.replace(a2, left_mult=left)
+    with pytest.raises(InternalCheckError, match=f"element {s1s2}: .* not e"):
+        descent_walk(bad)
 
 
 def test_mult(b3):

@@ -121,8 +121,10 @@ def test_factorize_refuses_rank_17_before_building():
     def never(system):
         raise AssertionError("built a table")
 
+    # A1^17 from its matrix: the spec parser would refuse the rank itself.
+    a1_17 = classify(CoxeterMatrix([[1 if i == j else 2 for j in range(17)] for i in range(17)]))
     with pytest.raises(CapacityError, match="rank 17"):
-        factorize(classify_spec("x".join(["A1"] * 17)), build=never)
+        factorize(a1_17, build=never)
 
 
 # --- an oracle that shares no code with either census ---------------------------
