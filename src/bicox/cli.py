@@ -44,6 +44,7 @@ from .coxeter import (
     build_group,
     check_budget,
     classify,
+    count_text,
     length_order,
     parse_type_spec,
 )
@@ -78,7 +79,9 @@ def default_cache_dir() -> Path:
 
 def check_heavy(args, name: str, count: int, unit: str = "elements") -> None:
     if count > HEAVY_ORDER and not args.allow_heavy:
-        raise CapacityError(f"{name} has {count} {unit}; pass --allow-heavy to build it")
+        raise CapacityError(
+            f"{name} has {count_text(count, unit)}; pass --allow-heavy to build it"
+        )
 
 
 def get_table(args):

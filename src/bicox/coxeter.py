@@ -625,10 +625,23 @@ def check_rank(rank: int) -> None:
         raise CapacityError(f"rank {rank} is over the maximum of {MAX_RANK}")
 
 
+def count_text(count: int, unit: str) -> str:
+    """``count`` followed by ``unit``, as "a 4301-digit number of" ``unit``
+    when the count has more digits than Python will convert to a string."""
+    try:
+        return f"{count} {unit}"
+    except ValueError:
+        digits = int(math.log10(count)) + 1
+        digits += (count >= 10**digits) - (count < 10 ** (digits - 1))
+        return f"a {digits}-digit number of {unit}"
+
+
 def check_budget(name: str, count: int, budget: int, unit: str = "elements") -> None:
     """Raise :class:`CapacityError` when ``count`` exceeds ``budget``."""
     if count > budget:
-        raise CapacityError(f"{name} has {count} {unit}, over the budget of {budget}")
+        raise CapacityError(
+            f"{name} has {count_text(count, unit)}, over the budget of {budget}"
+        )
 
 
 def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTable:

@@ -46,7 +46,7 @@ from .coxeter import (
     parabolic,
     popcount_table,
 )
-from .errors import GammaBasisError, InternalCheckError
+from .errors import CapacityError, GammaBasisError, InternalCheckError
 
 Table2D = list[list[int]]
 
@@ -98,14 +98,35 @@ def flag_h_from_f(f: Table2D, n: int) -> Table2D:
     return h.tolist()
 
 
-def _submask_sums(values: np.ndarray) -> np.ndarray:
-    """out[I][J] = sum of values[I'][J'] over I' <= I and J' <= J, by definition."""
-    masks = np.arange(len(values))
+def _submask_sums(values: np.ndarray, signed: bool = False) -> np.ndarray:
+    """out[I][J] = sum of values[I'][J'] over I' <= I and J' <= J, by definition.
 
-    def rows(x):
-        return np.stack([x[(masks & ~i) == 0].sum(axis=0) for i in masks])
-
-    return rows(rows(values).T).T
+    With ``signed`` each term is multiplied by (-1)^(|I - I'| + |J - J'|),
+    which is the Moebius inverse of the plain sums.  Both are the matrix
+    product Z @ values @ Z.T of the zeta matrix Z[I, I'] = 1 when I' <= I
+    (conjugated by the parity signs, D Z D, when ``signed``), done in float64
+    by BLAS and returned as int64.  Z holds only 0 and +-1, so every partial
+    sum of either product, in any order, is an integer of magnitude at most
+    4^n * max|values|; below 2^53 each one is exact in float64.  Over that
+    bound this raises :class:`CapacityError` instead of rounding.  Every
+    table that can exist is under it: entries are at most |W| <= 10^7, and
+    4^14 * 10^7 < 2^53, while a 4^n-cell table past n = 14 does not fit in
+    memory.
+    """
+    size = len(values)
+    n = size.bit_length() - 1
+    peak = max(-int(values.min()), int(values.max()))
+    if peak << 2 * n >= 1 << 53:
+        raise CapacityError(
+            f"submask sums of a rank-{n} table with an entry of {peak} "
+            "can pass 2^53, where float64 is no longer exact"
+        )
+    masks = np.arange(size)
+    zeta = ((masks[None, :] & ~masks[:, None]) == 0).astype(np.float64)
+    if signed:
+        parity = 1.0 - 2 * (popcount_table(n) & 1)
+        zeta *= np.outer(parity, parity)
+    return (zeta @ values @ zeta.T).astype(np.int64)
 
 
 def reciprocity_holds(f: Table2D, h: Table2D, n: int) -> bool:
@@ -113,18 +134,18 @@ def reciprocity_holds(f: Table2D, h: Table2D, n: int) -> bool:
 
     These are the coefficient forms of evaluating one polynomial at
     x_i/(1 +- x_i) times the product of (1 +- x_i) factors.  Independent of
-    :func:`flag_f` and :func:`flag_h_from_f`: f is the submask sum S of h,
-    and h is S conjugated by the parity diagonal D = diag((-1)^|I|).
+    :func:`flag_f` and :func:`flag_h_from_f`: f is the submask sum Z h Z^T
+    of h, and h is the signed sum (D Z D) f (D Z D)^T, with the parity
+    diagonal D = diag((-1)^|I|); see :func:`_submask_sums` for why float64
+    products are exact here.
     """
-    # Each sum has at most 4^n terms of size at most |W|; |W| <= 10^7 and
-    # n <= 16 give |sum| < 4^16 * 10^7 < 2^63, so int64 is exact.
     f_arr = np.asarray(f, dtype=np.int64)
     h_arr = np.asarray(h, dtype=np.int64)
-    if not np.array_equal(_submask_sums(h_arr), f_arr):
+    if f_arr.shape != (1 << n, 1 << n) or h_arr.shape != f_arr.shape:
         return False
-    parity = 1 - 2 * (popcount_table(n).astype(np.int64) & 1)
-    signs = np.outer(parity, parity)
-    return bool(np.array_equal(signs * _submask_sums(signs * f_arr), h_arr))
+    return np.array_equal(_submask_sums(h_arr), f_arr) and np.array_equal(
+        _submask_sums(f_arr, signed=True), h_arr
+    )
 
 
 def two_sided_eulerian(group: GroupTable | Factorization) -> Table2D:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import bicox
 from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
 from bicox.cli import main
-from bicox.coxeter import descent_walk
+from bicox.coxeter import count_text, descent_walk
 from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
@@ -578,6 +578,34 @@ def test_fuzzed_specs_exit_cleanly(tmp_path, capsys, spec, code):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.iterdir())
+
+
+# The most decimal digits this Python converts an int to; 0 means no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "command", [("tables",), ("build",), ("verify",), ("tables", "--allow-heavy")]
+)
+def test_capacity_refusal_of_a_count_past_the_digit_limit(tmp_path, capsys, command):
+    """A 4300-digit dihedral bond gives counts that Python will not convert
+    to decimal; the refusal is still one error line and exit 3."""
+    assert run(tmp_path, *command, "--type", f"I2({'9' * 4300})") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-200:]
+    if 0 < DIGIT_LIMIT < 4301:
+        assert "a 4301-digit number of" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("digits", [1, 4300, 4301, 4302, 6000])
+def test_count_text_names_the_digits_of_a_count_too_long_to_print(digits):
+    for count in (10 ** (digits - 1), 2 * 10 ** (digits - 1) + 7, 10**digits - 1):
+        text = count_text(count, "roots")
+        if 0 < DIGIT_LIMIT < digits:
+            assert text == f"a {digits}-digit number of roots"
+        else:
+            assert text == f"{count} roots"
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])

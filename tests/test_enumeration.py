@@ -24,7 +24,7 @@ from bicox.enumeration import (
     reciprocity_holds,
     two_sided_eulerian,
 )
-from bicox.errors import GammaBasisError
+from bicox.errors import CapacityError, GammaBasisError
 
 from expected_tables import EULERIAN, GAMMA, grid_entries
 
@@ -243,6 +243,93 @@ def test_subset_transform_matches_submask_sums(n):
     forward = _subset_transform(values, n, inverse=False)
     assert np.array_equal(forward, _submask_sums(values))
     assert np.array_equal(_subset_transform(forward, n, inverse=True), values)
+
+
+def signed_submask_sum_by_loops(f, n):
+    """h[I][J] = sum of (-1)^(|I - I'| + |J - J'|) f[I'][J'] over I' <= I, J' <= J."""
+    size = 1 << n
+    sign = [(-1) ** bin(m).count("1") for m in range(size)]
+    return [
+        [
+            sum(
+                sign[i ^ a] * sign[j ^ b] * f[a][b]
+                for a in range(size) if a & ~i == 0
+                for b in range(size) if b & ~j == 0
+            )
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_submask_sums_match_the_cell_by_cell_sums(n):
+    rng = np.random.default_rng(100 + n)
+    values = rng.integers(-10**6, 10**6, size=(1 << n, 1 << n), dtype=np.int64)
+    plain = _submask_sums(values)
+    assert plain.dtype == np.int64
+    assert plain.tolist() == submask_sum_by_loops(values.tolist(), n)
+    signed = _submask_sums(values, signed=True)
+    assert signed.tolist() == signed_submask_sum_by_loops(values.tolist(), n)
+    assert np.array_equal(_submask_sums(plain, signed=True), values)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_submask_sums_are_exact_up_to_the_float_bound(n):
+    # The largest entry whose 4^n-fold sums stay below 2^53, in both signs.
+    peak = ((1 << 53) - 1) >> 2 * n
+    size = 1 << n
+    values = np.full((size, size), peak, dtype=np.int64)
+    values[::2] = -peak
+    assert _submask_sums(values).tolist() == submask_sum_by_loops(values.tolist(), n)
+    assert _submask_sums(values, signed=True).tolist() == signed_submask_sum_by_loops(
+        values.tolist(), n
+    )
+    for signed in (False, True):
+        with pytest.raises(CapacityError, match="2\\^53"):
+            _submask_sums(values * 2, signed=signed)
+
+
+@pytest.mark.parametrize("entry", [2**52, -(2**52), 2**62])
+def test_submask_sums_refuse_sums_past_2_to_the_53(entry):
+    values = np.zeros((2, 2), dtype=np.int64)
+    values[1, 0] = entry
+    with pytest.raises(CapacityError):
+        _submask_sums(values)
+    with pytest.raises(CapacityError):
+        reciprocity_holds(values.tolist(), values.tolist(), 1)
+
+
+@pytest.mark.parametrize("which", ["f", "h"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_reciprocity_rejects_every_single_cell_corruption(which, delta, a3):
+    f, h = flag_f(a3), flag_h(a3)
+    size = 1 << a3.rank
+    for i, j in itertools.product(range(size), repeat=2):
+        bad = [row[:] for row in (f if which == "f" else h)]
+        bad[i][j] += delta
+        pair = (bad, h) if which == "f" else (f, bad)
+        assert not reciprocity_holds(*pair, a3.rank), (i, j)
+
+
+def test_reciprocity_rejects_tables_of_another_rank(a2, a3):
+    assert not reciprocity_holds(flag_f(a2), flag_h(a2), a3.rank)
+    assert not reciprocity_holds(flag_f(a3), flag_h(a2), a2.rank)
+
+
+def test_reciprocity_at_rank_8(tables):
+    table = tables("D4xD4")
+    f, h, n = flag_f(table), flag_h(table), table.rank
+    assert reciprocity_holds(f, h, n)
+    assert _submask_sums(np.array(h)).tolist() == f
+    assert _submask_sums(np.array(f), signed=True).tolist() == h
+    for cell in [(0, 0), (37, 200), (255, 255)]:
+        bad = [row[:] for row in f]
+        bad[cell[0]][cell[1]] -= 1
+        assert not reciprocity_holds(bad, h, n)
+        bad = [row[:] for row in h]
+        bad[cell[0]][cell[1]] += 1
+        assert not reciprocity_holds(f, bad, n)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
