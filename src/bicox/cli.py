@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -77,16 +78,18 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "bicox"
 
 
-def check_heavy(args, name: str, count: int, unit: str = "elements") -> None:
+def check_capacity(args, name: str, count: int, unit: str = "elements") -> None:
+    """Refuse ``count`` over 10^6 without ``--allow-heavy``, then over ``--budget``."""
     if count > HEAVY_ORDER and not args.allow_heavy:
         raise CapacityError(
             f"{name} has {count_text(count, unit)}; pass --allow-heavy to build it"
         )
+    check_budget(name, count, args.budget, unit)
 
 
 def get_table(args):
     system = classify(parse_type_spec(args.type))
-    check_heavy(args, system.canonical_name, system.order)
+    check_capacity(args, system.canonical_name, system.order)  # before any file name
     path = cache_mod.cache_path(args.cache_dir, system.canonical_name)
     if path.exists():
         table = cache_mod.load_table(path)
@@ -101,20 +104,11 @@ def get_table(args):
 def get_factorization(args):
     """The type's parabolic factorization, without the cache.
 
-    ``--budget`` and ``--allow-heavy`` apply to each parabolic table it
-    builds and to each component's roots and cosets, not to the group
-    itself.
+    ``--budget`` and ``--allow-heavy`` apply to each component's roots,
+    its cosets and the elements of its maximal parabolic subgroup, not to
+    the group itself.
     """
-
-    def admit(name, count, unit):
-        check_heavy(args, name, count, unit)
-        check_budget(name, count, args.budget, unit)
-
-    def build(system):
-        check_heavy(args, system.canonical_name, system.order)
-        return build_group(system, budget=args.budget)
-
-    return factorize(classify(parse_type_spec(args.type)), build, admit)
+    return factorize(classify(parse_type_spec(args.type)), partial(check_capacity, args))
 
 
 def emit(args, text: str) -> None:

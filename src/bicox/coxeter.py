@@ -766,18 +766,22 @@ def _validate(table: GroupTable) -> None:
         raise InternalCheckError("left descents disagree with inverse right descents")
     if int(table.des_right[table.longest]) != table.full_mask:
         raise InternalCheckError("longest element is missing a right descent")
-    # The degrees come from the classification, not from the closure; the
-    # Poincare polynomial they give has degree the number of positive roots,
-    # the longest length.
-    poincare = np.ones(1, dtype=np.int64)
-    for d in (d for comp in table.system.components for d in comp.label.degrees):
-        poincare = np.convolve(poincare, np.ones(d, dtype=np.int64))
+    poincare = poincare_coefficients(table.system.components)
     counts = np.bincount(table.length)
     if not np.array_equal(counts, poincare):
         raise InternalCheckError(
             f"length distribution {counts.tolist()} is not {poincare.tolist()}, the product "
             f"of 1 + q + ... + q^(d-1) over degrees that give {len(poincare) - 1} positive roots"
         )
+
+
+def poincare_coefficients(components) -> np.ndarray:
+    """Elements of each length in the product of ``components``: the product
+    of 1 + q + ... + q^(d-1) over their classified degrees, not any closure."""
+    poincare = np.ones(1, dtype=np.int64)
+    for d in (d for comp in components for d in comp.label.degrees):
+        poincare = np.convolve(poincare, np.ones(d, dtype=np.int64))
+    return poincare
 
 
 # ---------------------------------------------------------------------------

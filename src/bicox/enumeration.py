@@ -21,8 +21,8 @@ coefficients in the basis
 
     (xy)^a (x+y)^b (1+xy)^(n-2a-b),   0 <= 2a + b <= n.
 
-The same census can be counted without the table of W, from the table of
-one maximal parabolic subgroup per component (:func:`factorize` and
+The same census can be counted without any table, by walking one maximal
+parabolic subgroup and its cosets per component (:func:`factorize` and
 :func:`factor_census`); that is how the CLI gets the Eulerian matrix.
 """
 
@@ -38,12 +38,10 @@ from .coxeter import (
     CoxeterSystem,
     GroupTable,
     _root_permutations,
-    build_group,
     check_budget,
     check_rank,
-    descent_walk,
-    layer_bounds,
     parabolic,
+    poincare_coefficients,
     popcount_table,
 )
 from .errors import CapacityError, GammaBasisError, InternalCheckError
@@ -219,13 +217,12 @@ class ParabolicFactor:
     Every w is uniquely u*v with u in W^J (no right descent in J) and v in
     W_J, and l(w) = l(u) + l(v) (Bjorner-Brenti, *Combinatorics of Coxeter
     Groups*, 2.4).  ``system`` is the irreducible group alone, generators
-    numbered 0..k-1.  ``parabolic`` is the table of W_J, its generator j
-    being the j-th of J in increasing order, or None when J is empty.
+    numbered 0..k-1.  :func:`factor_census` walks both W_J and W^J over
+    W's roots; no table is built.
     """
 
     system: CoxeterSystem
     node: int
-    parabolic: GroupTable | None
 
 
 @dataclass(frozen=True)
@@ -240,12 +237,6 @@ class Factorization:
         return self.system.order
 
 
-def parabolic_factor(system: CoxeterSystem, node: int, build=build_group) -> ParabolicFactor:
-    """Split the irreducible ``system`` at ``node``; ``build`` makes the table of W_J."""
-    sub = _maximal_parabolic(system, node)
-    return ParabolicFactor(system, node, None if sub is None else build(sub))
-
-
 def _maximal_parabolic(system: CoxeterSystem, node: int) -> CoxeterSystem | None:
     """W_J for J = S - {node}, or None when J is empty."""
     rest = [t for t in range(system.rank) if t != node]
@@ -255,11 +246,11 @@ def _maximal_parabolic(system: CoxeterSystem, node: int) -> CoxeterSystem | None
 def cheapest_node(system: CoxeterSystem) -> int:
     """The node of the irreducible ``system`` to split at.
 
-    It minimizes |W_J| (the table to build) plus |W^J| * 2^(k-1) (one
+    It minimizes |W_J| (the elements to walk) plus |W^J| * 2^(k-1) (one
     left-descent lookup per coset), from the classified orders alone;
     ties go to the lowest node.  Each coset also gathers and counts W_J's
     distinct descent kinds (at most |W_J|, 67,696 for E8 over D7); the
-    model leaves that term out, since it needs the table of W_J.
+    model leaves that term out, since only the walk of W_J finds them.
     """
     k = system.rank
 
@@ -275,76 +266,79 @@ def _within_default_budget(name: str, count: int, unit: str) -> None:
     check_budget(name, count, DEFAULT_BUDGET, unit)
 
 
-def factorize(
-    system: CoxeterSystem, build=build_group, admit=_within_default_budget
-) -> Factorization:
+def factorize(system: CoxeterSystem, admit=_within_default_budget) -> Factorization:
     """Split each component of ``system`` at its :func:`cheapest_node`.
 
-    Raises :class:`CapacityError` before any enumeration when the rank is
-    over the maximum.  Then ``admit(name, count, unit)`` sees the work of
-    each component that is not a table, its roots (the root closure) and
-    its cosets |W^J| (the coset search), and raises :class:`CapacityError`
-    to refuse it; by default each must be within :data:`DEFAULT_BUDGET`.
-    Only then are the tables of the W_J built, each by ``build``.
+    Raises :class:`CapacityError` when the rank is over the maximum.  Then
+    ``admit(name, count, unit)`` sees each component's roots and cosets
+    |W^J|, and after all of them each W_J's elements, and raises
+    :class:`CapacityError` to refuse one (by default, each must be within
+    :data:`DEFAULT_BUDGET`).  Nothing is enumerated here.
     """
     check_rank(system.rank)
     parts = [parabolic(system, sorted(comp.vertices)) for comp in system.components]
-    nodes = [cheapest_node(part) for part in parts]
-    for part, node in zip(parts, nodes):
+    factors = [ParabolicFactor(part, cheapest_node(part)) for part in parts]
+    subs = [_maximal_parabolic(f.system, f.node) for f in factors]
+    for part, sub in zip(parts, subs):
         name = part.canonical_name
         admit(name, part.components[0].label.root_count, "roots")
-        sub = _maximal_parabolic(part, node)
         if sub is not None:
             admit(f"{name} over {sub.canonical_name}", part.order // sub.order, "cosets")
-    return Factorization(
-        system, tuple(parabolic_factor(part, node, build) for part, node in zip(parts, nodes))
-    )
+    for sub in filter(None, subs):
+        admit(sub.canonical_name, sub.order, "elements")
+    return Factorization(system, tuple(factors))
 
 
-def _root_images(table: GroupTable, sigma: np.ndarray, root: int) -> np.ndarray:
-    """v(root) for every v in ``table``, whose generator j acts as ``sigma[j]``.
+def _layers(simple, sigma, positive, keep, images):
+    """One length layer at a time from e, the u in the group that the rows
+    of ``sigma`` generate with u(alpha_t) > 0 for every t in ``keep``.
 
-    One gather per length layer along the :func:`~bicox.coxeter.descent_walk`,
-    as v(root) = s((s*v)(root)).
-    """
-    letter, shorter = descent_walk(table)
-    images = np.empty(table.order, dtype=np.intp)
-    images[0] = root
-    bounds = layer_bounds(table)
-    for a, b in zip(bounds[1:-1], bounds[2:]):
-        images[a:b] = sigma[letter[a:b], images[shorter[a:b]]]
-    return images
-
-
-def _coset_layers(simple, sigma, positive, node: int, orbit):
-    """W^J for J = S - {node}, one length layer at a time from e.
-
-    Yields ``(images, descents)`` per layer: ``images[i]`` holds u(r) for
-    the roots r of ``simple`` and then of ``orbit``, and ``descents[i]`` is
-    the left descent mask of u.  For s not a left descent of u, s*u is one
-    longer, and it is in W^J exactly when s*u(alpha_t) > 0 for every t in J
-    (otherwise s*u = u*t, by Deodhar's lemma).  An element is known by its
+    ``simple`` holds each row's simple root, and ``keep`` indexes it.
+    Yields ``(rows, descents)``: ``rows[i]`` holds u(r), in ``sigma``'s
+    dtype, for the roots r of ``simple`` and then of ``images``, and
+    ``descents[i]`` is u's left descent mask.  For s not a left descent,
+    s*u is one longer; with ``keep`` = J it is in W^J exactly when kept
+    (else s*u = u*t, by Deodhar's lemma).  An element is known by its
     images of the simple roots, and its left descents are the s that lead
-    to it from the layer below, since s*u stays in W^J when l(s*u) < l(u).
+    to it from the layer below, since s*u stays kept when l(s*u) < l(u).
     """
-    k = len(simple)
-    rest = np.delete(np.arange(k), node)
-    gens = np.arange(k)[:, None]
-    images = np.concatenate([simple, orbit])[None, :]
+    bits = 1 << np.arange(len(sigma))[:, None]
+    rows = np.concatenate([simple, images]).astype(sigma.dtype)[None, :]
     descents = np.zeros(1, dtype=np.intp)
-    while len(images):
-        yield images, descents
-        moved = sigma[:, images]  # [s, i]: s applied to each image of u_i
-        up = (descents >> gens & 1 == 0) & positive[moved[:, :, rest]].all(axis=2)
-        s, i = np.nonzero(up)
-        children = moved[s, i]
-        rows = np.ascontiguousarray(children[:, :k])
-        keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
-        _, first, where = np.unique(keys, return_index=True, return_inverse=True)
-        images = children[first]
-        # One parent per (child, s), so summing the bits of s ORs them.
-        descents = np.bincount(where.ravel(), weights=1 << s, minlength=len(first))
-        descents = descents.astype(np.intp)
+    while len(rows):
+        yield rows, descents
+        moved = sigma[:, rows]  # [s, i]: s applied to each image of u_i
+        up = (descents & bits == 0) & np.logical_and.reduce(positive[moved[:, :, keep]], axis=2)
+        s, i = up.nonzero()
+        rows, descents = moved[s, i], 1 << s
+        if len(rows) > 1:
+            rows, descents = _merge_equal(rows, descents, len(simple))
+
+
+def _merge_equal(rows, descents, k):
+    """One row per distinct ``rows[:, :k]``, with the ``descents`` of its
+    copies ORed: the rows' bytes, zero-padded to uint64 words, are sorted."""
+    width = k * rows.itemsize
+    packed = np.zeros((len(rows), -(-width // 8) * 8), dtype=np.uint8)
+    packed[:, :width] = rows[:, :k].view(np.uint8)
+    order = np.lexsort(packed.view(np.uint64).T)
+    words = packed.view(np.uint64)[order]
+    starts = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+    return rows[order[starts]], np.bitwise_or.reduceat(descents[order], starts)
+
+
+def _runs(layers, size):
+    """The ``(rows, descents)`` of ``layers`` joined into runs of at least
+    ``size`` rows, and what is left as the last run."""
+    held, count = [], 0
+    for layer in layers:
+        held.append(layer)
+        count += len(layer[1])
+        if count >= size:
+            yield tuple(map(np.concatenate, zip(*held)))
+            held, count = [], 0
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
 
 
 def factor_census(factor: ParabolicFactor) -> np.ndarray:
@@ -356,44 +350,52 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
     u(v(alpha_d)) < 0.  Left descents follow Deodhar's lemma on
     beta = u^-1(alpha_s): s is one when beta < 0, exactly when t is one of
     v when beta = alpha_t with t in J, and never otherwise (Geck-Pfeiffer,
-    *Characters of Finite Coxeter Groups*, 2.1).  So each coset is a
-    gather over W_J's distinct descent kinds, through a 2^(k-1) lookup from
-    Des_L(v), and a batch of cosets is one bincount.
+    *Characters of Finite Coxeter Groups*, 2.1).  So :func:`_layers`, over
+    one root closure, walks W_J into its distinct (Des_L(v), v(alpha_d),
+    Des_R(v)) and their counts, and then W^J; each coset is a gather over
+    those kinds, through a 2^(k-1) lookup from Des_L(v), and a batch of
+    cosets is one bincount.  W_J's layer sizes must be the Poincare
+    coefficients of its degrees, and |W^J| * |W_J| must be |W|.
     """
-    system, d, table = factor.system, factor.node, factor.parabolic
+    system, d = factor.system, factor.node
     k = system.rank
     simple, sigma, positive = _root_permutations(system)
-    simple, sigma = np.array(simple), sigma.astype(np.intp)
+    simple = np.array(simple)
     rest = np.delete(np.arange(k), d)
     bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1  # bit j: rest[j]
-    if table is None:
-        des_left = des_right = np.zeros(1, dtype=np.uint16)
-        images = simple[d : d + 1]
-    else:
-        des_left, des_right = table.des_left, table.des_right
-        images = _root_images(table, sigma[rest], simple[d])
+    sub = _maximal_parabolic(system, d)
+    sizes = poincare_coefficients(sub.components if sub else ()).tolist()
     # W_J as its distinct (Des_L(v), v(alpha_d), Des_R(v)) and their counts.
-    orbit, where = np.unique(images, return_inverse=True)
-    kinds, counts = np.unique(
-        (des_left.astype(np.intp) * len(orbit) + where) << (k - 1) | des_right,
-        return_counts=True,
-    )
+    seen, found = [], []
+    for images, descents in _layers(simple[rest], sigma[rest], positive, [], simple[d : d + 1]):
+        seen.append(len(images))
+        if seen != sizes[: len(seen)]:
+            break
+        des_right = ~positive[images[:, :-1]] @ (1 << np.arange(k - 1))
+        kind = (descents * len(positive) + images[:, -1]) << (k - 1) | des_right
+        found.append(np.unique(kind, return_counts=True))
+    if seen != sizes:
+        raise InternalCheckError(f"W_J has {seen} elements by length, its degrees give {sizes}")
+    kinds, where = np.unique(np.concatenate([kinds for kinds, _ in found]), return_inverse=True)
+    counts = np.bincount(where, weights=np.concatenate([counts for _, counts in found]))
     cell = kinds >> (k - 1)
+    orbit, at = np.unique(cell % len(positive), return_inverse=True)
+    cell = cell // len(positive) * len(orbit) + at
     right = (bits << rest).sum(axis=1)[kinds & (len(bits) - 1)]  # in W's numbering
-    place = np.arange(k)
-    cosets = 0
+    order, order_j, cosets = system.order, sum(sizes), 0
     # Counts are whole numbers summing to |W| < 2^53: exact in float64.
     census = np.zeros(1 << 2 * k)
     # Cosets per bincount: enough that the keys outnumber the census cells,
-    # so adding the census-sized result costs no more than the keys do.
-    batch = -(-len(census) // len(kinds))
+    # so adding the census-sized result costs no more than the keys do, and
+    # at least 4096 keys, so that short layers share the per-call cost.
+    batch = -(-max(len(census), 4096) // len(kinds))
     weights = np.tile(counts, batch)
-    for coset_images, descents in _coset_layers(simple, sigma, positive, d, orbit):
+    for coset_images, descents in _runs(_layers(simple, sigma, positive, rest, orbit), batch):
         cosets += len(descents)
-        if cosets * len(images) > system.order:
+        if cosets * order_j > order:
             break
         # moves[i, j]: the bit of s with u_i(alpha_rest[j]) = alpha_s, or 0.
-        moves = ((coset_images[:, rest, None] == simple) << place).sum(axis=2)
+        moves = ((coset_images[:, rest, None] == simple) << np.arange(k)).sum(axis=2)
         lefts = (descents[:, None] | moves @ bits.T) << k
         highs = (~positive[coset_images[:, k:]]).astype(np.intp) << d  # d in Des_R(u*v)
         for a in range(0, len(lefts), batch):
@@ -401,9 +403,9 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
             lookup = (left[:, :, None] + high[:, None, :]).reshape(len(left), -1)
             keys = (np.take(lookup, cell, axis=1) + right).ravel()
             census += np.bincount(keys, weights=weights[: len(keys)], minlength=len(census))
-    if cosets * len(images) != system.order:
+    if cosets * order_j != order:
         raise InternalCheckError(
-            f"{cosets} cosets of {len(images)} elements, classified order {system.order}"
+            f"{cosets} cosets of {order_j} elements, classified order {order}"
         )
     return census.astype(np.int64).reshape(1 << k, 1 << k)
 

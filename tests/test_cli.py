@@ -598,6 +598,20 @@ def test_capacity_refusal_of_a_count_past_the_digit_limit(tmp_path, capsys, comm
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command", [("build",), ("verify",), ("export", "--what", "hasse")]
+)
+def test_budget_is_checked_before_the_cache_path(tmp_path, capsys, command):
+    """Past the heavy gate, a group over the budget is refused (exit 3)
+    before its cache file is looked up: this one's name is too long for a
+    file name."""
+    assert run(tmp_path, *command, "--type", f"I2({'9' * 4300})", "--allow-heavy") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-200:]
+    assert "over the budget of 10000000" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("digits", [1, 4300, 4301, 4302, 6000])
 def test_count_text_names_the_digits_of_a_count_too_long_to_print(digits):
     for count in (10 ** (digits - 1), 2 * 10 ** (digits - 1) + 7, 10**digits - 1):

@@ -1,8 +1,9 @@
 """The census by parabolic factorization, against the table census and
 against the one-sided Eulerian numbers from the classified orders alone.
 
-The rank-8 exceptional group is opt-in: set RUN_E8=1 (about 10 s and
-360 MB on two cores, most of it for the route through the rank-7 table).
+The rank-8 exceptional group is opt-in: set RUN_E8=1 (about 9 s and
+140 MB on two cores, most of it for the route through E7's 2,903,040
+elements).
 """
 
 import json
@@ -16,19 +17,23 @@ import numpy as np
 import pytest
 
 import bicox
-from bicox.coxeter import CoxeterMatrix, build_group, classify, classify_spec, parabolic
+import bicox.cli
+import bicox.coxeter
+import bicox.enumeration
+from bicox.cli import main
+from bicox.coxeter import CoxeterMatrix, classify, classify_spec, parabolic
 from bicox.enumeration import (
     Factorization,
+    ParabolicFactor,
     _census,
     cheapest_node,
     eulerian_symmetric,
     factor_census,
     factorize,
     gamma_expansion,
-    parabolic_factor,
     two_sided_eulerian,
 )
-from bicox.errors import CapacityError
+from bicox.errors import CapacityError, InternalCheckError
 
 from expected_tables import EULERIAN, GAMMA, grid_entries
 
@@ -52,7 +57,7 @@ def product_census(censuses):
 
 def one_node(system, node):
     """The group of the irreducible ``system`` through its split at ``node``."""
-    return Factorization(system, (parabolic_factor(system, node),))
+    return Factorization(system, (ParabolicFactor(system, node),))
 
 
 # --- the table census as the oracle --------------------------------------------
@@ -63,7 +68,7 @@ def test_every_node_matches_table_census(spec, tables):
     system = classify_spec(spec)
     expected = _census(tables(spec))
     for node in range(system.rank):
-        got = factor_census(parabolic_factor(system, node))
+        got = factor_census(ParabolicFactor(system, node))
         assert np.array_equal(got, expected), (spec, node)
 
 
@@ -76,22 +81,77 @@ def test_every_node_of_a_product_matches_table_census(spec, tables):
     )
     expected = _census(tables(spec))
     parts = components(system)
-    chosen = [factor_census(parabolic_factor(p, cheapest_node(p))) for p in parts]
+    chosen = [factor_census(ParabolicFactor(p, cheapest_node(p))) for p in parts]
     for i, part in enumerate(parts):
         for node in range(part.rank):
             censuses = list(chosen)
-            censuses[i] = factor_census(parabolic_factor(part, node))
+            censuses[i] = factor_census(ParabolicFactor(part, node))
             assert np.array_equal(product_census(censuses), expected), (spec, i, node)
     assert two_sided_eulerian(factorize(system)) == two_sided_eulerian(tables(spec))
 
 
-def test_rank_one_builds_no_table():
-    def never(system):
-        raise AssertionError(f"built {system.canonical_name}")
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Every ``build_group`` raises; returns the names the root closure ran on."""
 
-    group = factorize(classify_spec("A1xA1"), build=never)
-    assert [f.parabolic for f in group.factors] == [None, None]
+    def never(system, budget=None):
+        raise AssertionError(f"built the table of {system.canonical_name}")
+
+    for module in (bicox.coxeter, bicox.enumeration, bicox.cli):
+        monkeypatch.setattr(module, "build_group", never, raising=False)
+    closed = []
+    real = bicox.coxeter._root_permutations
+
+    def counted(system):
+        closed.append(system.canonical_name)
+        return real(system)
+
+    for module in (bicox.coxeter, bicox.enumeration):
+        monkeypatch.setattr(module, "_root_permutations", counted)
+    return closed
+
+
+def test_rank_one_builds_no_table(no_tables):
+    admitted = []
+    group = factorize(classify_spec("A1xA1"), admit=lambda *work: admitted.append(work))
+    assert [(f.system.canonical_name, f.node) for f in group.factors] == [("A1", 0)] * 2
+    assert admitted == [("A1", 2, "roots")] * 2  # no cosets and no W_J: J is empty
     assert two_sided_eulerian(group) == [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
+    assert no_tables == ["A1", "A1"]
+
+
+@pytest.mark.parametrize("spec", ["H4", "D6", "B6", "E6", "I2(9)xH3xA3", "D7", "E7"])
+def test_tables_builds_no_table(spec, no_tables, tmp_path, capsys):
+    """``bicox tables`` runs one root closure per component and no group table."""
+    assert main(["tables", "--type", spec, "--format", "json", "--cache-dir", str(tmp_path)]) == 0
+    matrix = json.loads(capsys.readouterr().out)["eulerian"]
+    if spec in EULERIAN:
+        assert matrix == EULERIAN[spec]
+    assert_one_sided_sums(spec, matrix)
+    assert eulerian_symmetric(matrix)
+    assert no_tables == [part.canonical_name for part in components(classify_spec(spec))]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("corrupt", ["drop", "repeat"])
+def test_a_corrupt_parabolic_layer_fails_the_poincare_check(corrupt, monkeypatch):
+    """Dropping or repeating one child of one layer of W_J (D5 in E6) is
+    caught by the layer sizes from W_J's classified degrees."""
+    real = bicox.enumeration._merge_equal
+    done = []
+
+    def corrupted(rows, descents, k):
+        rows, descents = real(rows, descents, k)
+        if k == 5 and not done:  # the walk of D5; the one of W^J has k = 6
+            done.append(len(rows))
+            keep = slice(1, None) if corrupt == "drop" else np.r_[0, 0 : len(rows)]
+            rows, descents = rows[keep], descents[keep]
+        return rows, descents
+
+    monkeypatch.setattr(bicox.enumeration, "_merge_equal", corrupted)
+    with pytest.raises(InternalCheckError, match="its degrees give"):
+        factor_census(ParabolicFactor(classify_spec("E6"), 0))
+    assert done
 
 
 @pytest.mark.parametrize(
@@ -105,26 +165,30 @@ def test_cheapest_node(spec, parabolic_name):
     assert parabolic(system, rest).canonical_name == parabolic_name
 
 
-def test_factorize_builds_only_parabolic_tables():
-    built = []
-
-    def build(system):
-        built.append(system.canonical_name)
-        return build_group(system)
-
-    group = factorize(classify_spec("I2(9)xH3xA3"), build=build)
-    assert built == ["A1", "I2(5)", "A2"]
+def test_factorize_builds_only_parabolic_tables(no_tables):
+    """The element counts ``admit`` sees are those of the W_J alone, each
+    after every component's roots and cosets; nothing is enumerated."""
+    admitted = []
+    group = factorize(classify_spec("I2(9)xH3xA3"), admit=lambda *work: admitted.append(work))
+    assert admitted == [
+        ("I2(9)", 18, "roots"), ("I2(9) over A1", 9, "cosets"),
+        ("H3", 30, "roots"), ("H3 over I2(5)", 12, "cosets"),
+        ("A3", 12, "roots"), ("A3 over A2", 4, "cosets"),
+        ("A1", 2, "elements"), ("I2(5)", 10, "elements"), ("A2", 6, "elements"),
+    ]
     assert group.order == 51840
+    assert no_tables == []
 
 
-def test_factorize_refuses_rank_17_before_building():
-    def never(system):
-        raise AssertionError("built a table")
+def test_factorize_refuses_rank_17_before_building(no_tables):
+    def never(*work):
+        raise AssertionError(f"admitted {work}")
 
     # A1^17 from its matrix: the spec parser would refuse the rank itself.
     a1_17 = classify(CoxeterMatrix([[1 if i == j else 2 for j in range(17)] for i in range(17)]))
     with pytest.raises(CapacityError, match="rank 17"):
-        factorize(a1_17, build=never)
+        factorize(a1_17, admit=never)
+    assert no_tables == []
 
 
 # --- an oracle that shares no code with either census ---------------------------
@@ -169,7 +233,9 @@ def test_golden_margins_are_one_sided_eulerian(spec):
     assert_one_sided_sums(spec, EULERIAN[spec])
 
 
-@pytest.mark.parametrize("spec", ["B6", "H4", "D7", "I2(9)xH3xA3", "A1", "E7"])
+@pytest.mark.parametrize(
+    "spec", ["B6", "H4", "D7", "I2(9)xH3xA3", "A1", "E7", "B8", "D8", "B9", "D9"]
+)
 def test_factorized_margins_are_one_sided_eulerian(spec):
     assert_one_sided_sums(spec, two_sided_eulerian(factorize(classify_spec(spec))))
 
@@ -188,9 +254,8 @@ def test_one_sided_oracle_negative_control():
 @pytest.mark.parametrize("parabolic_name, node", [("D6", 0), ("E6", 6)])
 def test_e7_through_two_nodes(parabolic_name, node):
     system = classify_spec("E7")
-    group = one_node(system, node)
-    assert group.factors[0].parabolic.system.canonical_name == parabolic_name
-    matrix = two_sided_eulerian(group)
+    assert parabolic(system, [t for t in range(7) if t != node]).canonical_name == parabolic_name
+    matrix = two_sided_eulerian(one_node(system, node))
     assert matrix == EULERIAN["E7"]
     assert grid_entries(gamma_expansion(matrix).as_grid()) == grid_entries(GAMMA["E7"])
 
