@@ -34,17 +34,14 @@ class ContingencyTable:
     def __post_init__(self):
         if not self.cells or not self.cells[0]:
             raise ValueError("table must have at least one row and column")
-        cols = len(self.cells[0])
-        for row in self.cells:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            if any(x < 0 for x in row):
-                raise ValueError("negative entry")
-            if sum(row) < 1:
-                raise ValueError("zero row sum")
-        for j in range(cols):
-            if sum(row[j] for row in self.cells) < 1:
-                raise ValueError("zero column sum")
+        if min(map(len, self.cells)) != max(map(len, self.cells)):
+            raise ValueError("ragged rows")
+        if min(map(min, self.cells)) < 0:
+            raise ValueError("negative entry")
+        if min(map(sum, self.cells)) < 1:
+            raise ValueError("zero row sum")
+        if min(map(sum, zip(*self.cells))) < 1:
+            raise ValueError("zero column sum")
 
     @classmethod
     def from_display(cls, rows_top_first) -> "ContingencyTable":
@@ -75,15 +72,10 @@ class ContingencyTable:
         return [sum(row) for row in self.cells]
 
     def col_sums(self) -> list[int]:
-        return [sum(row[j] for row in self.cells) for j in range(self.cols)]
+        return [sum(col) for col in zip(*self.cells)]
 
     def transpose(self) -> "ContingencyTable":
-        return ContingencyTable(
-            tuple(
-                tuple(self.cells[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            )
-        )
+        return ContingencyTable(tuple(zip(*self.cells)))
 
 
 def _blocks(bar_mask: int, n: int) -> list[range]:
@@ -194,12 +186,11 @@ def lower_covers(table: ContingencyTable) -> list[ContingencyTable]:
     for k in range(table.rows - 1):
         merged = tuple(a + b for a, b in zip(cells[k], cells[k + 1]))
         out.append(ContingencyTable(cells[:k] + (merged,) + cells[k + 2 :]))
-    transposed = table.transpose()
     for k in range(table.cols - 1):
-        cells_t = transposed.cells
-        merged = tuple(a + b for a, b in zip(cells_t[k], cells_t[k + 1]))
         out.append(
-            ContingencyTable(cells_t[:k] + (merged,) + cells_t[k + 2 :]).transpose()
+            ContingencyTable(
+                tuple(row[:k] + (row[k] + row[k + 1],) + row[k + 2 :] for row in cells)
+            )
         )
     return out
 
@@ -216,25 +207,18 @@ def _row_splits(vector: tuple[int, ...]):
 
 def upper_covers(table: ContingencyTable) -> list[ContingencyTable]:
     """Split one row (or column) into two in every possible way."""
-    seen = set()
-    out = []
     cells = table.cells
-    for k in range(table.rows):
-        for low, high in _row_splits(cells[k]):
-            cover = ContingencyTable(cells[:k] + (low, high) + cells[k + 1 :])
-            if cover not in seen:
-                seen.add(cover)
-                out.append(cover)
-    transposed = table.transpose()
-    for k in range(table.cols):
-        for low, high in _row_splits(transposed.cells[k]):
-            cover = ContingencyTable(
-                transposed.cells[:k] + (low, high) + transposed.cells[k + 1 :]
-            ).transpose()
-            if cover not in seen:
-                seen.add(cover)
-                out.append(cover)
-    return out
+    splits = [
+        cells[:k] + (low, high) + cells[k + 1 :]
+        for k in range(table.rows)
+        for low, high in _row_splits(cells[k])
+    ]
+    splits += [
+        tuple(row[:k] + pair + row[k + 1 :] for row, pair in zip(cells, zip(low, high)))
+        for k in range(table.cols)
+        for low, high in _row_splits(tuple(row[k] for row in cells))
+    ]
+    return [ContingencyTable(split) for split in dict.fromkeys(splits)]  # first of repeats
 
 
 def _grouping(coarse_sums: list[int], fine_sums: list[int]) -> list[int] | None:

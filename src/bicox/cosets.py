@@ -8,9 +8,14 @@ in the two-sided weak order.  Cosets are therefore canonicalized as triples
 
 Counting them is checked two ways that share no code:
 :func:`count_minimal_by_descents` filters W by descent sets, and
-:func:`coset_labels` closes every coset at once, labelling each element
-with the least id it reaches through the columns s.x (s in I) and x.s
-(s in J) of the multiplication tables.
+:func:`coset_labels` closes the cosets through the quotient W/W_J.  The
+right cosets x.W_J are closed first, over the columns x.s (s in J) of
+``right_mult``, and numbered by least id; then s in I acts on the coset of
+least id u as the coset of s.u, and W_I's orbits on the cosets are closed
+the same way, one private kernel serving both steps.
+:func:`verify_double_quotients` checks every pair (I, J) at once: the
+descent filter as one matrix product, and per J the orbits of every W_I
+together (:func:`sweep_counts`), 2^n x [W : W_J] entries in all.
 
 All functions are pure over an immutable :class:`~bicox.coxeter.GroupTable`
 and safe for concurrent use.  Generator subsets are bitmasks.
@@ -69,30 +74,95 @@ def count_minimal_by_descents(table: GroupTable, gens_l: int, gens_r: int) -> in
     return int(np.count_nonzero(ok))
 
 
+def _close(labels: np.ndarray, steps) -> np.ndarray:
+    """Each entry's least label reachable through the index arrays ``steps``.
+
+    ``labels`` starts as the identity on its own indices.  Neighbour minima,
+    one step after another, and pointer jumps lower the labels until none
+    moves; labels only decrease, so this ends for any steps.  On return
+    every entry whose label is itself is the least of its class.
+    """
+    while True:
+        lower = labels
+        for step in steps:
+            lower = np.minimum(lower, lower[step])
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return labels
+        labels = lower
+
+
+def _numbered(labels: np.ndarray) -> np.ndarray:
+    """Closed labels renumbered 0, 1, ... in the order of their least entries."""
+    return (np.cumsum(labels == np.arange(len(labels))) - 1)[labels]
+
+
+def _coset_orbits(table: GroupTable, masks, gens_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(coset, orbit)``: each element's right coset x.W_J, numbered by
+    least id, and for the i-th left mask I of ``masks`` the row ``orbit[i]``
+    labelling each coset with the least coset of its W_I-orbit.
+
+    The right cosets are closed over J's ``right_mult`` columns.  Then s
+    acts on the coset of least id u as the coset of s.u, and the orbits of
+    every W_I are closed together on a len(masks) x [W : W_J] array of flat
+    indices, where s moves an entry of row I only when s is in I.
+    """
+    steps = [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
+    labels = _close(np.arange(table.order), steps)
+    least = np.flatnonzero(labels == np.arange(table.order))
+    coset = _numbered(labels)
+    masks = np.asarray(masks)
+    flat = np.arange(len(masks) * len(least)).reshape(len(masks), -1)
+    steps = []
+    for s in range(table.rank):
+        moved = masks >> s & 1 == 1
+        if moved.any():
+            step = flat.copy()
+            step[moved] += coset[table.left_mult[least, s]] - flat[0]
+            steps.append(step.ravel())
+    return coset, _close(flat.ravel(), steps).reshape(flat.shape) - flat[:, :1]
+
+
 def coset_labels(table: GroupTable, gens_l: int, gens_r: int) -> np.ndarray:
     """Entry x: the number of the double coset W_I x W_J, numbered in the
     order of their least ids.
 
-    Each element is labelled with the least id reachable from it through the
-    columns s.x (s in I) and x.s (s in J), by repeated neighbour minima and
-    pointer jumps; labels only decrease, so this ends on any table.  No
-    descent set or minimal representative is used.
+    Read from W_I's orbits on the right cosets of W_J
+    (:func:`_coset_orbits`): cosets are numbered by least id, so the least
+    coset of an orbit holds the least id of its double coset.  No descent
+    set or minimal representative is used.
     """
-    steps = [table.left_mult[:, s] for s in range(table.rank) if gens_l >> s & 1]
-    steps += [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
-    neighbours = np.array(steps, dtype=np.intp).reshape(len(steps), table.order)
-    labels = np.arange(table.order)
-    while True:
-        lower = np.minimum(labels, labels[neighbours].min(axis=0, initial=table.order))
-        lower = lower[lower]
-        if np.array_equal(lower, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = lower
+    coset, orbit = _coset_orbits(table, [gens_l], gens_r)
+    return _numbered(orbit[0])[coset]
 
 
 def count_cosets_by_sweep(table: GroupTable, gens_l: int, gens_r: int) -> int:
     """Number of double cosets W_I w W_J, from :func:`coset_labels`."""
     return int(coset_labels(table, gens_l, gens_r).max()) + 1
+
+
+def sweep_counts(table: GroupTable, gens_r: int) -> np.ndarray:
+    """Entry I: the number of double cosets W_I w W_J, every I at once: the
+    cosets that are the least of their W_I-orbit (:func:`_coset_orbits`)."""
+    _, orbit = _coset_orbits(table, np.arange(table.full_mask + 1), gens_r)
+    return np.count_nonzero(orbit == np.arange(orbit.shape[1]), axis=1)
+
+
+def _descent_counts(table: GroupTable) -> np.ndarray:
+    """counts[I, J] = :func:`count_minimal_by_descents`, every pair at once:
+    a product of the left and right descent-free indicators."""
+    masks = np.arange(table.full_mask + 1)[:, None]
+    free_l = (masks & table.des_left) == 0
+    free_r = (masks & table.des_right) == 0
+    # 0/1 entries and sums at most |W|: exact in float64
+    return (free_l.astype(float) @ free_r.T.astype(float)).astype(np.int64)
+
+
+def _mismatch(gens_l: int, gens_r: int, by_descents: int, by_sweep: int) -> InternalCheckError:
+    return InternalCheckError(
+        f"double quotient count mismatch for I={gens_l:b}, J={gens_r:b}: "
+        f"descent filter {by_descents}, coset sweep {by_sweep}"
+    )
 
 
 def double_quotient_size(table: GroupTable, gens_l: int, gens_r: int) -> int:
@@ -104,8 +174,26 @@ def double_quotient_size(table: GroupTable, gens_l: int, gens_r: int) -> int:
     by_descents = count_minimal_by_descents(table, gens_l, gens_r)
     by_sweep = count_cosets_by_sweep(table, gens_l, gens_r)
     if by_descents != by_sweep:
-        raise InternalCheckError(
-            f"double quotient count mismatch for I={gens_l:b}, J={gens_r:b}: "
-            f"descent filter {by_descents}, coset sweep {by_sweep}"
-        )
+        raise _mismatch(gens_l, gens_r, by_descents, by_sweep)
     return by_descents
+
+
+def verify_double_quotients(table: GroupTable, f) -> bool:
+    """Whether the flag f-table entry ``f[S - I][S - J]`` is |^I W^J| for
+    every pair I, J.
+
+    Both counts of :func:`double_quotient_size` are made for all pairs: the
+    descent filter at once, the sweep once per J (:func:`sweep_counts`).
+    Pairs are scanned I outer, J inner; at the first pair where anything
+    disagrees, a descent/sweep mismatch raises :class:`InternalCheckError`
+    as :func:`double_quotient_size` does, and otherwise the answer is False.
+    """
+    by_descents = _descent_counts(table)
+    by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in range(table.full_mask + 1)]).T
+    bad = (by_descents != by_sweep) | (by_descents != np.asarray(f)[::-1, ::-1])
+    if not bad.any():
+        return True
+    gens_l, gens_r = divmod(int(np.argmax(bad)), table.full_mask + 1)
+    if by_descents[gens_l, gens_r] != by_sweep[gens_l, gens_r]:
+        raise _mismatch(gens_l, gens_r, by_descents[gens_l, gens_r], by_sweep[gens_l, gens_r])
+    return False

@@ -1,6 +1,7 @@
 """Balls-in-boxes: faces of type-A complexes as contingency tables."""
 
 import copy
+import itertools
 import math
 
 import pytest
@@ -65,14 +66,18 @@ def s3_model(tables):
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        ContingencyTable(((0, 0), (1, 1)))  # zero row sum
-    with pytest.raises(ValueError):
-        ContingencyTable(((1, 0), (1, 0)))  # zero column sum
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero row sum"):
+        ContingencyTable(((0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="zero column sum"):
+        ContingencyTable(((1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="negative entry"):
         ContingencyTable(((1, -1), (0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ragged rows"):
         ContingencyTable(((1,), (1, 1)))
+    with pytest.raises(ValueError, match="ragged rows"):
+        ContingencyTable(((1, 1), ()))
+    with pytest.raises(ValueError, match="at least one row and column"):
+        ContingencyTable(((),))
 
 
 def test_display_round_trip():
@@ -147,6 +152,54 @@ def test_minimum_covers():
         expected.add(ContingencyTable(((a,), (n - a,))))
         expected.add(ContingencyTable(((a, n - a),)))
     assert set(ups) == expected
+
+
+def transposed(table):
+    """Reference transpose, entry by entry."""
+    return ContingencyTable(
+        tuple(tuple(row[j] for row in table.cells) for j in range(table.cols))
+    )
+
+
+def covers_through_transpose(table):
+    """Reference covers: row merges and splits, then the column ones as row
+    moves on the transpose, transposed back; first occurrences kept."""
+    def row_moves(tab):
+        cells = tab.cells
+        merges = [
+            ContingencyTable(
+                cells[:k] + (tuple(a + b for a, b in zip(cells[k], cells[k + 1])),) + cells[k + 2 :]
+            )
+            for k in range(tab.rows - 1)
+        ]
+        splits = []
+        for k in range(tab.rows):
+            for low in itertools.product(*(range(x + 1) for x in cells[k])):
+                high = tuple(a - b for a, b in zip(cells[k], low))
+                if any(low) and any(high):
+                    splits.append(ContingencyTable(cells[:k] + (low, high) + cells[k + 1 :]))
+        return merges, splits
+
+    merges, splits = row_moves(table)
+    col_merges, col_splits = row_moves(transposed(table))
+    downs = merges + [transposed(t) for t in col_merges]
+    ups = list(dict.fromkeys(splits + [transposed(t) for t in col_splits]))
+    return downs, ups
+
+
+def test_covers_match_the_transpose_reference():
+    """Column merges and splits built from the rows equal, in order, the
+    ones made on the transpose, on every table of total at most 4."""
+    checked = 0
+    for n in range(1, 5):
+        for table in enumerate_tables(n):
+            downs, ups = covers_through_transpose(table)
+            assert lower_covers(table) == downs, table
+            assert upper_covers(table) == ups, table
+            assert table.transpose() == transposed(table)
+            assert table.col_sums() == transposed(table).row_sums()
+            checked += 1
+    assert checked == 1 + 5 + 33 + 281  # faces of the complexes of S_1 to S_4
 
 
 def test_permutation_matrices_are_maximal(s3_model):

@@ -13,7 +13,10 @@ from bicox.cosets import (
     double_quotient_size,
     is_minimal_rep,
     minimal_rep_table,
+    sweep_counts,
+    verify_double_quotients,
 )
+from bicox.enumeration import flag_f
 from bicox.errors import InternalCheckError
 
 from conftest import build, double_coset, down_reach, minimal_rep, mult, word
@@ -46,6 +49,22 @@ def coset_oracle(table, gens_l, w, gens_r):
         for a in subgroup(table, gens_l)
         for b in subgroup(table, gens_r)
     }
+
+
+def closure_labels(table, gens_l, gens_r):
+    """Reference double-coset numbers, by least id: every element closed at
+    once over the columns s.x (s in I) and x.s (s in J), with no quotient."""
+    neighbours = [table.left_mult[:, s] for s in range(table.rank) if gens_l >> s & 1]
+    neighbours += [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
+    labels = np.arange(table.order)
+    while True:
+        lower = labels.copy()
+        for column in neighbours:
+            lower = np.minimum(lower, labels[column])
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = lower
 
 
 def one_line(table, w):
@@ -163,10 +182,54 @@ def test_coset_sweep_needs_no_minimal_rep(a3, monkeypatch):
 
     monkeypatch.setattr(bicox.cosets, "minimal_rep_table", never)
     monkeypatch.setattr(bicox.cosets, "is_minimal_rep", never)
+    expected = np.array(
+        [
+            [count_minimal_by_descents(a3, gens_l, gens_r) for gens_r in range(a3.full_mask + 1)]
+            for gens_l in range(a3.full_mask + 1)
+        ]
+    )
     for gens_l in range(a3.full_mask + 1):
         for gens_r in range(a3.full_mask + 1):
-            expected = count_minimal_by_descents(a3, gens_l, gens_r)
-            assert count_cosets_by_sweep(a3, gens_l, gens_r) == expected
+            assert count_cosets_by_sweep(a3, gens_l, gens_r) == expected[gens_l, gens_r]
+    # the all-pairs path, and its sweep reads no descent set either
+    assert verify_double_quotients(a3, expected[::-1, ::-1])
+    blind = dataclasses.replace(
+        a3, des_left=np.zeros_like(a3.des_left), des_right=np.zeros_like(a3.des_right)
+    )
+    for gens_r in range(a3.full_mask + 1):
+        assert sweep_counts(blind, gens_r).tolist() == expected[:, gens_r].tolist()
+
+
+ALL_PAIRS_SPECS = ["A3", "B3", "H3", "F4", "I2(5)xA2", "A1xA1xA1xA1"]
+
+
+@pytest.mark.parametrize("spec", ALL_PAIRS_SPECS)
+def test_all_pairs_counts_match_per_pair_counts(spec, tables):
+    """Each J's counts for every I at once equal the per-pair sweep and the
+    descent filter, and the all-pairs check accepts them and nothing else."""
+    table = tables(spec)
+    masks = range(table.full_mask + 1)
+    by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in masks]).T
+    for gens_l in masks:
+        for gens_r in masks:
+            assert by_sweep[gens_l, gens_r] == count_cosets_by_sweep(table, gens_l, gens_r)
+            assert by_sweep[gens_l, gens_r] == count_minimal_by_descents(table, gens_l, gens_r)
+    f = flag_f(table)  # f[S - I][S - J] = |^I W^J|
+    assert np.array_equal(by_sweep[::-1, ::-1], f)
+    assert verify_double_quotients(table, f)
+    for cell in [(0, 0), (table.full_mask, 0), (1, table.full_mask)]:
+        wrong = np.array(f)
+        wrong[cell] += 1
+        assert verify_double_quotients(table, wrong) is False
+
+
+@pytest.mark.parametrize("spec", ALL_PAIRS_SPECS)
+def test_coset_labels_match_closure_reference(spec, tables):
+    table = tables(spec)
+    for gens_l in range(table.full_mask + 1):
+        for gens_r in range(table.full_mask + 1):
+            expected = closure_labels(table, gens_l, gens_r)
+            assert np.array_equal(coset_labels(table, gens_l, gens_r), expected), (gens_l, gens_r)
 
 
 def test_corrupt_right_mult_column_fails_oracle(a3):
@@ -184,6 +247,39 @@ def test_corrupt_right_mult_column_fails_oracle(a3):
             except InternalCheckError:
                 failed.append((gens_l, gens_r))
     assert (0, 0b001) in failed
+
+
+def test_all_pairs_check_fails_where_the_pair_loop_does(a3):
+    """On a corrupt right_mult column the all-pairs check raises the text a
+    loop over double_quotient_size (I outer, J inner) raises first, also
+    when a wrong f entry comes later in that order; a wrong f entry at an
+    earlier pair is a plain False, as in that loop."""
+    right = a3.right_mult.copy()
+    right[[0, 2], 0] = right[[2, 0], 0]
+    bad = dataclasses.replace(a3, right_mult=right)
+    masks = range(a3.full_mask + 1)
+    expected = np.array(
+        [[count_minimal_by_descents(bad, gens_l, gens_r) for gens_r in masks] for gens_l in masks]
+    )
+    failures = []
+    for gens_l in masks:
+        for gens_r in masks:
+            try:
+                double_quotient_size(bad, gens_l, gens_r)
+            except InternalCheckError as err:
+                failures.append(((gens_l, gens_r), str(err)))
+    assert failures[0][0] == (0, 0b001)
+    full = a3.full_mask
+    f = expected[::-1, ::-1].copy()  # the flag f-table's complement order
+    with pytest.raises(InternalCheckError) as caught:
+        verify_double_quotients(bad, f)
+    assert str(caught.value) == failures[0][1]
+    f[full ^ 1, full ^ 0] += 1  # the pair (1, 0): after (0, 1) with I outer
+    with pytest.raises(InternalCheckError) as caught:
+        verify_double_quotients(bad, f)
+    assert str(caught.value) == failures[0][1]
+    f[full ^ 0, full ^ 0] += 1  # the pair (0, 0), before every other
+    assert verify_double_quotients(bad, f) is False
 
 
 # --- pinned examples ---------------------------------------------------------
