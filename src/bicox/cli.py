@@ -213,7 +213,8 @@ def run_verification(table):
         where = f"first mismatch at facet {report.first_mismatch}, first impure at facet {impure}"
         record("shelling", False, where)
     if table.system.is_irreducible("A") and n <= 3:
-        check("contingency-isomorphism", lambda: verify_refinement_isomorphism(cx))
+        edges = f"{every_face}, {len(cx.cover_edges(cx.faces)[0])} cover edges"
+        check("contingency-isomorphism", lambda: verify_refinement_isomorphism(cx), edges)
     return results
 
 

@@ -8,6 +8,17 @@ positive row and column sums, i.e. a two-way contingency table, and this is
 a poset isomorphism onto refinement order: adding a bar splits a row or a
 column, removing one merges two adjacent ones.
 
+:func:`verify_refinement_isomorphism` checks this exhaustively: every face
+makes the round trip through its table, with as many bars as its rank; the
+tables are distinct and are exactly those :func:`enumerate_tables` lists;
+and the complex's cover edges equal both the split edges and the merge
+edges of the tables.  It works on plain cells (the tuples of rows that
+:class:`ContingencyTable` wraps) and finds each split or merge among the
+faces' cells by its tuple, with no table object built per cover.  That
+keeps the check as strong: a cover that is not a valid table is no face's
+cells, all of which are enumerated tables, so its edge cannot match.
+``bicox verify`` runs it on A_m for m <= 3 (S_2 to S_4).
+
 Tables store their rows bottom to top to match the picture; display and
 serialization emit the top row first.  A short k-way generalization is
 included, enough to count maximal tables.
@@ -17,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .complexes import Face, TwoSidedComplex
@@ -24,12 +37,14 @@ from .coxeter import GroupTable, descent_walk
 from .errors import CapacityError, InternalCheckError
 from .cosets import is_minimal_rep
 
+Cells = tuple[tuple[int, ...], ...]  # a table's rows, bottom to top
+
 
 @dataclass(frozen=True)
 class ContingencyTable:
     """Nonnegative integer array, positive margins; rows bottom to top."""
 
-    cells: tuple[tuple[int, ...], ...]
+    cells: Cells
 
     def __post_init__(self):
         if not self.cells or not self.cells[0]:
@@ -78,16 +93,10 @@ class ContingencyTable:
         return ContingencyTable(tuple(zip(*self.cells)))
 
 
-def _blocks(bar_mask: int, n: int) -> list[range]:
-    """Consecutive 1-based blocks of [n] cut at the barred gaps."""
-    blocks = []
-    start = 1
-    for s in range(n - 1):
-        if bar_mask >> s & 1:
-            blocks.append(range(start, s + 2))
-            start = s + 2
-    blocks.append(range(start, n + 1))
-    return blocks
+def _block_index(bar_mask: int, n: int) -> tuple[int, ...]:
+    """The 0-based block of each letter 1..n (at index letter - 1) when [n]
+    is cut into consecutive blocks at the barred gaps."""
+    return tuple(itertools.accumulate((bar_mask >> s & 1 for s in range(n - 1)), initial=0))
 
 
 class SymmetricGroupFaces:
@@ -119,6 +128,13 @@ class SymmetricGroupFaces:
             perms.append(tuple(swap.get(v, v) for v in perms[x]))
         self._one_line = perms
         self._index = {p: w for w, p in enumerate(perms)}
+        # per generator mask, the block of each letter when [n] is cut at the
+        # gaps outside it; per canonical bar mask, the generators outside it
+        full = table.full_mask
+        self._block_of = [
+            _block_index(self._canonical_mask(full ^ gens), self.n) for gens in range(full + 1)
+        ]
+        self._gens_of = [full ^ self._global_mask(bars) for bars in range(full + 1)]
 
     def one_line(self, w: int) -> tuple[int, ...]:
         return self._one_line[w]
@@ -134,42 +150,36 @@ class SymmetricGroupFaces:
 
     def face_to_table(self, face: Face) -> ContingencyTable:
         """Count balls per box: rows cut by S-I, columns cut by S-J."""
-        full = self.table.full_mask
-        perm = self.one_line(face.w)
-        row_blocks = _blocks(self._canonical_mask(full ^ face.left), self.n)
-        col_blocks = _blocks(self._canonical_mask(full ^ face.right), self.n)
-        row_of = {value: r for r, block in enumerate(row_blocks) for value in block}
-        cells = [[0] * len(col_blocks) for _ in row_blocks]
-        for c, block in enumerate(col_blocks):
-            for i in block:
-                cells[row_of[perm[i - 1]]][c] += 1
-        return ContingencyTable(tuple(tuple(row) for row in cells))
+        return ContingencyTable(self._cells_of(face))
+
+    def _cells_of(self, face: Face) -> Cells:
+        rows = self._block_of[face.left]
+        cols = self._block_of[face.right]
+        cells = [[0] * (cols[-1] + 1) for _ in range(rows[-1] + 1)]
+        for c, value in zip(cols, self._one_line[face.w]):
+            cells[rows[value - 1]][c] += 1
+        return tuple(map(tuple, cells))
 
     def table_to_face(self, table: ContingencyTable) -> Face:
         """Sort the balls of each box left-to-right and bottom-to-top."""
-        if table.total != self.n:
-            raise ValueError(f"table total {table.total}, expected {self.n}")
+        return self._face_of(table.cells)
+
+    def _face_of(self, cells: Cells) -> Face:
+        row_sums = list(map(sum, cells))
+        col_sums = list(map(sum, zip(*cells)))
+        total = sum(row_sums)
+        if total != self.n:
+            raise ValueError(f"table total {total}, expected {self.n}")
         # a bar after each row or column but the last, at its running total
-        row_bars = sum(1 << (cut - 1) for cut in itertools.accumulate(table.row_sums()[:-1]))
-        col_bars = sum(1 << (cut - 1) for cut in itertools.accumulate(table.col_sums()[:-1]))
-        row_blocks = _blocks(row_bars, self.n)
-        # each box receives a run of consecutive values from its row block
-        box_values = [[None] * table.cols for _ in range(table.rows)]
-        for r, block in enumerate(row_blocks):
-            nxt = block.start
-            for c in range(table.cols):
-                count = table.cells[r][c]
-                box_values[r][c] = range(nxt, nxt + count)
-                nxt += count
-        perm = []
-        for c in range(table.cols):
-            for r in range(table.rows):
-                perm.extend(box_values[r][c])
+        row_bars = sum(1 << (cut - 1) for cut in itertools.accumulate(row_sums[:-1]))
+        col_bars = sum(1 << (cut - 1) for cut in itertools.accumulate(col_sums[:-1]))
+        # each row block hands out its values in order to its boxes from the
+        # left; reading columns left to right, each from the bottom, is a
+        # stable sort of the values by column
+        column_of = [c for row in cells for c, count in enumerate(row) for _ in range(count)]
+        perm = [value for _, value in sorted(zip(column_of, range(1, total + 1)))]
         u = self.id_of(perm)
-        full = self.table.full_mask
-        face = Face(
-            full ^ self._global_mask(row_bars), u, full ^ self._global_mask(col_bars)
-        )
+        face = Face(self._gens_of[row_bars], u, self._gens_of[col_bars])
         if not is_minimal_rep(self.table, face.left, face.w, face.right):
             raise InternalCheckError("sorted representative is not minimal")
         return face
@@ -181,44 +191,57 @@ class SymmetricGroupFaces:
 
 def lower_covers(table: ContingencyTable) -> list[ContingencyTable]:
     """Merge each adjacent row pair and each adjacent column pair."""
-    out = []
-    cells = table.cells
-    for k in range(table.rows - 1):
-        merged = tuple(a + b for a, b in zip(cells[k], cells[k + 1]))
-        out.append(ContingencyTable(cells[:k] + (merged,) + cells[k + 2 :]))
-    for k in range(table.cols - 1):
-        out.append(
-            ContingencyTable(
-                tuple(row[:k] + (row[k] + row[k + 1],) + row[k + 2 :] for row in cells)
-            )
-        )
+    return [ContingencyTable(merged) for merged in _merges(table.cells)]
+
+
+def _merges(cells: Cells) -> list[Cells]:
+    """Row merges, then column merges, of ``cells``."""
+    out = [
+        cells[:k] + (tuple(map(operator.add, cells[k], cells[k + 1])),) + cells[k + 2 :]
+        for k in range(len(cells) - 1)
+    ]
+    out += [
+        tuple(row[:k] + (row[k] + row[k + 1],) + row[k + 2 :] for row in cells)
+        for k in range(len(cells[0]) - 1)
+    ]
     return out
 
 
-def _row_splits(vector: tuple[int, ...]):
-    for low in itertools.product(*(range(x + 1) for x in vector)):
-        if not any(low):
-            continue
-        high = tuple(a - b for a, b in zip(vector, low))
-        if not any(high):
-            continue
-        yield low, high
+def _row_splits(vector: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (low, high) with low + high = vector and neither all zero, in
+    the lexicographic order of low: all of ``itertools.product``'s tuples
+    but its first (zero) and last (the vector itself)."""
+    lows = list(itertools.product(*(range(x + 1) for x in vector)))[1:-1]
+    return [(low, tuple(map(operator.sub, vector, low))) for low in lows]
 
 
 def upper_covers(table: ContingencyTable) -> list[ContingencyTable]:
     """Split one row (or column) into two in every possible way."""
-    cells = table.cells
-    splits = [
-        cells[:k] + (low, high) + cells[k + 1 :]
-        for k in range(table.rows)
-        for low, high in _row_splits(cells[k])
+    return [ContingencyTable(split) for split in _splits(table.cells, {})]
+
+
+def _splits(cells: Cells, row_splits: dict) -> list[Cells]:
+    """Row splits, then column splits, of ``cells``; ``row_splits`` memoizes
+    :func:`_row_splits` by vector for the caller.
+
+    No split repeats: two splits of rows k < k' agree at row k only if the
+    low part of row k is the whole row.  Row and column splits differ in
+    shape.
+    """
+
+    def pairs(vector):
+        if vector not in row_splits:
+            row_splits[vector] = _row_splits(vector)
+        return row_splits[vector]
+
+    out = [cells[:k] + pair + cells[k + 1 :] for k, row in enumerate(cells) for pair in pairs(row)]
+    columns = tuple(zip(*cells))
+    out += [
+        tuple(zip(*(columns[:k] + pair + columns[k + 1 :])))
+        for k, column in enumerate(columns)
+        for pair in pairs(column)
     ]
-    splits += [
-        tuple(row[:k] + pair + row[k + 1 :] for row, pair in zip(cells, zip(low, high)))
-        for k in range(table.cols)
-        for low, high in _row_splits(tuple(row[k] for row in cells))
-    ]
-    return [ContingencyTable(split) for split in dict.fromkeys(splits)]  # first of repeats
+    return out
 
 
 def _grouping(coarse_sums: list[int], fine_sums: list[int]) -> list[int] | None:
@@ -292,52 +315,65 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _weak_compositions(total: int, parts: int):
+    """Tuples of ``parts`` nonnegative ints summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def enumerate_tables(n: int) -> list[ContingencyTable]:
     """All contingency tables with total n, by direct enumeration."""
-    out = []
+    return [ContingencyTable(cells) for cells in _table_cells(n)]
+
+
+def _table_cells(n: int) -> Iterator[Cells]:
+    """The cells of every table with total n: row sums a composition of n,
+    each row a weak composition of its sum, no column all zero."""
     for r in range(1, n + 1):
         for row_sums in _compositions(n, r):
             for c in range(1, n + 1):
-                choices = [
-                    list(
-                        low
-                        for low in itertools.product(
-                            *(range(total + 1) for _ in range(c))
-                        )
-                        if sum(low) == total
-                    )
-                    for total in row_sums
-                ]
+                choices = [list(_weak_compositions(total, c)) for total in row_sums]
                 for rows in itertools.product(*choices):
-                    if all(
-                        sum(row[j] for row in rows) >= 1 for j in range(c)
-                    ):
-                        out.append(ContingencyTable(tuple(rows)))
-    return out
+                    if all(map(any, zip(*rows))):
+                        yield rows
 
 
 def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:
     """Whether the faces of a type-A complex map bijectively and
-    order-isomorphically onto tables.
+    order-isomorphically onto tables (see the module docstring).
 
-    Checks round trips, surjectivity against :func:`enumerate_tables`, and
-    that the cover relations computed on each side (:meth:`TwoSidedComplex.covers`
-    in the complex; splits and merges on tables) produce the same edges.
+    Splits and merges are not validated as tables one by one: each one is
+    looked up among the faces' cells, and one that is missing there gives
+    an edge (i, None) that the complex does not have.
     """
     model = SymmetricGroupFaces(cx.table)
     faces = cx.as_faces(cx.faces)
-    tabs = [model.face_to_table(face) for face in faces]
-    if len(set(tabs)) != len(faces):
+    tabs = [model._cells_of(face) for face in faces]
+    position = {cells: i for i, cells in enumerate(tabs)}
+    if len(position) != len(faces):
         return False
-    for face, tab, rank in zip(faces, tabs, cx.ranks(cx.faces).tolist()):
-        if model.table_to_face(tab) != face or tab.order_rank != rank:  # both count the bars
+    for face, cells, rank in zip(faces, tabs, cx.ranks(cx.faces).tolist()):
+        # the rank and the table both count the bars
+        if model._face_of(cells) != face or len(cells) + len(cells[0]) - 2 != rank:
             return False
-    if set(tabs) != set(enumerate_tables(model.n)):
+    if position.keys() != set(_table_cells(model.n)):
         return False
     low, high = cx.cover_edges(cx.faces)
-    complex_edges = {(tabs[i], tabs[j]) for i, j in zip(low.tolist(), high.tolist())}
-    split_edges = {(tab, above) for tab in tabs for above in upper_covers(tab)}
-    merge_edges = {(below, tab) for tab in tabs for below in lower_covers(tab)}
+    complex_edges = set(zip(low.tolist(), high.tolist()))
+    row_splits = {}
+    split_edges = {
+        (i, position.get(above))
+        for i, cells in enumerate(tabs)
+        for above in _splits(cells, row_splits)
+    }
+    merge_edges = {
+        (position.get(below), i) for i, cells in enumerate(tabs) for below in _merges(cells)
+    }
     return complex_edges == split_edges == merge_edges
 
 

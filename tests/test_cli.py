@@ -323,7 +323,7 @@ def test_verify_a2(tmp_path, capsys):
     assert run(tmp_path, "verify", "--type", "A2") == 0
     out = capsys.readouterr().out
     assert "PASS shelling" in out
-    assert "PASS contingency-isomorphism" in out
+    assert "PASS contingency-isomorphism  (all 33 faces, 84 cover edges)\n" in out
     assert "FAIL" not in out
 
 

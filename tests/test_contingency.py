@@ -4,8 +4,10 @@ import copy
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+import bicox.contingency
 from bicox.complexes import Face, TwoSidedComplex
 from bicox.contingency import (
     ContingencyTable,
@@ -19,7 +21,8 @@ from bicox.contingency import (
     upper_covers,
     verify_refinement_isomorphism,
 )
-from bicox.errors import CapacityError
+from bicox.cosets import is_minimal_rep
+from bicox.errors import CapacityError, InternalCheckError
 
 from conftest import build, minimal_rep
 
@@ -119,6 +122,73 @@ def test_facet_maps_to_permutation_matrix(s3_model):
     assert table.display() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     identity = s3_model.face_to_table(Face(0, 0, 0))
     assert identity.display() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
+def bar_blocks(bar_mask, n):
+    """Reference: consecutive 1-based blocks of [n] cut at the barred gaps."""
+    blocks = []
+    start = 1
+    for s in range(n - 1):
+        if bar_mask >> s & 1:
+            blocks.append(range(start, s + 2))
+            start = s + 2
+    blocks.append(range(start, n + 1))
+    return blocks
+
+
+def canonical_bars(model, gens):
+    """The canonical gaps (generator k cuts after letter k + 1) outside ``gens``."""
+    vertices = model.table.system.components[0].vertices
+    return sum(1 << k for k, v in enumerate(vertices) if not gens >> v & 1)
+
+
+def reference_face_to_table(model, face):
+    """Reference drawing: balls counted box by box through block ranges."""
+    perm = model.one_line(face.w)
+    row_blocks = bar_blocks(canonical_bars(model, face.left), model.n)
+    col_blocks = bar_blocks(canonical_bars(model, face.right), model.n)
+    row_of = {value: r for r, block in enumerate(row_blocks) for value in block}
+    cells = [[0] * len(col_blocks) for _ in row_blocks]
+    for c, block in enumerate(col_blocks):
+        for i in block:
+            cells[row_of[perm[i - 1]]][c] += 1
+    return ContingencyTable(tuple(tuple(row) for row in cells))
+
+
+def reference_table_to_face(model, table):
+    """Reference sorting: each box gets a run of its row block's values."""
+    vertices = model.table.system.components[0].vertices
+    full = model.table.full_mask
+
+    def bars(sums):
+        return sum(1 << (cut - 1) for cut in itertools.accumulate(sums[:-1]))
+
+    def gens(bar_mask):
+        return full ^ sum(1 << v for k, v in enumerate(vertices) if bar_mask >> k & 1)
+
+    row_bars, col_bars = bars(table.row_sums()), bars(table.col_sums())
+    row_blocks = bar_blocks(row_bars, model.n)
+    box_values = [[None] * table.cols for _ in range(table.rows)]
+    for r, block in enumerate(row_blocks):
+        nxt = block.start
+        for c in range(table.cols):
+            box_values[r][c] = range(nxt, nxt + table.cells[r][c])
+            nxt += table.cells[r][c]
+    perm = [v for c in range(table.cols) for r in range(table.rows) for v in box_values[r][c]]
+    face = Face(gens(row_bars), model.id_of(perm), gens(col_bars))
+    if not is_minimal_rep(model.table, face.left, face.w, face.right):
+        raise InternalCheckError("sorted representative is not minimal")
+    return face
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3"])
+def test_drawing_matches_reference(spec, tables):
+    model = SymmetricGroupFaces(tables(spec))
+    cx = TwoSidedComplex.build(model.table)
+    for face in cx.as_faces(cx.faces):
+        table = model.face_to_table(face)
+        assert table == reference_face_to_table(model, face)
+        assert model.table_to_face(table) == reference_table_to_face(model, table) == face
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3"])
@@ -248,6 +318,173 @@ def test_refinement_matches_transitive_covers():
 
 def test_enumerate_tables_count():
     assert len(enumerate_tables(3)) == 33
+
+
+def tables_by_product_filter(n):
+    """Reference enumeration: each row among all c-tuples of its sum's range,
+    filtered by their sum, then tables with a zero column dropped."""
+    out = []
+    for r in range(1, n + 1):
+        for row_sums in itertools.product(range(1, n + 1), repeat=r):
+            if sum(row_sums) != n:
+                continue
+            for c in range(1, n + 1):
+                choices = [
+                    [low for low in itertools.product(range(total + 1), repeat=c) if sum(low) == total]
+                    for total in row_sums
+                ]
+                for rows in itertools.product(*choices):
+                    if all(sum(row[j] for row in rows) >= 1 for j in range(c)):
+                        out.append(ContingencyTable(tuple(rows)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_tables_matches_product_filter(n):
+    assert enumerate_tables(n) == tables_by_product_filter(n)
+
+
+def reference_isomorphism(cx):
+    """The isomorphism check on ContingencyTable objects, every cover built
+    and validated as a table."""
+    model = bicox.contingency.SymmetricGroupFaces(cx.table)
+    faces = cx.as_faces(cx.faces)
+    tabs = [model.face_to_table(face) for face in faces]
+    if len(set(tabs)) != len(faces):
+        return False
+    for face, tab, rank in zip(faces, tabs, cx.ranks(cx.faces).tolist()):
+        if model.table_to_face(tab) != face or tab.order_rank != rank:
+            return False
+    if set(tabs) != set(bicox.contingency.enumerate_tables(model.n)):
+        return False
+    low, high = cx.cover_edges(cx.faces)
+    complex_edges = {(tabs[i], tabs[j]) for i, j in zip(low.tolist(), high.tolist())}
+    split_edges = {(tab, above) for tab in tabs for above in upper_covers(tab)}
+    merge_edges = {(below, tab) for tab in tabs for below in lower_covers(tab)}
+    return complex_edges == split_edges == merge_edges
+
+
+def shift_rank(cx, monkeypatch):
+    bad = copy.copy(cx)
+    bad.ranks = lambda packed: cx.ranks(packed) + 1
+    return bad
+
+
+def drop_cover_edge(cx, monkeypatch):
+    low, high = cx.cover_edges(cx.faces)
+    bad = copy.copy(cx)
+    bad.cover_edges = lambda packed: (low[1:], high[1:])
+    return bad
+
+
+def add_cover_edge(cx, monkeypatch):
+    """The first cover edge once more, upside down."""
+    low, high = cx.cover_edges(cx.faces)
+    bad = copy.copy(cx)
+    bad.cover_edges = lambda packed: (np.append(low, high[0]), np.append(high, low[0]))
+    return bad
+
+
+def swap_one_line(cx, monkeypatch):
+    """The model draws s1 with the permutation of s2 and back."""
+    a, b = (cx.table.generator_id(k) for k in range(2))
+
+    class Swapped(SymmetricGroupFaces):
+        def __init__(self, table):
+            super().__init__(table)
+            perms = self._one_line
+            perms[a], perms[b] = perms[b], perms[a]
+            self._index = {p: w for w, p in enumerate(perms)}
+
+    monkeypatch.setattr(bicox.contingency, "SymmetricGroupFaces", Swapped)
+    return cx
+
+
+def remove_table(cx, monkeypatch):
+    """The enumeration loses its last table."""
+    every = bicox.contingency._table_cells
+    monkeypatch.setattr(bicox.contingency, "_table_cells", lambda n: list(every(n))[:-1])
+    return cx
+
+
+def drop_split(cx, monkeypatch):
+    """Every table loses its last split."""
+    every = bicox.contingency._splits
+    monkeypatch.setattr(
+        bicox.contingency, "_splits", lambda cells, row_splits: every(cells, row_splits)[:-1]
+    )
+    return cx
+
+
+def drop_merge(cx, monkeypatch):
+    """Every table loses its last merge."""
+    every = bicox.contingency._merges
+    monkeypatch.setattr(bicox.contingency, "_merges", lambda cells: every(cells)[:-1])
+    return cx
+
+
+def missort_one_box(cx, monkeypatch):
+    """The sorting map sends the one-box table to a face with no right
+    generators."""
+    sort = SymmetricGroupFaces._face_of
+
+    def missorted(self, cells):
+        face = sort(self, cells)
+        return face._replace(right=0) if cells == ((self.n,),) else face
+
+    monkeypatch.setattr(SymmetricGroupFaces, "_face_of", missorted)
+    return cx
+
+
+def refuse_minimal(cx, monkeypatch):
+    """No sorted representative passes the descent test."""
+    monkeypatch.setattr(bicox.contingency, "is_minimal_rep", lambda *args: False)
+    return cx
+
+
+CORRUPTIONS = [
+    shift_rank,
+    drop_cover_edge,
+    add_cover_edge,
+    swap_one_line,
+    remove_table,
+    drop_split,
+    drop_merge,
+    missort_one_box,
+    refuse_minimal,
+]
+
+
+def outcome(check, cx):
+    try:
+        return check(cx)
+    except InternalCheckError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "spec, corrupt",
+    [
+        (spec, corrupt)
+        for spec in ["A1", "A2", "A3"]
+        for corrupt in [None] + CORRUPTIONS
+        if not (spec == "A1" and corrupt is swap_one_line)  # A1 has one generator
+    ],
+)
+def test_isomorphism_matches_object_reference(spec, corrupt, tables, monkeypatch):
+    """The check on cell tuples returns what the object-based one does, on
+    the complexes of S_2 to S_4 and on each corruption."""
+    cx = TwoSidedComplex.build(tables(spec))
+    expected = True
+    if corrupt is not None:
+        cx = corrupt(cx, monkeypatch)
+        expected = "sorted representative is not minimal" if corrupt is refuse_minimal else False
+    assert outcome(verify_refinement_isomorphism, cx) == outcome(reference_isomorphism, cx) == expected
+
+
+def test_table_to_face_checks_total(s3_model):
+    with pytest.raises(ValueError, match="table total 2, expected 3"):
+        s3_model.table_to_face(ContingencyTable(((1,), (1,))))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
