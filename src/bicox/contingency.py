@@ -333,14 +333,39 @@ def enumerate_tables(n: int) -> list[ContingencyTable]:
 
 def _table_cells(n: int) -> Iterator[Cells]:
     """The cells of every table with total n: row sums a composition of n,
-    each row a weak composition of its sum, no column all zero."""
+    each row a weak composition of its sum, no column all zero.
+
+    Rows are chosen in turn, in the order of ``itertools.product``, and a
+    partial table is dropped as soon as its zero columns outnumber what the
+    rows still to come can fill: min(sum, c) columns each.
+    """
+    rows_of = {
+        (total, c): [(row, sum(1 << j for j, x in enumerate(row) if x))
+                     for row in _weak_compositions(total, c)]
+        for total in range(1, n + 1)
+        for c in range(1, n + 1)
+    }
     for r in range(1, n + 1):
         for row_sums in _compositions(n, r):
             for c in range(1, n + 1):
-                choices = [list(_weak_compositions(total, c)) for total in row_sums]
-                for rows in itertools.product(*choices):
-                    if all(map(any, zip(*rows))):
-                        yield rows
+                choices = [rows_of[total, c] for total in row_sums]
+                fill = [sum(min(t, c) for t in row_sums[d:]) for d in range(r + 1)]
+                yield from _column_positive(choices, fill, (), (1 << c) - 1)
+
+
+def _column_positive(choices, fill, rows, zero):
+    """The tables that extend ``rows`` by one of ``choices[d]`` per later
+    row d, each choice a row and its support mask, with no column zero;
+    ``zero`` is the mask of columns still zero, and ``fill[d]`` the most
+    of them rows d and on can fill."""
+    d = len(rows)
+    if d == len(choices):
+        yield rows
+        return
+    for row, support in choices[d]:
+        left = zero & ~support
+        if left.bit_count() <= fill[d + 1]:
+            yield from _column_positive(choices, fill, rows + (row,), left)
 
 
 def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:

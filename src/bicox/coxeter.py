@@ -24,10 +24,11 @@ During the search W acts by permutation on its roots, one array
 rank-2 component with bond m permutes the 2m roots of the regular 2m-gon,
 and every other component is closed exactly over Z[phi] (phi the golden
 ratio) from its Cartan matrix.  An element w is identified by the root
-indices of the images of the simple roots under w, packed into one uint64
-in a mixed radix (the digit of generator t is the index of w(alpha_t)
-among the roots of t's component), so deduplicating a layer is one sort
-of integers.
+indices of the images of the simple roots under w, one row of bytes per
+element; deduplicating a layer sorts those rows as zero-padded uint64
+words, so no rank or root count is too wide for a key.  The same closure,
+:func:`_layers`, also walks the parabolic subgroups and their cosets for
+the table-free census of :mod:`bicox.enumeration`.
 """
 
 from __future__ import annotations
@@ -530,6 +531,78 @@ def _root_permutations(system: CoxeterSystem):
     )
 
 
+def _layers(simple, sigma, positive, keep=(), images=()):
+    """One length layer at a time from e, the u in the group that the rows
+    of ``sigma`` generate with u(alpha_t) > 0 for every t in ``keep``.
+
+    ``simple`` holds each row's simple root, and ``keep`` indexes it.
+    Yields ``(rows, descents, links)``: ``rows[i]`` holds u(r), in
+    ``sigma``'s dtype, for the roots r of ``simple`` and then of
+    ``images``, ``descents[i]`` is u's left descent mask, and ``links`` is
+    ``(i, s, j)``, three arrays of links "s times row i of the previous
+    layer is row j" in (i, s) order (empty for e).  Rows are numbered in
+    order of their first link, as a breadth-first search would find them.
+    For s not a left descent, s*u is one longer; with ``keep`` = J it is in
+    W^J exactly when kept (else s*u = u*t, by Deodhar's lemma).  An element
+    is known by its images of the simple roots, and its left descents are
+    the s that lead to it from the layer below, since s*u stays kept when
+    l(s*u) < l(u).
+    """
+    n = len(sigma)
+    bits = 1 << np.arange(n)
+    rows = np.concatenate([simple, images]).astype(sigma.dtype)[None, :]
+    descents = np.zeros(1, dtype=np.intp)
+    links = (np.zeros(0, dtype=np.intp),) * 3
+    while True:
+        yield rows, descents, links
+        moved = sigma.take(rows, axis=1)  # [s, i]: s applied to each image of u_i
+        up = descents[:, None] & bits == 0  # [i, s]
+        if len(keep):
+            up &= np.logical_and.reduce(positive[moved[:, :, keep]], axis=2).T
+        i, s = np.divmod(np.flatnonzero(up), n)
+        if not len(i):
+            return
+        children = moved.reshape(-1, rows.shape[1]).take(s * len(rows) + i, axis=0)
+        rows, descents, j = _merge_equal(children, 1 << s, len(simple))
+        links = i, s, j
+
+
+def _merge_equal(rows, descents, k):
+    """The distinct ``rows[:, :k]`` in order of first occurrence, the
+    ``descents`` of each one's copies ORed, and for each input row the
+    index of its distinct row.
+
+    The rows' bytes, zero-padded to uint64 words, are sorted, and a first
+    copy is the minimum index of its run.  One word is sorted by numpy's
+    unstable argsort, several times faster than ``np.lexsort``, which
+    sorts two or more.
+    """
+    width = k * rows.itemsize
+    packed = np.zeros((len(rows), -(-width // 8) * 8), dtype=np.uint8)
+    packed[:, :width] = rows[:, :k].view(np.uint8)
+    words = packed.view(np.uint64)
+    new = np.empty(len(rows), dtype=bool)
+    new[0] = True
+    if words.shape[1] == 1:
+        words = words[:, 0]
+        order = words.argsort()
+        words = words.take(order)
+        np.not_equal(words[1:], words[:-1], out=new[1:])
+    else:
+        order = np.lexsort(words.T)
+        words = words.take(order, axis=0)
+        np.any(words[1:] != words[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    by_first = first.argsort()
+    rank = np.empty(len(starts), dtype=np.intp)
+    rank[by_first] = np.arange(len(starts))
+    where = np.empty(len(rows), dtype=np.intp)
+    where[order] = rank[new.cumsum() - 1]
+    merged = np.bitwise_or.reduceat(descents.take(order), starts)
+    return rows.take(first[by_first], axis=0), merged[by_first], where
+
+
 # ---------------------------------------------------------------------------
 # The group table
 
@@ -582,43 +655,6 @@ class GroupTable:
         return f"GroupTable({self.system.canonical_name}, order={self.order})"
 
 
-def _key_digits(system: CoxeterSystem) -> tuple[list[int], list[int]]:
-    """Per-generator ``(offset, radix)`` of the packed element key.
-
-    The key digit of generator t is the index of w(alpha_t) among the roots
-    of t's component: its root index minus ``offset[t]``, below ``radix[t]``,
-    the component's root count.  Components are numbered as in
-    :func:`_root_permutations`.
-    """
-    offset = [0] * system.rank
-    radix = [0] * system.rank
-    start = 0
-    for comp in system.components:
-        for v in comp.vertices:
-            offset[v] = start
-            radix[v] = comp.label.root_count
-        start += comp.label.root_count
-    return offset, radix
-
-
-def _unique_first(values: np.ndarray):
-    """``np.unique(values, return_index=True, return_inverse=True)``.
-
-    Takes the first index of each value as a minimum over its run, so the
-    sort need not be stable: numpy's unstable argsort is several times
-    faster on uint64 keys than the stable one ``np.unique`` uses.
-    """
-    perm = values.argsort()
-    ordered = values[perm]
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    where = np.empty(len(values), dtype=np.intp)
-    where[perm] = np.cumsum(new) - 1
-    return ordered[starts], np.minimum.reduceat(perm, starts), where
-
-
 def check_rank(rank: int) -> None:
     """Raise :class:`CapacityError` when ``rank`` exceeds :data:`MAX_RANK`."""
     if rank > MAX_RANK:
@@ -648,71 +684,36 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
     """Enumerate the group of ``system`` into a :class:`GroupTable`.
 
     Raises :class:`CapacityError` before enumerating when the rank exceeds
-    :data:`MAX_RANK`, the classified order exceeds ``budget`` (default
-    10**7 elements), or the packed element keys would not fit in 64 bits.
+    :data:`MAX_RANK` or the classified order exceeds ``budget`` (default
+    10**7 elements).
     """
     check_rank(system.rank)
     order = system.order
     check_budget(system.canonical_name, order, budget)
-    # Key bits are at most 2.69*log2|W| (the worst irreducible ratio, at
-    # A11), so within the default budget a key never needs over 62.5 bits.
-    offset, radix = _key_digits(system)
-    if math.prod(radix) >= 1 << 64:
-        raise CapacityError(
-            f"{system.canonical_name} needs {math.log2(math.prod(radix)):.1f}-bit "
-            "element keys, over the 64 bits of a packed key"
-        )
     n = system.rank
-    identity, sigma, _ = _root_permutations(system)
-    # digits[t][r, s] is the packed-key term of generator t when w(alpha_t)
-    # is root r and s*w takes it to sigma[s, r]; a component's roots stay in
-    # that component, so only its own rows are ever read.
-    place = [math.prod(radix[:t]) for t in range(n)]
-    digits = np.zeros((n, sigma.shape[1], n), dtype=np.uint64)
-    for t in range(n):
-        rows = slice(offset[t], offset[t] + radix[t])
-        digits[t, rows] = (sigma.T[rows] - offset[t]).astype(np.uint64) * np.uint64(place[t])
-
-    length = np.zeros(order, dtype=LENGTH_DTYPE)
+    identity, sigma, positive = _root_permutations(system)
+    length = np.empty(order, dtype=LENGTH_DTYPE)
     left = np.full((order, n), -1, dtype=np.int32)
-
-    # One length layer [start, end) at a time, with ``keys`` its keys in id
-    # order.  Each s*w lies one layer up or down, and s*(s*w) = w, so the
-    # entries pointing down were written while the layer below was done:
-    # the ones still -1 are the children in the next layer.
-    layers = [0, 1]
-    keys = np.array([identity], dtype=sigma.dtype)
-    start, end = 0, 1
-    while start < end:
-        cand = digits[0][keys[:, 0]]  # cand[w, s] is the packed key of s*w
-        for t in range(1, n):
-            cand += digits[t][keys[:, t]]
-        up = np.flatnonzero(left[start:end].ravel() < 0)  # in (w, s) order
-        fresh, first, where = _unique_first(cand.ravel()[up])
-        nxt = end + len(fresh)
+    des_left = np.empty(order, dtype=np.uint16)
+    # Layer by layer, the previous one holding ids [start, end): each link
+    # s*w = x gives both left[w, s] = x and left[x, s] = w.
+    layers = [0]
+    start = end = 0
+    for rows, descents, (i, s, j) in _layers(identity, sigma, positive):
+        nxt = end + len(rows)
         if nxt > order:
             raise InternalCheckError(f"closure exceeds classified order {order}")
-        # New ids follow first occurrence in (w, s) order, as a BFS would.
-        by_first = np.argsort(first)
-        ids = np.empty(len(fresh), dtype=np.int32)
-        ids[by_first] = np.arange(end, nxt, dtype=np.int32)
-        w, s, child = start + up // n, up % n, ids[where]
-        left[w, s] = child
-        left[child, s] = w
-        born = up[first[by_first]]
-        length[end:nxt] = length[start] + 1
-        keys = sigma[born[:, None] % n, keys[born // n]]
+        left[start + i, s] = end + j
+        left[end + j, s] = start + i
+        des_left[end:nxt] = descents
+        length[end:nxt] = len(layers) - 1
+        layers.append(nxt)
         start, end = end, nxt
-        layers.append(end)
     if end != order:
         raise InternalCheckError(
             f"closure found {end} elements, classified order is {order}"
         )
 
-    # Ids are weakly sorted by length, so s is a descent of w exactly when
-    # s*w (or w*s) has an id below the first id of w's layer.
-    floor = np.repeat(np.array(layers[:-1], dtype=np.int32), np.diff(layers))
-    des_left = _descent_masks(left, floor)
     # Each layer from the one below along the descent walk w = s*x:
     # w*t = s*(x*t) and w^-1 = x^-1*s.
     letter, shorter = _descent_walk(length, left, des_left)
@@ -723,6 +724,9 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         s, x = letter[a:b], shorter[a:b]
         right[a:b] = left[right[x], s[:, None]]
         inverse[a:b] = right[inverse[x], s]
+    # Ids are weakly sorted by length, so s is a right descent of w exactly
+    # when w*s has an id below the first id of w's layer.
+    floor = np.repeat(np.array(layers[:-1], dtype=np.int32), np.diff(layers))
     des_right = _descent_masks(right, floor)
 
     if length[-2] == length[-1]:  # ids are sorted by length, so w0 is the last

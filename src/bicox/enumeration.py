@@ -37,6 +37,7 @@ from .coxeter import (
     DEFAULT_BUDGET,
     CoxeterSystem,
     GroupTable,
+    _layers,
     _root_permutations,
     check_budget,
     check_rank,
@@ -289,51 +290,13 @@ def factorize(system: CoxeterSystem, admit=_within_default_budget) -> Factorizat
     return Factorization(system, tuple(factors))
 
 
-def _layers(simple, sigma, positive, keep, images):
-    """One length layer at a time from e, the u in the group that the rows
-    of ``sigma`` generate with u(alpha_t) > 0 for every t in ``keep``.
-
-    ``simple`` holds each row's simple root, and ``keep`` indexes it.
-    Yields ``(rows, descents)``: ``rows[i]`` holds u(r), in ``sigma``'s
-    dtype, for the roots r of ``simple`` and then of ``images``, and
-    ``descents[i]`` is u's left descent mask.  For s not a left descent,
-    s*u is one longer; with ``keep`` = J it is in W^J exactly when kept
-    (else s*u = u*t, by Deodhar's lemma).  An element is known by its
-    images of the simple roots, and its left descents are the s that lead
-    to it from the layer below, since s*u stays kept when l(s*u) < l(u).
-    """
-    bits = 1 << np.arange(len(sigma))[:, None]
-    rows = np.concatenate([simple, images]).astype(sigma.dtype)[None, :]
-    descents = np.zeros(1, dtype=np.intp)
-    while len(rows):
-        yield rows, descents
-        moved = sigma[:, rows]  # [s, i]: s applied to each image of u_i
-        up = (descents & bits == 0) & np.logical_and.reduce(positive[moved[:, :, keep]], axis=2)
-        s, i = up.nonzero()
-        rows, descents = moved[s, i], 1 << s
-        if len(rows) > 1:
-            rows, descents = _merge_equal(rows, descents, len(simple))
-
-
-def _merge_equal(rows, descents, k):
-    """One row per distinct ``rows[:, :k]``, with the ``descents`` of its
-    copies ORed: the rows' bytes, zero-padded to uint64 words, are sorted."""
-    width = k * rows.itemsize
-    packed = np.zeros((len(rows), -(-width // 8) * 8), dtype=np.uint8)
-    packed[:, :width] = rows[:, :k].view(np.uint8)
-    order = np.lexsort(packed.view(np.uint64).T)
-    words = packed.view(np.uint64)[order]
-    starts = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
-    return rows[order[starts]], np.bitwise_or.reduceat(descents[order], starts)
-
-
 def _runs(layers, size):
     """The ``(rows, descents)`` of ``layers`` joined into runs of at least
     ``size`` rows, and what is left as the last run."""
     held, count = [], 0
-    for layer in layers:
-        held.append(layer)
-        count += len(layer[1])
+    for rows, descents, _ in layers:
+        held.append((rows, descents))
+        count += len(descents)
         if count >= size:
             yield tuple(map(np.concatenate, zip(*held)))
             held, count = [], 0
@@ -350,11 +313,12 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
     u(v(alpha_d)) < 0.  Left descents follow Deodhar's lemma on
     beta = u^-1(alpha_s): s is one when beta < 0, exactly when t is one of
     v when beta = alpha_t with t in J, and never otherwise (Geck-Pfeiffer,
-    *Characters of Finite Coxeter Groups*, 2.1).  So :func:`_layers`, over
-    one root closure, walks W_J into its distinct (Des_L(v), v(alpha_d),
-    Des_R(v)) and their counts, and then W^J; each coset is a gather over
-    those kinds, through a 2^(k-1) lookup from Des_L(v), and a batch of
-    cosets is one bincount.  W_J's layer sizes must be the Poincare
+    *Characters of Finite Coxeter Groups*, 2.1).  So
+    :func:`bicox.coxeter._layers`, the closure that also builds every group
+    table, walks W_J over one root closure into its distinct (Des_L(v),
+    v(alpha_d), Des_R(v)) and their counts, and then W^J; each coset is a
+    gather over those kinds, through a 2^(k-1) lookup from Des_L(v), and a
+    batch of cosets is one bincount.  W_J's layer sizes must be the Poincare
     coefficients of its degrees, and |W^J| * |W_J| must be |W|.
     """
     system, d = factor.system, factor.node
@@ -367,7 +331,7 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
     sizes = poincare_coefficients(sub.components if sub else ()).tolist()
     # W_J as its distinct (Des_L(v), v(alpha_d), Des_R(v)) and their counts.
     seen, found = [], []
-    for images, descents in _layers(simple[rest], sigma[rest], positive, [], simple[d : d + 1]):
+    for images, descents, _ in _layers(simple[rest], sigma[rest], positive, (), simple[d : d + 1]):
         seen.append(len(images))
         if seen != sizes[: len(seen)]:
             break

@@ -15,8 +15,7 @@ from bicox.cache import VERSION, load_table, save_table, serialize
 from bicox.coxeter import (
     CoxeterMatrix,
     GroupTable,
-    _key_digits,
-    _unique_first,
+    _merge_equal,
     _validate,
     build_group,
     classify,
@@ -356,7 +355,8 @@ def test_capacity_budget():
 
 # SHA-256 of cache.serialize(build_group(spec)), recorded from the per-element
 # dict BFS that the length-layered closure replaced: ids, arrays and blobs are
-# unchanged.
+# unchanged.  The last two were recorded from the packed uint64 keys that
+# the shared closure, coxeter._layers, replaced.
 GOLDEN_DIGESTS = {
     "A1": "7d1416701f487915bb876261c4a5318a8582fa0eb072f509244be1e20327f047",
     "A3": "3c8a514c94dbba51a7f231134d6fedadca40d3b6f423473d84804b5e7900b0f4",
@@ -373,6 +373,10 @@ GOLDEN_DIGESTS = {
     "H3xI2(7)xA3": "bc031484fe7762d84e464e504746e4187869c32409e249c6f6289730f1b8ce16",
     "E6": "dc64e41ea816efffddca659ad8c1627a8a882659c83e190cc8959b6e82644601",
     "I2(9)xH3xA3": "f7e23db9eed66ef34dc9a7de460a57d5dc2854ce5413947765f587b5ef8395d4",
+    # Rank 9: the closure's keys take two uint64 words.
+    "A3xA3xA3": "dbe4567469dee20af9f11cb45df511497a4b7e220fa496481dd0c827d77e3df5",
+    # 412 roots: sigma is uint16.
+    "I2(200)xA3": "4b719c5319198934e7a8f88be281e0818bcbbe769b7813c255ae1137d16ff620",
 }
 
 
@@ -414,7 +418,7 @@ def descents_by_length(table, mult):
 
 
 # A3xA3xA3 has rank 9, so its masks need the second packed byte.
-@pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS) + ["A3xA3xA3"])
+@pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
 def test_descents_match_lengths(spec, tables):
     table = tables(spec)
     for mult, masks in ((table.left_mult, table.des_left), (table.right_mult, table.des_right)):
@@ -439,32 +443,64 @@ def test_golden_groups_pass_the_degree_clause(spec, tables):
     _validate(tables(spec))
 
 
-def test_key_capacity_refused_before_enumerating(monkeypatch):
-    """A8xA4 (43.5M elements) needs 66.6-bit packed keys."""
+def test_a_wide_group_is_refused_by_the_budget_alone(monkeypatch):
+    """A8xA4 (43,545,600 elements) has no key-width limit: over the default
+    budget it is refused by that budget, and with a larger one it reaches
+    the root closure."""
+
+    class Enumerating(Exception):
+        pass
 
     def enumerate_roots(system):
-        raise AssertionError("started enumerating")
+        raise Enumerating
 
     monkeypatch.setattr(coxeter, "_root_permutations", enumerate_roots)
-    with pytest.raises(CapacityError, match="66.6-bit"):
+    refused = "^A8xA4 has 43545600 elements, over the budget of 10000000$"
+    with pytest.raises(CapacityError, match=refused):
+        build("A8xA4")
+    with pytest.raises(Enumerating):
         build("A8xA4", budget=10**8)
 
 
-@pytest.mark.parametrize("spec", DEGREE_SPECS)
-def test_degree_specs_fit_the_key(spec):
-    system = classify_spec(spec)
-    bits = math.log2(math.prod(_key_digits(system)[1]))
-    assert bits < 64
-    assert bits <= 2.69 * math.log2(system.order)  # the bound the budget relies on
+def merge_reference(rows, descents, k):
+    """What ``_merge_equal`` returns, by a dict over the rows' first k entries."""
+    index, firsts, merged, where = {}, [], [], []
+    for row, mask in zip(rows.tolist(), descents.tolist()):
+        key = tuple(row[:k])
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(row)
+            merged.append(0)
+        merged[index[key]] |= mask
+        where.append(index[key])
+    return firsts, merged, where
 
 
-def test_unique_first_matches_numpy():
-    rng = np.random.default_rng(7)
-    for size, high in ((1, 5), (60, 8), (2000, 300), (2000, 2**64 - 1)):
-        values = rng.integers(0, high, size, dtype=np.uint64)
-        want = np.unique(values, return_index=True, return_inverse=True)
-        for got, expected in zip(_unique_first(values), want):
-            assert np.array_equal(got, expected.ravel())
+# Keys of 3, 8 and 8 bytes take one uint64 word; 11, 10 and 18 bytes take more.
+@pytest.mark.parametrize(
+    "dtype, k",
+    [(np.uint8, 3), (np.uint8, 8), (np.uint16, 4), (np.uint8, 11), (np.uint16, 5), (np.uint16, 9)],
+)
+def test_merge_equal_matches_dict_reference(dtype, k):
+    """Distinct rows in order of first occurrence, each the whole row of its
+    first copy, with the copies' descents ORed and every input row's index."""
+    rng = np.random.default_rng(k)
+    top = np.iinfo(dtype).max
+    for size in (1, 2, 60, 3000):
+        # Few distinct keys, so rows repeat; the two extra columns are not
+        # part of the key and differ between copies.
+        keys = rng.integers(0, top, (max(1, size // 4), k), dtype=dtype, endpoint=True)
+        rows = np.hstack([
+            keys[rng.integers(0, len(keys), size)],
+            rng.integers(0, top, (size, 2), dtype=dtype, endpoint=True),
+        ])
+        descents = rng.integers(0, 1 << 16, size)
+        got_rows, got_descents, got_where = _merge_equal(rows, descents, k)
+        want_rows, want_descents, want_where = merge_reference(rows, descents, k)
+        assert got_rows.dtype == dtype
+        assert got_rows.tolist() == want_rows
+        assert got_descents.tolist() == want_descents
+        assert got_where.tolist() == want_where
 
 
 def relabeled(table, new_to_old, length):

@@ -133,25 +133,43 @@ def test_tables_builds_no_table(spec, no_tables, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("corrupt", ["drop", "repeat"])
-def test_a_corrupt_parabolic_layer_fails_the_poincare_check(corrupt, monkeypatch):
-    """Dropping or repeating one child of one layer of W_J (D5 in E6) is
-    caught by the layer sizes from W_J's classified degrees."""
-    real = bicox.enumeration._merge_equal
+def corrupting(corrupt, chosen):
+    """``_merge_equal`` that drops or repeats the first child of the first
+    layer for which ``chosen(k, rows)`` holds, and the list it records it in."""
+    real = bicox.coxeter._merge_equal
     done = []
 
     def corrupted(rows, descents, k):
-        rows, descents = real(rows, descents, k)
-        if k == 5 and not done:  # the walk of D5; the one of W^J has k = 6
+        rows, descents, where = real(rows, descents, k)
+        if chosen(k, rows) and not done:
             done.append(len(rows))
-            keep = slice(1, None) if corrupt == "drop" else np.r_[0, 0 : len(rows)]
+            if corrupt == "drop":  # links to the dropped child go astray
+                keep, where = slice(1, None), where - 1
+            else:
+                keep, where = np.r_[0, 0 : len(rows)], where + 1
             rows, descents = rows[keep], descents[keep]
-        return rows, descents
+        return rows, descents, where
 
-    monkeypatch.setattr(bicox.enumeration, "_merge_equal", corrupted)
+    return corrupted, done
+
+
+@pytest.mark.parametrize("corrupt", ["drop", "repeat"])
+def test_a_corrupt_parabolic_layer_fails_the_poincare_check(corrupt, monkeypatch):
+    """Dropping or repeating one child of one layer of W_J (D5 in E6) is
+    caught by the layer sizes from W_J's classified degrees, and one of a
+    layer of A3 by ``build_group``'s closure size."""
+    # The walk of D5 has k = 5; the one of W^J has k = 6.
+    corrupted, done = corrupting(corrupt, lambda k, rows: k == 5)
+    monkeypatch.setattr(bicox.coxeter, "_merge_equal", corrupted)
     with pytest.raises(InternalCheckError, match="its degrees give"):
         factor_census(ParabolicFactor(classify_spec("E6"), 0))
     assert done
+
+    corrupted, done = corrupting(corrupt, lambda k, rows: len(rows) > 1)
+    monkeypatch.setattr(bicox.coxeter, "_merge_equal", corrupted)
+    with pytest.raises(InternalCheckError, match="closure (found|exceeds)"):
+        bicox.coxeter.build_group(classify_spec("A3"))
+    assert done == [3]
 
 
 @pytest.mark.parametrize(
