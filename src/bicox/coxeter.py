@@ -465,7 +465,7 @@ def _root_permutations(system: CoxeterSystem):
     m = system.matrix.entries
     n = system.rank
     identity = [0] * n
-    sigma: list[list[int]] = [[] for _ in range(n)]
+    blocks = []  # (generators, first root, their rows of sigma there)
     positive: list[bool] = []
     offset = 0
     for comp in system.components:
@@ -483,17 +483,22 @@ def _root_permutations(system: CoxeterSystem):
         else:
             # A vector is a flat tuple (a_0, b_0, a_1, b_1, ...) of
             # coordinates a_i + b_i*phi in the simple roots; phi^2 = phi + 1.
+            # Row i of the Cartan matrix is nonzero at i and its neighbours.
             form = [
-                [(2, 0) if i == j else _CARTAN[m[verts[i]][verts[j]]][i > j] for j in range(k)]
+                [(j, 2, 0) if i == j else (j, *_CARTAN[m[verts[i]][verts[j]]][i > j])
+                 for j in range(k) if i == j or m[verts[i]][verts[j]] != 2]
                 for i in range(k)
             ]
 
             def reflect(i, vec):
+                """s_i(vec), or None when s_i fixes vec."""
                 da = db = 0
-                for j, (ka, kb) in enumerate(form[i]):
+                for j, ka, kb in form[i]:
                     va, vb = vec[2 * j], vec[2 * j + 1]
                     da += ka * va + kb * vb
                     db += ka * vb + kb * va + kb * vb
+                if not (da or db):
+                    return None
                 out = list(vec)
                 out[2 * i] -= da
                 out[2 * i + 1] -= db
@@ -501,15 +506,20 @@ def _root_permutations(system: CoxeterSystem):
 
             roots = [tuple(int(x == 2 * i) for x in range(2 * k)) for i in range(k)]
             index = {vec: r for r, vec in enumerate(roots)}
-            for vec in roots:  # grows while iterating: a breadth-first closure
-                for i in range(k):
+            local = [[] for _ in range(k)]
+            # roots grows while it is read: a breadth-first closure.
+            for r, vec in enumerate(roots):
+                for i, row in enumerate(local):
                     img = reflect(i, vec)
-                    if img not in index:
-                        index[img] = len(roots)
+                    if img is None:
+                        row.append(r)
+                        continue
+                    new = index.setdefault(img, len(roots))
+                    if new == len(roots):
                         roots.append(img)
+                    row.append(new)
             count = len(roots)
             simple = list(range(k))
-            local = [[index[reflect(i, vec)] for vec in roots] for i in range(k)]
             # A root's coordinates share one sign, so their sum has it too.
             phi = (1 + math.sqrt(5)) / 2
             positive.extend(sum(vec[0::2]) + phi * sum(vec[1::2]) > 0 for vec in roots)
@@ -520,15 +530,12 @@ def _root_permutations(system: CoxeterSystem):
             )
         for i, v in enumerate(verts):
             identity[v] = offset + simple[i]
-        for s in range(n):
-            row = local[verts.index(s)] if s in verts else range(count)
-            sigma[s].extend(offset + r for r in row)
+        blocks.append((verts, offset, local))
         offset += count
-    return (
-        tuple(identity),
-        np.array(sigma, dtype=np.min_scalar_type(offset - 1)),
-        np.array(positive, dtype=bool),
-    )
+    sigma = np.tile(np.arange(offset, dtype=np.min_scalar_type(offset - 1)), (n, 1))
+    for verts, start, local in blocks:
+        sigma[verts, start : start + len(local[0])] = np.array(local) + start
+    return tuple(identity), sigma, np.array(positive, dtype=bool)
 
 
 def _layers(simple, sigma, positive, keep=(), images=()):
@@ -756,7 +763,7 @@ def _descent_masks(mult: np.ndarray, floor: np.ndarray) -> np.ndarray:
 
 
 def _validate(table: GroupTable) -> None:
-    ar = np.arange(table.order)
+    ar = np.arange(table.order, dtype=np.int32)  # the dtype of the ids it is compared with
     length = table.length
     for s in range(table.rank):
         if not np.array_equal(table.left_mult[table.left_mult[:, s], s], ar):

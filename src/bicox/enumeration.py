@@ -21,9 +21,10 @@ coefficients in the basis
 
     (xy)^a (x+y)^b (1+xy)^(n-2a-b),   0 <= 2a + b <= n.
 
-The same census can be counted without any table, by walking one maximal
-parabolic subgroup and its cosets per component (:func:`factorize` and
-:func:`factor_census`); that is how the CLI gets the Eulerian matrix.
+The Eulerian matrix can also be counted without any table or subset-level
+census, by walking one maximal parabolic subgroup and its cosets per
+component (:func:`factorize` and :func:`factor_eulerian`); that is how the
+CLI gets it.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ def two_sided_eulerian(group: GroupTable | Factorization) -> Table2D:
 
     A :class:`GroupTable` is counted element by element.  A
     :class:`Factorization` is counted one component at a time by
-    :func:`factor_census`; the matrix of a product is the 2D convolution of
-    its components' matrices, taken in Python ints.
+    :func:`factor_eulerian`, with no subset-level census; the matrix of a
+    product is the 2D convolution of its components' matrices, taken in
+    Python ints.
     """
     if isinstance(group, GroupTable):
         n = group.rank
@@ -162,8 +164,7 @@ def two_sided_eulerian(group: GroupTable | Factorization) -> Table2D:
         return np.bincount(joint, minlength=(n + 1) ** 2).reshape(n + 1, n + 1).tolist()
     total = np.ones((1, 1), dtype=object)
     for factor in group.factors:
-        sizes = _by_size(factor.system.rank)
-        part = (sizes @ factor_census(factor) @ sizes.T).astype(object)
+        part = factor_eulerian(factor).astype(object)
         grown = np.zeros((len(total) + len(part) - 1,) * 2, dtype=object)
         for (i, j), count in np.ndenumerate(total):
             grown[i : i + len(part), j : j + len(part)] += count * part
@@ -218,7 +219,7 @@ class ParabolicFactor:
     Every w is uniquely u*v with u in W^J (no right descent in J) and v in
     W_J, and l(w) = l(u) + l(v) (Bjorner-Brenti, *Combinatorics of Coxeter
     Groups*, 2.4).  ``system`` is the irreducible group alone, generators
-    numbered 0..k-1.  :func:`factor_census` walks both W_J and W^J over
+    numbered 0..k-1.  :func:`factor_eulerian` walks both W_J and W^J over
     W's roots; no table is built.
     """
 
@@ -249,9 +250,10 @@ def cheapest_node(system: CoxeterSystem) -> int:
 
     It minimizes |W_J| (the elements to walk) plus |W^J| * 2^(k-1) (one
     left-descent lookup per coset), from the classified orders alone;
-    ties go to the lowest node.  Each coset also gathers and counts W_J's
-    distinct descent kinds (at most |W_J|, 67,696 for E8 over D7); the
-    model leaves that term out, since only the walk of W_J finds them.
+    ties go to the lowest node.  Each coset also counts one key per cell
+    (Des_L(v), v(alpha_d)) of W_J (at most |W_J|, 972 for E8 over D7,
+    whose W_J has 322,560 elements); the model leaves that term out, since
+    only the walk of W_J finds the cells.
     """
     k = system.rank
 
@@ -304,21 +306,28 @@ def _runs(layers, size):
         yield tuple(map(np.concatenate, zip(*held)))
 
 
-def factor_census(factor: ParabolicFactor) -> np.ndarray:
-    """The 2^k x 2^k census of (Des_L, Des_R) over W, as :func:`_census`
-    counts it from W's table, summed one coset u of W^J at a time.
+def factor_eulerian(factor: ParabolicFactor) -> np.ndarray:
+    """The (k+1) x (k+1) int64 matrix of (|Des_L|, |Des_R|) over W, as
+    :func:`two_sided_eulerian` counts it from W's table, summed one coset u
+    of W^J at a time.
 
     For w = u*v: t in J is a right descent of w exactly when of v, since u
     keeps the positive roots of W_J positive; d is one exactly when
     u(v(alpha_d)) < 0.  Left descents follow Deodhar's lemma on
     beta = u^-1(alpha_s): s is one when beta < 0, exactly when t is one of
     v when beta = alpha_t with t in J, and never otherwise (Geck-Pfeiffer,
-    *Characters of Finite Coxeter Groups*, 2.1).  So
+    *Characters of Finite Coxeter Groups*, 2.1).  So |Des_L(w)| is
+    |Des_L(u)| + |Des_L(v) & T_u|, where T_u holds the t in J with u(alpha_t)
+    simple, and the two parts never overlap.  Hence v matters only through
+    its cell (Des_L(v), v(alpha_d)) and |Des_R(v)|:
     :func:`bicox.coxeter._layers`, the closure that also builds every group
-    table, walks W_J over one root closure into its distinct (Des_L(v),
-    v(alpha_d), Des_R(v)) and their counts, and then W^J; each coset is a
-    gather over those kinds, through a 2^(k-1) lookup from Des_L(v), and a
-    batch of cosets is one bincount.  W_J's layer sizes must be the Poincare
+    table, walks W_J over one root closure into counts C[cell, |Des_R(v)|],
+    and then W^J.  Each coset gives one key (left count, d bit, cell) per
+    cell, a batch of cosets is one bincount into G, and the matrix is
+    G[:, 0] @ C plus G[:, 1] @ C one column to the right, all in int64:
+    every partial sum is at most |W|, which is under 2^61 for B16, the
+    largest irreducible group of rank 3 to 16, and 2m for I2(m), whose 2m
+    roots are held in memory.  W_J's layer sizes must be the Poincare
     coefficients of its degrees, and |W^J| * |W_J| must be |W|.
     """
     system, d = factor.system, factor.node
@@ -326,52 +335,67 @@ def factor_census(factor: ParabolicFactor) -> np.ndarray:
     simple, sigma, positive = _root_permutations(system)
     simple = np.array(simple)
     rest = np.delete(np.arange(k), d)
-    bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1  # bit j: rest[j]
+    pop = popcount_table(k).astype(np.intp)
     sub = _maximal_parabolic(system, d)
     sizes = poincare_coefficients(sub.components if sub else ()).tolist()
-    # W_J as its distinct (Des_L(v), v(alpha_d), Des_R(v)) and their counts.
-    seen, found = [], []
-    for images, descents, _ in _layers(simple[rest], sigma[rest], positive, (), simple[d : d + 1]):
-        seen.append(len(images))
-        if seen != sizes[: len(seen)]:
-            break
-        des_right = ~positive[images[:, :-1]] @ (1 << np.arange(k - 1))
-        kind = (descents * len(positive) + images[:, -1]) << (k - 1) | des_right
+    seen = []
+
+    def checked(layers):  # W_J's layers while their sizes are the Poincare ones
+        for layer in layers:
+            seen.append(len(layer[1]))
+            if seen != sizes[: len(seen)]:
+                return
+            yield layer
+
+    # W_J as its distinct (Des_L(v), v(alpha_d), |Des_R(v)|) and their counts,
+    # folded every 2^16 elements or more.
+    found = []
+    walk = _layers(simple[rest], sigma[rest], positive, (), simple[d : d + 1])
+    for images, descents in _runs(checked(walk), 1 << 16):
+        right = np.count_nonzero(~positive[images[:, :-1]], axis=1)
+        kind = (descents * len(positive) + images[:, -1]) * k + right
         found.append(np.unique(kind, return_counts=True))
     if seen != sizes:
         raise InternalCheckError(f"W_J has {seen} elements by length, its degrees give {sizes}")
-    kinds, where = np.unique(np.concatenate([kinds for kinds, _ in found]), return_inverse=True)
-    counts = np.bincount(where, weights=np.concatenate([counts for _, counts in found]))
-    cell = kinds >> (k - 1)
-    orbit, at = np.unique(cell % len(positive), return_inverse=True)
-    cell = cell // len(positive) * len(orbit) + at
-    right = (bits << rest).sum(axis=1)[kinds & (len(bits) - 1)]  # in W's numbering
+    kinds, counts = map(np.concatenate, zip(*found))
+    cells, cell = np.unique(kinds // k, return_inverse=True)
+    by_cell = np.zeros((len(cells), k), dtype=np.int64)  # C
+    np.add.at(by_cell, (cell, kinds % k), counts)
+    # Each cell picks one column of two small per-coset tables: of lefts by
+    # its Des_L(v), and of highs by its point of the orbit of alpha_d.
+    masks, mask_at = np.unique(cells // len(positive), return_inverse=True)
+    orbit, orbit_at = np.unique(cells % len(positive), return_inverse=True)
+    is_simple = np.zeros(len(positive), dtype=bool)
+    is_simple[simple] = True
+    width = len(cells)
+    cell_keys = np.arange(width)
     order, order_j, cosets = system.order, sum(sizes), 0
-    # Counts are whole numbers summing to |W| < 2^53: exact in float64.
-    census = np.zeros(1 << 2 * k)
-    # Cosets per bincount: enough that the keys outnumber the census cells,
-    # so adding the census-sized result costs no more than the keys do, and
-    # at least 4096 keys, so that short layers share the per-call cost.
-    batch = -(-max(len(census), 4096) // len(kinds))
-    weights = np.tile(counts, batch)
+    by_coset = np.zeros(2 * (k + 1) * width, dtype=np.int64)  # G
+    # Cosets per bincount: at least 2(k+1), so the keys outnumber G's cells,
+    # and enough for about 2^18 keys, so that short layers share the
+    # per-call cost.
+    batch = max(2 * (k + 1), (1 << 18) // width)
     for coset_images, descents in _runs(_layers(simple, sigma, positive, rest, orbit), batch):
         cosets += len(descents)
         if cosets * order_j > order:
             break
-        # moves[i, j]: the bit of s with u_i(alpha_rest[j]) = alpha_s, or 0.
-        moves = ((coset_images[:, rest, None] == simple) << np.arange(k)).sum(axis=2)
-        lefts = (descents[:, None] | moves @ bits.T) << k
-        highs = (~positive[coset_images[:, k:]]).astype(np.intp) << d  # d in Des_R(u*v)
+        moves = is_simple[coset_images[:, rest]] @ (1 << np.arange(k - 1))  # T_u, bit j: rest[j]
+        lefts = (pop[descents, None] + pop[masks & moves[:, None]]) * (2 * width)
+        highs = (~positive[coset_images[:, k:]]) * width  # d in Des_R(u*v)
         for a in range(0, len(lefts), batch):
-            left, high = lefts[a : a + batch], highs[a : a + batch]
-            lookup = (left[:, :, None] + high[:, None, :]).reshape(len(left), -1)
-            keys = (np.take(lookup, cell, axis=1) + right).ravel()
-            census += np.bincount(keys, weights=weights[: len(keys)], minlength=len(census))
+            keys = lefts[a : a + batch].take(mask_at, axis=1)
+            keys += highs[a : a + batch].take(orbit_at, axis=1)
+            keys += cell_keys
+            by_coset += np.bincount(keys.ravel(), minlength=len(by_coset))
     if cosets * order_j != order:
         raise InternalCheckError(
             f"{cosets} cosets of {order_j} elements, classified order {order}"
         )
-    return census.astype(np.int64).reshape(1 << k, 1 << k)
+    by_coset = by_coset.reshape(k + 1, 2, width)
+    out = np.zeros((k + 1, k + 1), dtype=np.int64)
+    out[:, :k] = by_coset[:, 0] @ by_cell
+    out[:, 1:] += by_coset[:, 1] @ by_cell
+    return out
 
 
 # ---------------------------------------------------------------------------

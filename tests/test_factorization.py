@@ -1,8 +1,9 @@
-"""The census by parabolic factorization, against the table census and
-against the one-sided Eulerian numbers from the classified orders alone.
+"""The Eulerian matrix by parabolic factorization, against the one a group
+table gives and against the one-sided Eulerian numbers from the classified
+orders alone.
 
-The rank-8 exceptional group is opt-in: set RUN_E8=1 (about 9 s and
-140 MB on two cores, most of it for the route through E7's 2,903,040
+The rank-8 exceptional group is opt-in: set RUN_E8=1 (about 5 s and
+120 MB on two cores, most of it for the route through E7's 2,903,040
 elements).
 """
 
@@ -25,10 +26,9 @@ from bicox.coxeter import CoxeterMatrix, classify, classify_spec, parabolic
 from bicox.enumeration import (
     Factorization,
     ParabolicFactor,
-    _census,
     cheapest_node,
     eulerian_symmetric,
-    factor_census,
+    factor_eulerian,
     factorize,
     gamma_expansion,
     two_sided_eulerian,
@@ -46,48 +46,37 @@ def components(system):
     return [parabolic(system, sorted(comp.vertices)) for comp in system.components]
 
 
-def product_census(censuses):
-    """The census of a product whose components hold consecutive generators,
-    the first the lowest: a descent set is the union of the components' sets."""
-    out = np.ones((1, 1), dtype=np.int64)
-    for census in censuses:
-        out = np.kron(census, out)
-    return out
-
-
 def one_node(system, node):
     """The group of the irreducible ``system`` through its split at ``node``."""
     return Factorization(system, (ParabolicFactor(system, node),))
 
 
-# --- the table census as the oracle --------------------------------------------
+# --- the table's matrix as the oracle ---------------------------------------------
 
 
 @pytest.mark.parametrize("spec", GOLDEN_UP_TO_RANK_6)
 def test_every_node_matches_table_census(spec, tables):
     system = classify_spec(spec)
-    expected = _census(tables(spec))
+    expected = two_sided_eulerian(tables(spec))
     for node in range(system.rank):
-        got = factor_census(ParabolicFactor(system, node))
-        assert np.array_equal(got, expected), (spec, node)
+        got = factor_eulerian(ParabolicFactor(system, node))
+        assert got.dtype == np.int64
+        assert got.tolist() == expected, (spec, node)
 
 
 @pytest.mark.parametrize("spec", PRODUCTS)
 def test_every_node_of_a_product_matches_table_census(spec, tables):
     system = classify_spec(spec)
-    assert all(
-        sorted(comp.vertices) == list(range(min(comp.vertices), max(comp.vertices) + 1))
-        for comp in system.components
-    )
-    expected = _census(tables(spec))
+    expected = two_sided_eulerian(tables(spec))
     parts = components(system)
-    chosen = [factor_census(ParabolicFactor(p, cheapest_node(p))) for p in parts]
+    chosen = [ParabolicFactor(p, cheapest_node(p)) for p in parts]
     for i, part in enumerate(parts):
         for node in range(part.rank):
-            censuses = list(chosen)
-            censuses[i] = factor_census(ParabolicFactor(part, node))
-            assert np.array_equal(product_census(censuses), expected), (spec, i, node)
-    assert two_sided_eulerian(factorize(system)) == two_sided_eulerian(tables(spec))
+            factors = list(chosen)
+            factors[i] = ParabolicFactor(part, node)
+            got = two_sided_eulerian(Factorization(system, tuple(factors)))
+            assert got == expected, (spec, i, node)
+    assert two_sided_eulerian(factorize(system)) == expected
 
 
 @pytest.fixture
@@ -162,7 +151,7 @@ def test_a_corrupt_parabolic_layer_fails_the_poincare_check(corrupt, monkeypatch
     corrupted, done = corrupting(corrupt, lambda k, rows: k == 5)
     monkeypatch.setattr(bicox.coxeter, "_merge_equal", corrupted)
     with pytest.raises(InternalCheckError, match="its degrees give"):
-        factor_census(ParabolicFactor(classify_spec("E6"), 0))
+        factor_eulerian(ParabolicFactor(classify_spec("E6"), 0))
     assert done
 
     corrupted, done = corrupting(corrupt, lambda k, rows: len(rows) > 1)
@@ -170,6 +159,26 @@ def test_a_corrupt_parabolic_layer_fails_the_poincare_check(corrupt, monkeypatch
     with pytest.raises(InternalCheckError, match="closure (found|exceeds)"):
         bicox.coxeter.build_group(classify_spec("A3"))
     assert done == [3]
+
+
+@pytest.mark.parametrize("corrupt", ["drop", "repeat", "forget"])
+def test_a_corrupt_coset_walk_fails_the_coset_count(corrupt, monkeypatch):
+    """Dropping or repeating one coset of W^J (E6 over D5, 27 cosets) is
+    caught by |W^J| * |W_J| = |W|.  Forgetting every coset's left descents
+    lets s*u walk back down as well as up, so the layers never end; the
+    walk stops once it passes |W| / |W_J| cosets."""
+    if corrupt == "forget":
+        real = bicox.coxeter._merge_equal
+
+        def corrupted(rows, descents, k):
+            rows, descents, where = real(rows, descents, k)
+            return rows, descents * (k != 6), where
+
+    else:
+        corrupted, _ = corrupting(corrupt, lambda k, rows: k == 6)
+    monkeypatch.setattr(bicox.coxeter, "_merge_equal", corrupted)
+    with pytest.raises(InternalCheckError, match="cosets of 1920 elements, classified order 51840"):
+        factor_eulerian(ParabolicFactor(classify_spec("E6"), 0))
 
 
 @pytest.mark.parametrize(
