@@ -18,7 +18,7 @@ import io
 import json
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -349,7 +349,10 @@ def positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse fills a fresh
+    namespace, so one call's options never reach the next."""
     parser = argparse.ArgumentParser(
         prog="bicox",
         description="Finite Coxeter groups and their two-sided Coxeter complexes.",
@@ -390,8 +393,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     if args.cache_dir is None:
         args.cache_dir = default_cache_dir()
     try:

@@ -19,6 +19,9 @@ flat position in ``reps`` reshaped to (4^n, |W|), and the complex is the
 ascending array of the positions where w is minimal.  :class:`Face` tuples
 come only from :meth:`TwoSidedComplex.as_faces`, and the covers of packed
 faces are one array of table gathers, :meth:`TwoSidedComplex.covers`.
+Every gather over ``reps`` is a flat ``take`` on the raveled table, row X
+starting at X * |W|; the whole-table ones run over blocks of rows
+(:func:`~bicox.cosets.blocks`), so no index array is the size of the table.
 
 Besides construction this module carries the verification suite: boolean
 lower intervals, balanced coloring, interval partition, weak-order
@@ -42,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coxeter import GroupTable, descent_walk, popcount_table
-from .cosets import coset_labels, minimal_rep_table
+from .cosets import blocks, coset_labels, minimal_rep_table
 from .errors import CapacityError, InternalCheckError
 
 FACE_BUDGET = 500_000  # most faces a complex is built with
@@ -136,11 +139,10 @@ class TwoSidedComplex:
         index, left indices first and then right ones; -1 where the index
         is already in I or J."""
         n, order = self.rank, self.table.order
-        flat = self.reps.reshape(1 << 2 * n, -1)
         x, w = np.divmod(packed[:, None], order)
         bits = 1 << (np.arange(2 * n) + n) % (2 * n)  # I is the high half of X
-        below = x | bits
-        return np.where(x & bits, -1, below * order + flat[below, w])
+        below = (x | bits) * order
+        return np.where(x & bits, -1, below + self.reps.ravel().take(below + w))
 
     def cover_edges(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(low, high): positions in ``packed`` of every cover with both ends
@@ -158,13 +160,17 @@ class TwoSidedComplex:
 # Structural verification
 
 
+def _free(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(free_l, free_r): [mask, w] whether Des_L(w), resp. Des_R(w), misses the mask."""
+    masks = np.arange(table.full_mask + 1)[:, None]
+    return (table.des_left & masks) == 0, (table.des_right & masks) == 0
+
+
 def _minimal(table: GroupTable) -> np.ndarray:
     """[X, w] for packed index pairs X = I << n | J: whether w is the minimal
     representative of W_I w W_J, from the descent sets."""
-    masks = np.arange(table.full_mask + 1)
-    free_l = (table.des_left & masks[:, None]) == 0
-    free_r = (table.des_right & masks[:, None]) == 0
-    return (free_l[:, None] & free_r[None]).reshape(len(masks) ** 2, -1)
+    free_l, free_r = _free(table)
+    return (free_l[:, None] & free_r[None]).reshape(len(free_l) ** 2, -1)
 
 
 def verify_boolean(cx: TwoSidedComplex) -> bool:
@@ -176,19 +182,35 @@ def verify_boolean(cx: TwoSidedComplex) -> bool:
     and (b) reps[X'][reps[X''][w]] == reps[X'][w] whenever X'' <= X'.
     Chained along covers, (b) follows from its cover case X' = X'' + x,
     which is checked for every element of W.
+
+    Both run over blocks of rows (:func:`~bicox.cosets.blocks`).  For the
+    cover case the table is viewed as (-1, 2, 2^bit, |W|), which puts rows
+    X and X + bit side by side without copying either, and row X + bit is
+    read by a flat ``take`` on the raveled table, where row X starts at
+    X * |W|.
     """
-    flat = cx.reps.reshape(1 << 2 * cx.rank, -1)
-    minimal = _minimal(cx.table)
-    if not np.take_along_axis(minimal, flat, axis=1).all():
-        return False
-    if not np.array_equal(flat == np.arange(cx.table.order), minimal):
-        return False
-    packed = np.arange(len(flat))
-    for bit in range(2 * cx.rank):
-        low = packed[packed >> bit & 1 == 0]
-        high = flat[low | 1 << bit]
-        if not np.array_equal(np.take_along_axis(high, flat[low], axis=1), high):
+    n, order = cx.rank, cx.table.order
+    flat = cx.reps.reshape(1 << 2 * n, order)
+    table = flat.ravel()
+    free_l, free_r = _free(cx.table)
+    packed, ids = np.arange(len(flat)), np.arange(order)
+    starts = packed * order
+    for rows in blocks(len(flat), order):
+        x = packed[rows]
+        minimal = free_l[x >> n] & free_r[x & cx.table.full_mask]
+        if not np.array_equal(flat[rows] == ids, minimal):
             return False
+        if not minimal.ravel().take(starts[: len(x), None] + flat[rows]).all():
+            return False
+    for bit in range(2 * n):
+        span = 1 << bit
+        pairs = flat.reshape(-1, 2, span, order)  # [:, 0] rows X, [:, 1] rows X + bit
+        high_at = starts.reshape(-1, 2, span, 1)[:, 1]
+        for above in blocks(len(pairs), span * order):
+            for within in blocks(span, order):
+                got = table.take(high_at[above, within] + pairs[above, 0, within])
+                if not np.array_equal(got, pairs[above, 1, within]):
+                    return False
     return True
 
 
@@ -196,16 +218,17 @@ def verify_balanced(cx: TwoSidedComplex) -> bool:
     """Every face has distinctly colored vertices whose colors union to
     (S-I, S-J).  The vertices below (X, w) are (V, reps[V, w]) for the
     one-index colors V = full ^ 1 << b with b not in X, one per color, so
-    this holds when each of them is a face."""
+    this holds when each of them is a face.  Only the 2n vertex rows of the
+    table are read, each by flat ``take``s on that row alone."""
     n, order = cx.rank, cx.table.order
     flat = cx.reps.reshape(1 << 2 * n, -1)
-    is_face = np.zeros(flat.shape, dtype=bool)
-    is_face.ravel()[cx.faces] = True
     packed, w = np.divmod(cx.faces, order)
     full = (1 << 2 * n) - 1
     for bit in range(2 * n):
         vertex = full ^ 1 << bit
-        if not is_face[vertex, flat[vertex, w[packed >> bit & 1 == 0]]].all():
+        is_face = np.zeros(order, dtype=bool)  # [u]: (V, u) is a face
+        is_face[w[packed == vertex]] = True
+        if not is_face.take(flat[vertex].take(w[packed >> bit & 1 == 0])).all():
             return False
     return True
 
@@ -386,6 +409,17 @@ def sigma_ideal(cx: TwoSidedComplex) -> np.ndarray:
     return cx.faces[cx.faces < (cx.table.full_mask + 1) * cx.table.order]
 
 
+def _holders(labels: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """[K, c]: the label in ``labels[K]`` shared by every member of the
+    class c of ``row``, or -1 where the members' labels differ.  The
+    columns of ``labels`` are gathered once, grouped by class."""
+    members = np.argsort(row, kind="stable")
+    starts = np.flatnonzero(np.diff(row[members], prepend=-1))
+    grouped = labels.take(members, axis=1)
+    lowest = np.minimum.reduceat(grouped, starts, axis=1)
+    return np.where(lowest == np.maximum.reduceat(grouped, starts, axis=1), lowest, -1)
+
+
 def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
     """The ideal above (0, e, S) is order-isomorphic to the classical
     complex built independently from left cosets under reverse inclusion.
@@ -396,24 +430,23 @@ def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
     one ideal face f = (0, u, K) has f <= g, and at most one left coset of
     W_K contains the coset of g; comparing the two for every g and K
     compares f <= g with coset(f) >= coset(g) for every pair of the ideal.
+    The [K, u] lookups of each g are one flat index, row K starting at
+    K * |W|, shared by the ``take``s on the face marks and on the labels.
     """
     table = cx.table
     masks = np.arange(table.full_mask + 1)
     labels = np.array([coset_labels(table, 0, gens) for gens in range(table.full_mask + 1)])
     in_ideal = np.zeros(labels.shape, dtype=bool)  # [K, u]: (0, u, K) is a face
     in_ideal.ravel()[sigma_ideal(cx)] = True
+    starts = masks[:, None] * table.order
     for gens, row in enumerate(labels):
         if not np.array_equal(np.sort(row[in_ideal[gens]]), np.arange(row.max() + 1)):
             return False
-        members = np.argsort(row, kind="stable")
-        starts = np.flatnonzero(np.diff(row[members], prepend=-1))
-        lowest = np.minimum.reduceat(labels[:, members], starts, axis=1)
-        highest = np.maximum.reduceat(labels[:, members], starts, axis=1)
-        holder = np.where(lowest == highest, lowest, -1)  # [K, coset of W_gens]
+        holder = _holders(labels, row)
         g = np.flatnonzero(in_ideal[gens])
-        u = cx.reps[0][:, g]
-        comparable = (masks & gens == gens)[:, None] & in_ideal[masks[:, None], u]
-        found = np.where(comparable, labels[masks[:, None], u], -1)
+        at = starts + cx.reps[0].take(g, axis=1)
+        comparable = (masks & gens == gens)[:, None] & in_ideal.take(at)
+        found = np.where(comparable, labels.take(at), -1)
         if not np.array_equal(found, holder[:, row[g]]):
             return False
     return True

@@ -17,6 +17,11 @@ the same way, one private kernel serving both steps.
 descent filter as one matrix product, and per J the orbits of every W_I
 together (:func:`sweep_counts`), 2^n x [W : W_J] entries in all.
 
+The table of minimal representatives, :func:`minimal_rep_table`, is filled
+one length layer at a time by flat ``take``s on the raveled table, over
+:func:`blocks` of left masks; the checks in :mod:`bicox.complexes` gather
+from it the same way.
+
 All functions are pure over an immutable :class:`~bicox.coxeter.GroupTable`
 and safe for concurrent use.  Generator subsets are bitmasks.
 """
@@ -29,12 +34,24 @@ from .coxeter import GroupTable, layer_bounds, lowest_bits
 from .errors import InternalCheckError
 
 
+GATHER = 1 << 16  # table entries per flat gather: its intp index stays in cache
+
+
+def blocks(count: int, width: int) -> list[slice]:
+    """Slices of range(count), about GATHER // width items each and at
+    least one, for gathers whose index holds ``width`` entries per item."""
+    step = max(1, GATHER // width)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def minimal_rep_table(table: GroupTable) -> np.ndarray:
     """Read-only ``reps[I, J, w]``: the minimal element of W_I w W_J, every I, J, w.
 
     Filled one length layer at a time: an entry is w when Des_L(w) misses I
-    and Des_R(w) misses J, else the entry of the shorter s.w or w.s.  Holds
-    4^n * |W| ids in the narrowest unsigned type, so it suits small groups.
+    and Des_R(w) misses J, else the entry of the shorter s.w or w.s, read
+    by one flat ``take`` on the raveled table, where row (I, J) starts at
+    (I * 2^n + J) * |W|, a block of left masks I at a time.  Holds 4^n * |W|
+    ids in the narrowest unsigned type, so it suits small groups.
     """
     n, order = table.rank, table.order
     masks = np.arange(1 << n)
@@ -50,11 +67,15 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
     down_r = step_down(table.right_mult, table.des_right)
     reps = np.empty((1 << n, 1 << n, order), dtype=np.min_scalar_type(order - 1))
     reps[...] = ids
+    flat = reps.ravel()
+    starts = (np.arange(1 << 2 * n) * order).reshape(1 << n, 1 << n, 1)
     bounds = layer_bounds(table)
     for a, b in zip(bounds[1:-1], bounds[2:]):  # e is its own entry everywhere
-        dl = down_l[:, None, a:b]
-        shorter = np.where(dl != ids[a:b], dl, down_r[None, :, a:b])
-        reps[:, :, a:b] = reps[masks[:, None, None], masks[None, :, None], shorter]
+        for gens_l in blocks(1 << n, (b - a) << n):
+            dl = down_l[gens_l, None, a:b]
+            at = np.where(dl != ids[a:b], dl, down_r[None, :, a:b])
+            at += starts[gens_l]
+            reps[gens_l, :, a:b] = flat.take(at)
     reps.flags.writeable = False
     return reps
 

@@ -352,7 +352,8 @@ def standard_matrix(label: TypeLabel) -> CoxeterMatrix:
     return CoxeterMatrix(rows)
 
 
-_TYPE_RE = re.compile(r"^([ABDEFH])(\d+)(~?)$|^I2\((\d+)\)(~?)$|^(G)(2)(~?)$")
+# ASCII digits only, and \Z, not $, so no trailing newline slips through.
+_TYPE_RE = re.compile(r"^([ABDEFH])([0-9]+)(~?)\Z|^I2\(([0-9]+)\)(~?)\Z|^(G)(2)(~?)\Z")
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -375,7 +376,8 @@ def parse_type_spec(spec: str) -> CoxeterMatrix:
     parts = [(part, _TYPE_RE.match(part)) for part in spec.replace(" ", "").split("x")]
     for part, match in parts:
         if not match:
-            raise ValueError(f"cannot parse type spec {part!r}")
+            factor = f"factor {part!r}" if part else "an empty factor"
+            raise ValueError(f"cannot parse type spec {spec!r}: {factor}")
     # I2(m) and G2 match no family group; an affine A_n~ has n + 1 nodes.
     check_rank(sum(2 if m[1] is None else int(m[2]) + len(m[3]) for _, m in parts))
     blocks = []

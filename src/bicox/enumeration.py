@@ -220,11 +220,17 @@ class ParabolicFactor:
     W_J, and l(w) = l(u) + l(v) (Bjorner-Brenti, *Combinatorics of Coxeter
     Groups*, 2.4).  ``system`` is the irreducible group alone, generators
     numbered 0..k-1.  :func:`factor_eulerian` walks both W_J and W^J over
-    W's roots; no table is built.
+    W's roots; no table is built.  ``subgroup`` is W_J, classified from
+    ``system`` and ``node`` when not given, and None when J is empty.
     """
 
     system: CoxeterSystem
     node: int
+    subgroup: CoxeterSystem | None = None
+
+    def __post_init__(self):
+        if self.subgroup is None and self.system.rank > 1:
+            object.__setattr__(self, "subgroup", _maximal_parabolic(self.system, self.node))
 
 
 @dataclass(frozen=True)
@@ -255,14 +261,21 @@ def cheapest_node(system: CoxeterSystem) -> int:
     whose W_J has 322,560 elements); the model leaves that term out, since
     only the walk of W_J finds the cells.
     """
+    return _cheapest_split(system).node
+
+
+def _cheapest_split(system: CoxeterSystem) -> ParabolicFactor:
+    """``system`` split at its :func:`cheapest_node`, carrying the chosen
+    W_J: each maximal parabolic is classified once, to price it."""
     k = system.rank
+    subs = [_maximal_parabolic(system, node) for node in range(k)]
 
     def cost(node):
-        sub = _maximal_parabolic(system, node)
-        order = 1 if sub is None else sub.order
+        order = 1 if subs[node] is None else subs[node].order
         return order + system.order // order * 2 ** (k - 1)
 
-    return min(range(k), key=cost)
+    node = min(range(k), key=cost)
+    return ParabolicFactor(system, node, subs[node])
 
 
 def _within_default_budget(name: str, count: int, unit: str) -> None:
@@ -280,8 +293,8 @@ def factorize(system: CoxeterSystem, admit=_within_default_budget) -> Factorizat
     """
     check_rank(system.rank)
     parts = [parabolic(system, sorted(comp.vertices)) for comp in system.components]
-    factors = [ParabolicFactor(part, cheapest_node(part)) for part in parts]
-    subs = [_maximal_parabolic(f.system, f.node) for f in factors]
+    factors = [_cheapest_split(part) for part in parts]
+    subs = [factor.subgroup for factor in factors]
     for part, sub in zip(parts, subs):
         name = part.canonical_name
         admit(name, part.components[0].label.root_count, "roots")
@@ -336,7 +349,7 @@ def factor_eulerian(factor: ParabolicFactor) -> np.ndarray:
     simple = np.array(simple)
     rest = np.delete(np.arange(k), d)
     pop = popcount_table(k).astype(np.intp)
-    sub = _maximal_parabolic(system, d)
+    sub = factor.subgroup
     sizes = poincare_coefficients(sub.components if sub else ()).tolist()
     seen = []
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import bicox
 from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
 from bicox.cli import main
-from bicox.coxeter import count_text, descent_walk
+from bicox.coxeter import DEFAULT_BUDGET, count_text, descent_walk
 from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
@@ -730,6 +730,42 @@ def test_export_contingency_checks_the_type_before_the_complex(tmp_path, capsys)
 
 def test_bad_spec(tmp_path, capsys):
     assert run(tmp_path, "build", "--type", "Q5") == 2
+
+
+@pytest.mark.parametrize("spec", ["A\u0663", "A\uff13", "I2(\u0663)", "A3\n", "A3xx", "xA3"])
+def test_non_ascii_digits_and_empty_factors_exit_2(tmp_path, capsys, spec):
+    for command in ("verify", "tables"):
+        assert run(tmp_path, command, "--type", spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse type spec {spec!r}"), err
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_builds_its_parser_once_and_shares_no_options(tmp_path, capsys, monkeypatch):
+    """Options of one call are gone in the next, from one parser built on
+    the first call; a usage error still exits 2."""
+    import bicox.cli
+
+    seen = []
+    get_factorization = bicox.cli.get_factorization
+    monkeypatch.setattr(
+        bicox.cli, "get_factorization", lambda args: seen.append(vars(args).copy())
+        or get_factorization(args)
+    )
+    bicox.cli.make_parser.cache_clear()
+    out = tmp_path / "a2.txt"
+    flags = ["--allow-heavy", "--budget", "50", "--out", str(out)]
+    assert run(tmp_path, "tables", "--type", "A2", *flags) == 0
+    assert run(tmp_path, "tables", "--type", "A2") == 0
+    assert capsys.readouterr().out == out.read_text()
+    first, second = seen
+    assert (first["allow_heavy"], first["budget"], first["out"]) == (True, 50, str(out))
+    assert (second["allow_heavy"], second["budget"], second["out"]) == (False, DEFAULT_BUDGET, None)
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, "tables", "--budget", "50")  # --type is missing
+    assert exit_info.value.code == 2
+    assert "--type" in capsys.readouterr().err
+    assert bicox.cli.make_parser.cache_info().misses == 1
 
 
 def test_deterministic_exports(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bicox.complexes
+import bicox.cosets
 from bicox.complexes import (
     Face,
     ShellingReport,
@@ -28,7 +29,7 @@ from bicox.complexes import (
     verify_wall_rows,
     verify_weak_order_monotone,
 )
-from bicox.cosets import count_cosets_by_sweep
+from bicox.cosets import count_cosets_by_sweep, minimal_rep_table
 from bicox.coxeter import length_order
 from bicox.errors import CapacityError, InternalCheckError
 
@@ -324,6 +325,87 @@ def test_every_single_entry_corruption_fails_weak_order(spec, complexes):
             if value != cx.reps[gens_l, gens_r, w]:
                 bad = with_entry(cx, gens_l, gens_r, w, value)
                 assert not verify_weak_order_monotone(bad), (gens_l, gens_r, w, value)
+
+
+def test_every_entry_corruption_fails_weak_order_at_rank_3(complexes):
+    """At rank 3 the cover identity runs over bits 4 and 5 too: every wrong
+    value in every entry of A1xA1xA1, and one wrong value in every entry
+    of A3, fails."""
+    cx = complexes("A1xA1xA1")
+    for gens_l, gens_r, w in np.ndindex(cx.reps.shape):
+        for value in range(cx.table.order):
+            if value != cx.reps[gens_l, gens_r, w]:
+                bad = with_entry(cx, gens_l, gens_r, w, value)
+                assert not verify_weak_order_monotone(bad), (gens_l, gens_r, w, value)
+    cx = complexes("A3")
+    shifts = np.random.default_rng(3).integers(1, cx.table.order, cx.reps.shape)
+    for where in np.ndindex(cx.reps.shape):
+        value = (int(cx.reps[where]) + int(shifts[where])) % cx.table.order
+        assert not verify_weak_order_monotone(with_entry(cx, *where, value)), (where, value)
+
+
+def same_descents_swap(table):
+    """The permutation of ids swapping s2 with the last element that has the
+    same descent sets."""
+    s2 = table.generator_id(1)
+    same = (table.des_left == table.des_left[s2]) & (table.des_right == table.des_right[s2])
+    other = int(np.flatnonzero(same)[-1])
+    assert other != s2
+    swap = np.arange(table.order)
+    swap[[s2, other]] = other, s2
+    return swap
+
+
+@pytest.mark.parametrize("bit", range(6))
+def test_boolean_checks_the_cover_identity_across_every_bit_of_rank_3(bit, complexes):
+    """Relabelling only the rows X that hold ``bit`` through a swap that
+    keeps descent sets keeps every entry minimal, and keeps the cover
+    identity across every other bit; across ``bit`` it breaks."""
+    cx = complexes("A3")
+    swap = same_descents_swap(cx.table)
+    rows = cx.reps.reshape(64, -1).copy()
+    holds = np.arange(64) >> bit & 1 == 1
+    rows[holds] = swap[rows[holds][:, swap]]
+    bad = copy.copy(cx)
+    bad.reps = rows.reshape(cx.reps.shape)
+    assert not verify_boolean(bad)
+
+
+@pytest.mark.parametrize("gather", [1, 7, 64])
+def test_gathers_in_small_blocks_agree_with_one_block(gather, complexes, monkeypatch):
+    """Blocks of rows, and of rows within a pair of rows X and X + bit,
+    cover the whole table: in small blocks the table and the checks come
+    out as in one block, and corruptions late in the table are seen.
+    Identity rows on the downward-closed index pairs {0, 1 << 5} keep every
+    cover identity and break minimality; relabelling the rows that hold
+    bit 0, or bit 5, keeps minimality and breaks the cover identity across
+    that bit."""
+    cx = complexes("A3")
+    swap = same_descents_swap(cx.table)
+    flat = cx.reps.reshape(64, -1)
+    identity = flat.copy()
+    identity[1 << 5] = np.arange(cx.table.order)
+    corrupt = [identity]
+    for bit in (0, 5):
+        holds = np.arange(64) >> bit & 1 == 1
+        corrupt.append(flat.copy())
+        corrupt[-1][holds] = swap[flat[holds][:, swap]]
+    monkeypatch.setattr(bicox.cosets, "GATHER", gather)
+    assert np.array_equal(minimal_rep_table(cx.table), cx.reps)
+    assert verify_boolean(cx) and verify_balanced(cx) and verify_sigma_embedding(cx)
+    for rows in corrupt:
+        bad = copy.copy(cx)
+        bad.reps = rows.reshape(cx.reps.shape)
+        assert not verify_boolean(bad)
+
+
+def test_balanced_reads_each_vertex_row_alone(complexes):
+    """The vertex of color (S - s3, S) below the facet (0, w0, 0) is
+    (S - s3, e, S); s1 in its place is minimal in other rows, not in this."""
+    cx = complexes("A3")
+    table = cx.table
+    bad = with_entry(cx, 0b011, 0b111, table.longest, table.generator_id(0))
+    assert verify_balanced(cx) and not verify_balanced(bad)
 
 
 def test_boolean_needs_the_wall_rows(complexes):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,12 @@ def test_classify_accepts_exactly_the_positive_definite(matrix):
 @example("A16xA1")
 @example("I2(5)xI2(5)xI2(5)xI2(5)xI2(5)xI2(5)xI2(5)xI2(5)xA1")
 @example("A15~")
+@example("A\u0663")  # ARABIC-INDIC DIGIT THREE
+@example("A\uff13")  # FULLWIDTH DIGIT THREE
+@example("I2(\u0663)")
+@example("A3\n")
+@example("A3xx")
+@example("xA3")
 def test_fuzzed_type_specs_raise_only_typed_errors(spec):
     """Type strings parse, or raise ValueError, NotFiniteError or
     CapacityError; no matrix over the maximum rank is ever built."""
@@ -163,6 +170,17 @@ def test_fuzzed_type_specs_raise_only_typed_errors(spec):
     finally:
         coxeter.CoxeterMatrix.__init__ = original
     assert max(built, default=0) <= coxeter.MAX_RANK
+
+
+NOT_SPECS = ["A\u0663", "A\uff13", "I2(\u0663)", "A3\n", "A3xx", "xA3", "A3x"]
+
+
+@pytest.mark.parametrize("spec", NOT_SPECS)
+def test_type_specs_take_ascii_digits_and_whole_factors(spec):
+    """Only ASCII digits are ranks and bonds, nothing may follow a factor,
+    and an empty factor is refused; the error names the whole spec."""
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse type spec {spec!r}")):
+        parse_type_spec(spec)
 
 
 def test_reducible_classification():

@@ -192,6 +192,35 @@ def test_cheapest_node(spec, parabolic_name):
     assert parabolic(system, rest).canonical_name == parabolic_name
 
 
+@pytest.mark.parametrize("spec", ["A3", "H4", "E6", "D7", "B6", "E8"])
+def test_a_tables_job_classifies_each_maximal_parabolic_once(spec, monkeypatch, capsys):
+    """The spec, the component and each of its k maximal parabolics are
+    classified once each: the chosen W_J is carried to the count, not
+    classified again."""
+    k = classify_spec(spec).rank
+    calls = []
+    real = bicox.coxeter.classify
+
+    def counted(matrix):
+        calls.append(matrix.rank)
+        return real(matrix)
+
+    for module in (bicox.coxeter, bicox.cli):
+        monkeypatch.setattr(module, "classify", counted)
+    assert main(["tables", "--type", spec]) == 0
+    capsys.readouterr()
+    assert len(calls) <= k + 2, calls
+    assert sorted(calls).count(k - 1) == k
+
+
+def test_factor_carries_its_maximal_parabolic():
+    system = classify_spec("E6")
+    chosen = factorize(system).factors[0]
+    assert chosen.subgroup.canonical_name == "D5"
+    assert ParabolicFactor(system, chosen.node) == chosen
+    assert ParabolicFactor(classify_spec("A1"), 0).subgroup is None
+
+
 def test_factorize_builds_only_parabolic_tables(no_tables):
     """The element counts ``admit`` sees are those of the W_J alone, each
     after every component's roots and cosets; nothing is enumerated."""
