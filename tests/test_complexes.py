@@ -344,16 +344,27 @@ def test_every_entry_corruption_fails_weak_order_at_rank_3(complexes):
         assert not verify_weak_order_monotone(with_entry(cx, *where, value)), (where, value)
 
 
-def same_descents_swap(table):
-    """The permutation of ids swapping s2 with the last element that has the
-    same descent sets."""
+def with_rows(cx, rows):
+    """A copy of ``cx`` whose table is ``rows``, reshaped to (I, J, w)."""
+    bad = copy.copy(cx)
+    bad.reps = rows.reshape(cx.reps.shape)
+    return bad
+
+
+def relabelled(cx, bit):
+    """A copy of ``cx`` whose rows X holding ``bit`` are relabelled through
+    the swap of s2 with the last element that has its descent sets."""
+    table = cx.table
     s2 = table.generator_id(1)
     same = (table.des_left == table.des_left[s2]) & (table.des_right == table.des_right[s2])
     other = int(np.flatnonzero(same)[-1])
     assert other != s2
     swap = np.arange(table.order)
     swap[[s2, other]] = other, s2
-    return swap
+    rows = cx.reps.reshape(1 << 2 * cx.rank, -1).copy()
+    holds = np.arange(len(rows)) >> bit & 1 == 1
+    rows[holds] = swap[rows[holds][:, swap]]
+    return with_rows(cx, rows)
 
 
 @pytest.mark.parametrize("bit", range(6))
@@ -361,14 +372,7 @@ def test_boolean_checks_the_cover_identity_across_every_bit_of_rank_3(bit, compl
     """Relabelling only the rows X that hold ``bit`` through a swap that
     keeps descent sets keeps every entry minimal, and keeps the cover
     identity across every other bit; across ``bit`` it breaks."""
-    cx = complexes("A3")
-    swap = same_descents_swap(cx.table)
-    rows = cx.reps.reshape(64, -1).copy()
-    holds = np.arange(64) >> bit & 1 == 1
-    rows[holds] = swap[rows[holds][:, swap]]
-    bad = copy.copy(cx)
-    bad.reps = rows.reshape(cx.reps.shape)
-    assert not verify_boolean(bad)
+    assert not verify_boolean(relabelled(complexes("A3"), bit))
 
 
 @pytest.mark.parametrize("gather", [1, 7, 64])
@@ -381,21 +385,12 @@ def test_gathers_in_small_blocks_agree_with_one_block(gather, complexes, monkeyp
     bit 0, or bit 5, keeps minimality and breaks the cover identity across
     that bit."""
     cx = complexes("A3")
-    swap = same_descents_swap(cx.table)
-    flat = cx.reps.reshape(64, -1)
-    identity = flat.copy()
+    identity = cx.reps.reshape(64, -1).copy()
     identity[1 << 5] = np.arange(cx.table.order)
-    corrupt = [identity]
-    for bit in (0, 5):
-        holds = np.arange(64) >> bit & 1 == 1
-        corrupt.append(flat.copy())
-        corrupt[-1][holds] = swap[flat[holds][:, swap]]
     monkeypatch.setattr(bicox.cosets, "GATHER", gather)
     assert np.array_equal(minimal_rep_table(cx.table), cx.reps)
     assert verify_boolean(cx) and verify_balanced(cx) and verify_sigma_embedding(cx)
-    for rows in corrupt:
-        bad = copy.copy(cx)
-        bad.reps = rows.reshape(cx.reps.shape)
+    for bad in (with_rows(cx, identity), relabelled(cx, 0), relabelled(cx, 5)):
         assert not verify_boolean(bad)
 
 
