@@ -351,8 +351,9 @@ def positive_int(text: str) -> int:
 
 @lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: each parse fills a fresh
-    namespace, so one call's options never reach the next."""
+    """The parser, built once per process and shared by every caller, who
+    must not change it: each parse fills a fresh namespace, so one call's
+    options never reach the next."""
     parser = argparse.ArgumentParser(
         prog="bicox",
         description="Finite Coxeter groups and their two-sided Coxeter complexes.",

@@ -191,7 +191,7 @@ def verify_boolean(cx: TwoSidedComplex) -> bool:
     """
     n, order = cx.rank, cx.table.order
     flat = cx.reps.reshape(1 << 2 * n, order)
-    table = flat.ravel()
+    raveled = flat.ravel()
     free_l, free_r = _free(cx.table)
     packed, ids = np.arange(len(flat)), np.arange(order)
     starts = packed * order
@@ -208,7 +208,7 @@ def verify_boolean(cx: TwoSidedComplex) -> bool:
         high_at = starts.reshape(-1, 2, span, 1)[:, 1]
         for above in blocks(len(pairs), span * order):
             for within in blocks(span, order):
-                got = table.take(high_at[above, within] + pairs[above, 0, within])
+                got = raveled.take(high_at[above, within] + pairs[above, 0, within])
                 if not np.array_equal(got, pairs[above, 1, within]):
                     return False
     return True
