@@ -306,21 +306,26 @@ def cmd_tables(args) -> int:
 
 
 def cmd_export(args) -> int:
+    """Every export keeps the faces of rank --min-rank to --max-rank; only
+    the contingency tables have a json form."""
+    if args.format == "json" and args.what != "contingency":
+        raise ValueError(f"--what {args.what} is exported as DOT only, not json")
     table, _, _ = get_table(args)
     if args.what == "contingency":
         model = SymmetricGroupFaces(table)  # ValueError unless type A, before any complex
     cx = TwoSidedComplex.build(table)
+    ranks = {"min_rank": args.min_rank, "max_rank": args.max_rank}
     if args.what == "hasse":
-        emit(args, hasse_dot(cx, min_rank=args.min_rank, max_rank=args.max_rank))
+        emit(args, hasse_dot(cx, **ranks))
     elif args.what == "sigma":
-        emit(args, hasse_dot(cx, faces=sigma_ideal(cx)))
+        emit(args, hasse_dot(cx, faces=sigma_ideal(cx), **ranks))
     elif args.format == "dot":
         def drawn(face):
             return json.dumps(model.face_to_table(face).display(), separators=(",", ":"))
 
-        emit(args, hasse_dot(cx, label=drawn, name="tables"))
+        emit(args, hasse_dot(cx, label=drawn, name="tables", **ranks))
     else:
-        packed = rank_sorted(cx, cx.faces)
+        packed = rank_sorted(cx, cx.faces, args.min_rank, args.max_rank)
         entries = [
             {"face": text, "table": model.face_to_table(f).display()}
             for text, f in zip(face_labels(cx, packed), cx.as_faces(packed))

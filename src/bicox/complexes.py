@@ -8,15 +8,15 @@ representative of the double coset W_I w W_J, ordered by
 
 The last condition reduces, given the first two, to ``reps[I, J, w'] == w``,
 one lookup in the table of :func:`~bicox.cosets.minimal_rep_table`, which
-the complex builds once; the covers and every check go through it.  A
-face of rank r behaves like an (r-1)-simplex: the interval below it is
-boolean of size 2^r.  There is one facet (0, w, 0) per group element, one
-minimum (S, e, S), and the classical Coxeter complex sits inside as the
-upper order ideal of faces with empty left subset.
+the complex builds once: its fixed points are the faces, and the covers and
+every check go through it.  A face of rank r behaves like an (r-1)-simplex:
+the interval below it is boolean of size 2^r.  There is one facet (0, w, 0)
+per group element, one minimum (S, e, S), and the classical Coxeter complex
+sits inside as the upper order ideal of faces with empty left subset.
 
 Faces are stored packed: (I, w, J) is X * |W| + w with X = I << n | J, its
 flat position in ``reps`` reshaped to (4^n, |W|), and the complex is the
-ascending array of the positions where w is minimal.  :class:`Face` tuples
+ascending array of the fixed points of ``reps``.  :class:`Face` tuples
 come only from :meth:`TwoSidedComplex.as_faces`, and the covers of packed
 faces are one array of table gathers, :meth:`TwoSidedComplex.covers`.
 Every gather over ``reps`` is a flat ``take`` on the raveled table, row X
@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coxeter import GroupTable, descent_walk, popcount_table
-from .cosets import blocks, coset_labels, minimal_rep_table
+from .cosets import blocks, coset_labels, descent_free, minimal_rep_table
 from .errors import CapacityError, InternalCheckError
 
 FACE_BUDGET = 500_000  # most faces a complex is built with
@@ -93,30 +93,35 @@ def face_count(table: GroupTable) -> int:
 class TwoSidedComplex:
     """All faces of the two-sided complex of a finite Coxeter group, packed
     as X * |W| + w in ascending order, and the table ``reps[I, J, w]`` of
-    minimal representatives that orders them."""
+    minimal representatives whose fixed points they are, which orders them."""
 
-    def __init__(self, table: GroupTable, faces: np.ndarray):
+    def __init__(self, table: GroupTable, faces: np.ndarray, reps: np.ndarray):
         self.table = table
         self.faces = faces
-        self.reps = minimal_rep_table(table)
+        self.reps = reps
 
     @classmethod
     def build(cls, table: GroupTable) -> "TwoSidedComplex":
-        """Every pair (X, w) with w minimal for X; their number must be the
-        sum of the interval sizes [R_w, F_w] over all w."""
+        """The fixed points reps[X, w] == w, a block of rows at a time; their
+        number must be the sum of the interval sizes, read from the descent sets."""
         total = face_count(table)
         if total > FACE_BUDGET:
             raise CapacityError(
                 f"complex of {table.system.canonical_name} has {total} faces, "
                 f"over the budget of {FACE_BUDGET}"
             )
-        faces = np.flatnonzero(_minimal(table))
+        reps = minimal_rep_table(table)
+        flat, ids = reps.reshape(-1, table.order), np.arange(table.order)
+        faces = np.concatenate([
+            np.flatnonzero(flat[rows] == ids) + rows.start * table.order
+            for rows in blocks(len(flat), table.order)
+        ])
         if len(faces) != total:
             raise InternalCheckError(
                 f"enumerated {len(faces)} faces, the interval sizes sum to {total}"
             )
         faces.flags.writeable = False
-        return cls(table, faces)
+        return cls(table, faces, reps)
 
     @property
     def rank(self) -> int:
@@ -160,19 +165,6 @@ class TwoSidedComplex:
 # Structural verification
 
 
-def _free(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """(free_l, free_r): [mask, w] whether Des_L(w), resp. Des_R(w), misses the mask."""
-    masks = np.arange(table.full_mask + 1)[:, None]
-    return (table.des_left & masks) == 0, (table.des_right & masks) == 0
-
-
-def _minimal(table: GroupTable) -> np.ndarray:
-    """[X, w] for packed index pairs X = I << n | J: whether w is the minimal
-    representative of W_I w W_J, from the descent sets."""
-    free_l, free_r = _free(table)
-    return (free_l[:, None] & free_r[None]).reshape(len(free_l) ** 2, -1)
-
-
 def verify_boolean(cx: TwoSidedComplex) -> bool:
     """Lower intervals are boolean: ordered exactly like pairs of supersets.
 
@@ -192,7 +184,7 @@ def verify_boolean(cx: TwoSidedComplex) -> bool:
     n, order = cx.rank, cx.table.order
     flat = cx.reps.reshape(1 << 2 * n, order)
     raveled = flat.ravel()
-    free_l, free_r = _free(cx.table)
+    free_l, free_r = descent_free(cx.table)
     packed, ids = np.arange(len(flat)), np.arange(order)
     starts = packed * order
     for rows in blocks(len(flat), order):
@@ -234,14 +226,18 @@ def verify_balanced(cx: TwoSidedComplex) -> bool:
 
 
 def verify_partition(cx: TwoSidedComplex) -> bool:
-    """The by-(I, J) enumeration agrees with the by-element one, so the
-    intervals [R_w, F_w] are disjoint and cover everything: the faces are
-    distinct pairs (X, u) with u minimal for X, and each u represents as
-    many of them as its interval has elements."""
-    faces, order = cx.faces, cx.table.order
-    if not (np.diff(faces) > 0).all() or not _minimal(cx.table).ravel()[faces].all():
-        return False
-    return np.array_equal(np.bincount(faces % order, minlength=order), interval_sizes(cx.table))
+    """The faces, read from the table, agree with the descent sets, so the
+    intervals [R_w, F_w] partition them: they are distinct pairs (X, u) with
+    u minimal for X by :func:`descent_free`, read a block at a time, and as
+    many as the interval sizes sum to.  Each u is minimal for as many X as
+    its interval has elements, so then each u represents its whole interval."""
+    faces = cx.faces
+    free_l, free_r = descent_free(cx.table)
+    for part in blocks(len(faces), 1):
+        x, w = np.divmod(faces[part], cx.table.order)
+        if not (free_l[x >> cx.rank, w] & free_r[x & cx.table.full_mask, w]).all():
+            return False
+    return (faces[1:] > faces[:-1]).all() and len(faces) == face_count(cx.table)
 
 
 def verify_wall_rows(cx: TwoSidedComplex) -> bool:
@@ -475,9 +471,15 @@ def face_labels(cx: TwoSidedComplex, packed: np.ndarray) -> list[str]:
     ]
 
 
-def rank_sorted(cx: TwoSidedComplex, packed: np.ndarray) -> np.ndarray:
-    """Packed faces in (rank, packed) order, which is (rank, I, J, w)."""
-    return packed[np.lexsort((packed, cx.ranks(packed)))]
+def rank_sorted(
+    cx: TwoSidedComplex, packed: np.ndarray, min_rank: int, max_rank: int | None
+) -> np.ndarray:
+    """The packed faces of rank min_rank to max_rank (None: the top rank
+    2n) in (rank, packed) order, which is (rank, I, J, w)."""
+    rank = cx.ranks(packed)
+    top = 2 * cx.rank if max_rank is None else max_rank
+    keep = (min_rank <= rank) & (rank <= top)
+    return packed[keep][np.lexsort((packed[keep], rank[keep]))]
 
 
 def hasse_dot(
@@ -495,13 +497,7 @@ def hasse_dot(
     :func:`face_labels`), one edge per cover, deterministic ordering, in a
     digraph named ``name``.
     """
-    if max_rank is None:
-        max_rank = 2 * cx.rank
-    if faces is None:
-        faces = cx.faces
-    ordered = rank_sorted(cx, faces)
-    rank = cx.ranks(ordered)
-    chosen = ordered[(min_rank <= rank) & (rank <= max_rank)]
+    chosen = rank_sorted(cx, cx.faces if faces is None else faces, min_rank, max_rank)
     labels = face_labels(cx, chosen) if label is None else map(label, cx.as_faces(chosen))
     low, high = cx.cover_edges(chosen)
     nodes = [f"n{i}" for i in range(len(chosen))]

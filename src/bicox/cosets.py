@@ -4,7 +4,9 @@ For subsets I, J of the generators, each double coset W_I w W_J contains a
 unique element u of minimal length, characterized by Des_L(u) being disjoint
 from I and Des_R(u) disjoint from J; moreover u lies below every coset member
 in the two-sided weak order.  Cosets are therefore canonicalized as triples
-(I, u, J) with u minimal, and never stored as element sets.
+(I, u, J) with u minimal, and never stored as element sets.  That test for
+every mask at once is :func:`descent_free`, which the all-pairs descent
+filter below and the checks in :mod:`bicox.complexes` read.
 
 Counting them is checked two ways that share no code:
 :func:`count_minimal_by_descents` filters W by descent sets, and
@@ -19,8 +21,8 @@ together (:func:`sweep_counts`), 2^n x [W : W_J] entries in all.
 
 The table of minimal representatives, :func:`minimal_rep_table`, is filled
 one length layer at a time by flat ``take``s on the raveled table, over
-:func:`blocks` of left masks; the checks in :mod:`bicox.complexes` gather
-from it the same way.
+:func:`blocks` of left masks.  Its fixed points are the faces of
+:mod:`bicox.complexes`, whose checks gather from it the same way.
 
 All functions are pure over an immutable :class:`~bicox.coxeter.GroupTable`
 and safe for concurrent use.  Generator subsets are bitmasks.
@@ -78,6 +80,12 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
             reps[gens_l, :, a:b] = flat.take(at)
     reps.flags.writeable = False
     return reps
+
+
+def descent_free(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(free_l, free_r): [mask, w] whether Des_L(w), resp. Des_R(w), misses the mask."""
+    masks = np.arange(table.full_mask + 1)[:, None]
+    return (masks & table.des_left) == 0, (masks & table.des_right) == 0
 
 
 def is_minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> bool:
@@ -172,9 +180,7 @@ def sweep_counts(table: GroupTable, gens_r: int) -> np.ndarray:
 def _descent_counts(table: GroupTable) -> np.ndarray:
     """counts[I, J] = :func:`count_minimal_by_descents`, every pair at once:
     a product of the left and right descent-free indicators."""
-    masks = np.arange(table.full_mask + 1)[:, None]
-    free_l = (masks & table.des_left) == 0
-    free_r = (masks & table.des_right) == 0
+    free_l, free_r = descent_free(table)
     # 0/1 entries and sums at most |W|: exact in float64
     return (free_l.astype(float) @ free_r.T.astype(float)).astype(np.int64)
 

@@ -673,6 +673,41 @@ def test_export_contingency_dot(tmp_path, capsys):
     assert '[[2]]' in dot
 
 
+@pytest.mark.parametrize("what", ["hasse", "sigma"])
+def test_export_refuses_json_for_diagrams(what, tmp_path, capsys):
+    assert run(tmp_path, "export", "--type", "A1", "--what", what, "--format", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --what {what} is exported as DOT only, not json\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "spec, argv, labels",
+    [
+        # A2's classical complex: (0, e, S) at rank 2, six vertices, six edges
+        ("A2", ["--what", "sigma", "--min-rank", "3", "--max-rank", "3"], 6),
+        ("A2", ["--what", "sigma", "--min-rank", "3"], 12),
+        ("A2", ["--what", "sigma", "--max-rank", "2"], 1),
+        # A1's five faces have ranks 0, 1, 1, 2, 2
+        ("A1", ["--what", "contingency", "--max-rank", "1"], 3),
+    ],
+)
+def test_export_keeps_the_rank_range(spec, argv, labels, tmp_path, capsys):
+    assert run(tmp_path, "export", "--type", spec, *argv) == 0
+    assert capsys.readouterr().out.count("label=") == labels
+
+
+def test_export_contingency_json_keeps_the_rank_range(tmp_path, capsys):
+    """The facets (0, w, 0), rank 4 in A2, are the top of the rank order."""
+    argv = ["--what", "contingency", "--format", "json"]
+    assert run(tmp_path, "export", "--type", "A2", *argv, "--min-rank", "4") == 0
+    facets = json.loads(capsys.readouterr().out)
+    assert len(facets) == 6 and all(entry["face"].startswith("(-|") for entry in facets)
+    assert run(tmp_path, "export", "--type", "A2", *argv) == 0
+    assert json.loads(capsys.readouterr().out)[-6:] == facets
+
+
 # SHA-256 of the export output, recorded before the complex stored packed faces.
 EXPORT_GOLDENS = [
     ("A1", "hasse", "dot", "7766e8c97d8e93a8d58861ab9829d9c7770214d392a5180dbf357fbd99146cbf"),

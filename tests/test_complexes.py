@@ -2,6 +2,7 @@
 
 import copy
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from bicox.complexes import (
     verify_wall_rows,
     verify_weak_order_monotone,
 )
+from bicox.cli import main
 from bicox.cosets import count_cosets_by_sweep, minimal_rep_table
 from bicox.coxeter import length_order
 from bicox.errors import CapacityError, InternalCheckError
@@ -505,6 +507,69 @@ def test_non_minimal_face_with_the_right_counts_fails(complexes):
     bad = copy.copy(cx)
     bad.faces = np.sort(np.append(cx.faces[cx.faces != w0], cx.table.order + w0))
     assert verify_partition(cx)
+    assert not verify_partition(bad)
+
+
+def patch_fixed_points(monkeypatch, entries):
+    """Build every complex from a table with some entries changed:
+    ``entries`` maps (I, J, w) to the new entry, elements named "e", "s1"
+    or "s2"."""
+
+    def corrupted(table):
+        reps = minimal_rep_table(table).copy()
+        name = {"e": 0, "s1": table.generator_id(0), "s2": table.generator_id(1)}
+        for (gens_l, gens_r, w), value in entries.items():
+            reps[gens_l, gens_r, name[w]] = name[value]
+        return reps
+
+    monkeypatch.setattr(bicox.complexes, "minimal_rep_table", corrupted)
+
+
+def test_an_extra_fixed_point_fails_the_build(tables, tmp_path, capsys, monkeypatch):
+    """reps[0, {s1}, s1] = s1 makes one more fixed point than the interval
+    sizes allow: the faces are read from the table, so the build refuses
+    it, and ``bicox verify`` reports the complex as failed."""
+    patch_fixed_points(monkeypatch, {(0, 0b001, "s1"): "s1"})
+    with pytest.raises(InternalCheckError, match="enumerated 282 faces"):
+        TwoSidedComplex.build(tables("A3"))
+    assert main(["verify", "--type", "A3", "--cache-dir", str(tmp_path)]) == 1
+    assert "\nFAIL complex  (enumerated 282 faces" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gens_l, gens_r", [(0, 0b001), (0b001, 0)], ids=["right", "left"])
+def test_a_count_preserving_swap_of_fixed_points_fails_partition_and_boolean(
+    gens_l, gens_r, tables, monkeypatch
+):
+    """The extra fixed point (0, s1, {s1}) and the lost one (0, s2, {s1}),
+    or their mirrors ({s1}, s1, 0) and ({s1}, s2, 0), keep the count the
+    build checks; partition sees the non-minimal face and boolean the
+    table entries."""
+    patch_fixed_points(monkeypatch, {(gens_l, gens_r, "s1"): "s1", (gens_l, gens_r, "s2"): "e"})
+    cx = TwoSidedComplex.build(tables("A3"))
+    assert (gens_l << cx.rank | gens_r) * cx.table.order + cx.table.generator_id(0) in cx.faces
+    assert not verify_partition(cx)
+    assert not verify_boolean(cx)
+
+
+def test_partition_holds_less_than_half_a_byte_per_table_entry(complexes):
+    """Faces are checked against the descent sets a block at a time, with
+    no whole-table array beside ``reps``; A1^8's 390,625 faces take six
+    blocks, and (S, s1, S) in place of the minimum (S, e, S), in the last
+    one, is seen, as is the list without the minimum."""
+    cx = complexes("A1xA1xA1xA1xA1xA1xA1xA1")
+    tracemalloc.start()
+    try:
+        ok = verify_partition(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < cx.reps.size / 2
+    bad = copy.copy(cx)
+    bad.faces = cx.faces.copy()
+    bad.faces[-1] += cx.table.generator_id(0)
+    assert not verify_partition(bad)
+    bad.faces = cx.faces[:-1]
     assert not verify_partition(bad)
 
 
