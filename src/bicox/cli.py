@@ -47,7 +47,6 @@ from .coxeter import (
     classify,
     count_text,
     length_order,
-    parabolic,
     parse_type_spec,
 )
 from .enumeration import (
@@ -123,16 +122,13 @@ def emit(args, text: str) -> None:
 # verify
 
 
-def double_quotient_cost(system) -> int:
+def double_quotient_cost(f) -> int:
     """The entries the double-quotient oracle closes: for every J, one row
-    of the [W : W_J] right cosets per left mask, 2^n rows."""
-    n = system.rank
-
-    def index(gens):
-        sub = [s for s in range(n) if gens >> s & 1]
-        return system.order // parabolic(system, sub).order if sub else system.order
-
-    return (1 << n) * sum(map(index, range(1 << n)))
+    of the [W : W_J] right cosets per left mask, 2^n rows.  [W : W_J] counts
+    the minimal representatives of the cosets w.W_J, the w with no right
+    descent in J, which is f[S][S - J] in the flag f-table ``f``.  So the
+    sum over J is the last row's, the sum of 2^(n - |Des_R(w)|) over w."""
+    return len(f) * sum(f[-1])
 
 
 def run_verification(table):
@@ -176,7 +172,7 @@ def run_verification(table):
     except BicoxError as err:
         record("gamma-reconstruction", False, str(err))
 
-    cost = double_quotient_cost(table.system)
+    cost = double_quotient_cost(f)
     if cost <= DOUBLE_QUOTIENT_GATE:
         check("double-quotient-oracle", lambda: verify_double_quotients(table, f), subset_pairs)
     else:
@@ -220,6 +216,7 @@ def run_verification(table):
 
 def cmd_verify(args) -> int:
     table, _, _ = get_table(args)
+    check_budget(table.system.canonical_name, 4**table.rank, args.budget, "subset pairs")
     results = run_verification(table)
     if args.format == "json":
         emit(
@@ -306,10 +303,15 @@ def cmd_tables(args) -> int:
 
 
 def cmd_export(args) -> int:
-    """Every export keeps the faces of rank --min-rank to --max-rank; only
-    the contingency tables have a json form."""
+    """Every export keeps the faces of rank --min-rank to --max-rank, a
+    range refused when negative or inverted; only the contingency tables
+    have a json form."""
     if args.format == "json" and args.what != "contingency":
         raise ValueError(f"--what {args.what} is exported as DOT only, not json")
+    if args.min_rank < 0:
+        raise ValueError(f"--min-rank must be nonnegative, got {args.min_rank}")
+    if args.max_rank is not None and args.max_rank < args.min_rank:
+        raise ValueError(f"--max-rank {args.max_rank} is below --min-rank {args.min_rank}")
     table, _, _ = get_table(args)
     if args.what == "contingency":
         model = SymmetricGroupFaces(table)  # ValueError unless type A, before any complex

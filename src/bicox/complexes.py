@@ -28,13 +28,11 @@ lower intervals, balanced coloring, interval partition, weak-order
 monotonicity, shelling along a facet order, thinness, the pseudomanifold
 property, the Euler characteristic, and the embedding of the classical
 complex.  Every check covers the whole complex, most as whole-array
-checks over the table; shelling along a facet order is one pass over the
-table per left subset I, comparing each facet's boundary faces met by
-earlier facets with its descent walls.  Thinness and weak-order
-monotonicity are not checked on their own: thinness follows from the
-boolean intervals and the pseudomanifold property, and weak-order
-monotonicity from the boolean intervals and the table's single-index rows
-being the facet walls.
+checks over the table, and finds the faces of a row X only through
+:meth:`TwoSidedComplex.row`.  Thinness and weak-order monotonicity are not
+checked on their own: thinness follows from the boolean intervals and the
+pseudomanifold property, and weak-order monotonicity from the boolean
+intervals and the table's single-index rows being the facet walls.
 """
 
 from __future__ import annotations
@@ -93,7 +91,8 @@ def face_count(table: GroupTable) -> int:
 class TwoSidedComplex:
     """All faces of the two-sided complex of a finite Coxeter group, packed
     as X * |W| + w in ascending order, and the table ``reps[I, J, w]`` of
-    minimal representatives whose fixed points they are, which orders them."""
+    minimal representatives whose fixed points they are, which orders them.
+    Row X of the faces is one run of ``faces``, read by :meth:`row`."""
 
     def __init__(self, table: GroupTable, faces: np.ndarray, reps: np.ndarray):
         self.table = table
@@ -126,6 +125,12 @@ class TwoSidedComplex:
     @property
     def rank(self) -> int:
         return self.table.rank
+
+    def row(self, x: int) -> np.ndarray:
+        """The w of the faces (X, w), ascending: ``faces`` from X * |W| up to
+        (X + 1) * |W|, a slice found by two searches, minus X * |W|."""
+        low, high = np.searchsorted(self.faces, np.array([x, x + 1]) * self.table.order)
+        return self.faces[low:high] - x * self.table.order
 
     def ranks(self, packed: np.ndarray) -> np.ndarray:
         """The poset rank of each packed face."""
@@ -209,18 +214,14 @@ def verify_boolean(cx: TwoSidedComplex) -> bool:
 def verify_balanced(cx: TwoSidedComplex) -> bool:
     """Every face has distinctly colored vertices whose colors union to
     (S-I, S-J).  The vertices below (X, w) are (V, reps[V, w]) for the
-    one-index colors V = full ^ 1 << b with b not in X, one per color, so
-    this holds when each of them is a face.  Only the 2n vertex rows of the
-    table are read, each by flat ``take``s on that row alone."""
+    one-index colors V = full ^ 1 << b with b not in X, so this holds when
+    every entry of the table's row V is in the faces' row V.  That reads
+    reps[V, w] for every w, not only for the faces lacking b, and is no
+    weaker: the facet (0, w, 0) lacks every index."""
     n, order = cx.rank, cx.table.order
     flat = cx.reps.reshape(1 << 2 * n, -1)
-    packed, w = np.divmod(cx.faces, order)
-    full = (1 << 2 * n) - 1
-    for bit in range(2 * n):
-        vertex = full ^ 1 << bit
-        is_face = np.zeros(order, dtype=bool)  # [u]: (V, u) is a face
-        is_face[w[packed == vertex]] = True
-        if not is_face.take(flat[vertex].take(w[packed >> bit & 1 == 0])).all():
+    for vertex in ((1 << 2 * n) - 1) ^ (1 << np.arange(2 * n)):
+        if not np.bincount(cx.row(vertex), minlength=order).take(flat[vertex]).all():
             return False
     return True
 
@@ -269,10 +270,9 @@ def verify_weak_order_monotone(cx: TwoSidedComplex) -> bool:
 
 
 def verify_facet_count(cx: TwoSidedComplex) -> bool:
-    """Top-dimensional faces are in bijection with the group: the faces
-    (0, w, 0) are the packed values below |W|."""
-    order = cx.table.order
-    return np.array_equal(cx.faces[cx.faces < order], np.arange(order))
+    """Top-dimensional faces are in bijection with the group: row 0, the
+    faces (0, w, 0), is every w."""
+    return np.array_equal(cx.row(0), np.arange(cx.table.order))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +373,13 @@ def verify_pseudomanifold(cx: TwoSidedComplex) -> bool:
     """Every codimension-one face lies in exactly two facets.
 
     The wall X = 1 << bit of each facet comes from :func:`facet_walls`; each
-    face (1 << bit, u) must be that wall of two facets, and no other u may
-    be hit.
+    face (1 << bit, u), read from :meth:`~TwoSidedComplex.row`, must be that
+    wall of two facets, and no other u may be hit.
     """
     order = cx.table.order
-    packed, w = np.divmod(cx.faces, order)
     for bit, walls in enumerate(facet_walls(cx.table)):
         expected = np.zeros(order, dtype=np.intp)
-        expected[w[packed == 1 << bit]] = 2
+        expected[cx.row(1 << bit)] = 2
         if not np.array_equal(np.bincount(walls, minlength=order), expected):
             return False
     return True
@@ -398,11 +397,11 @@ def euler_characteristic(cx: TwoSidedComplex) -> int:
 
 def sigma_ideal(cx: TwoSidedComplex) -> np.ndarray:
     """The upper order ideal above (0, e, S): all faces with empty left set,
-    which are the packed values below 2^n * |W|.
+    which are rows 0 to 2^n - 1, a prefix of ``faces`` (a view, not a copy).
 
     This sub-poset is a copy of the classical Coxeter complex.
     """
-    return cx.faces[cx.faces < (cx.table.full_mask + 1) * cx.table.order]
+    return cx.faces[: np.searchsorted(cx.faces, (cx.table.full_mask + 1) * cx.table.order)]
 
 
 def _holders(labels: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -436,10 +435,10 @@ def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
     in_ideal.ravel()[sigma_ideal(cx)] = True
     starts = masks[:, None] * table.order
     for gens, row in enumerate(labels):
-        if not np.array_equal(np.sort(row[in_ideal[gens]]), np.arange(row.max() + 1)):
+        g = cx.row(gens)
+        if not np.array_equal(np.sort(row[g]), np.arange(row.max() + 1)):
             return False
         holder = _holders(labels, row)
-        g = np.flatnonzero(in_ideal[gens])
         at = starts + cx.reps[0].take(g, axis=1)
         comparable = (masks & gens == gens)[:, None] & in_ideal.take(at)
         found = np.where(comparable, labels.take(at), -1)

@@ -45,21 +45,23 @@ DEFAULT_BUDGET = 10**7
 MAX_RANK = 16  # descent masks are uint16, and the cache stores them in 2 bytes
 LENGTH_DTYPE = np.int32  # lengths are below the order, and ids are int32
 
-# Order, root count and degrees of each exceptional type, from the
-# classification tables; the families A, B, D and I2 have formulas.
+# Degrees of each exceptional type, from the classification tables; the
+# families A, B, D and I2 have formulas.
 _EXCEPTIONAL = {
-    "E6": (51840, 72, (2, 5, 6, 8, 9, 12)),
-    "E7": (2903040, 126, (2, 6, 8, 10, 12, 14, 18)),
-    "E8": (696729600, 240, (2, 8, 12, 14, 18, 20, 24, 30)),
-    "F4": (1152, 48, (2, 6, 8, 12)),
-    "H3": (120, 30, (2, 6, 10)),
-    "H4": (14400, 120, (2, 12, 20, 30)),
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "H3": (2, 6, 10),
+    "H4": (2, 12, 20, 30),
 }
 
 
 @dataclass(frozen=True)
 class TypeLabel:
-    """An irreducible finite type: family letter, rank, and bond for I2(m)."""
+    """An irreducible finite type: family letter, rank, and bond for I2(m).
+    Its order and root count come from its degrees d: the order is their
+    product and the root count twice the sum of d - 1."""
 
     family: str
     rank: int
@@ -73,28 +75,12 @@ class TypeLabel:
     @property
     def order(self) -> int:
         """Group order of this irreducible type."""
-        if self.family == "A":
-            return math.factorial(self.rank + 1)
-        if self.family == "B":
-            return 2**self.rank * math.factorial(self.rank)
-        if self.family == "D":
-            return 2 ** (self.rank - 1) * math.factorial(self.rank)
-        if self.family == "I2":
-            return 2 * self.bond
-        return _EXCEPTIONAL[str(self)][0]
+        return math.prod(self.degrees)
 
     @property
     def root_count(self) -> int:
         """Number of roots of this irreducible type."""
-        if self.family == "A":
-            return self.rank * (self.rank + 1)
-        if self.family == "B":
-            return 2 * self.rank**2
-        if self.family == "D":
-            return 2 * self.rank * (self.rank - 1)
-        if self.family == "I2":
-            return 2 * self.bond
-        return _EXCEPTIONAL[str(self)][1]
+        return 2 * sum(d - 1 for d in self.degrees)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -109,7 +95,7 @@ class TypeLabel:
             return tuple(range(2, 2 * n - 1, 2)) + (n,)
         if self.family == "I2":
             return (2, self.bond)
-        return _EXCEPTIONAL[str(self)][2]
+        return _EXCEPTIONAL[str(self)]
 
 
 @dataclass(frozen=True)

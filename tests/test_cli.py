@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import bicox
 from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
-from bicox.cli import main
-from bicox.coxeter import DEFAULT_BUDGET, count_text, descent_walk
+from bicox.cli import double_quotient_cost, main
+from bicox.coxeter import DEFAULT_BUDGET, count_text, descent_walk, parabolic
+from bicox.enumeration import flag_f
 from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
@@ -374,6 +375,41 @@ def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "spec", ["A1", "A3", "H3", "A4", "F4", "B5", "I2(7)", "A1xA1xA1xA1xA1xA1xA1xA1", "D4xD4"]
+)
+def test_double_quotient_cost_is_the_sum_of_parabolic_indices(spec, tables):
+    """The gate's count, read from the flag f-table, against 2^n times the
+    sum over J of [W : W_J], from the classified parabolic orders."""
+    table = tables(spec)
+    system, n = table.system, table.rank
+
+    def index(gens):
+        sub = [s for s in range(n) if gens >> s & 1]
+        return system.order // parabolic(system, sub).order if sub else system.order
+
+    assert double_quotient_cost(flag_f(table)) == (1 << n) * sum(map(index, range(1 << n)))
+
+
+def test_verify_counts_subset_pairs_against_the_budget(tmp_path, capsys, monkeypatch):
+    """A1^16 has 65,536 elements and 4^16 subset pairs: refused (exit 3)
+    before any flag table, as is A1^3 with a budget of 4^3 - 1."""
+    import bicox.cli
+
+    def never(table):
+        raise AssertionError("flag table started")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bicox.cli, "flag_f", never)
+        assert run(tmp_path, "verify", "--type", "x".join(["A1"] * 16)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith(" has 4294967296 subset pairs, over the budget of 10000000\n")
+        assert run(tmp_path, "verify", "--type", "A1xA1xA1", "--budget", "63") == 3
+        assert "64 subset pairs" in capsys.readouterr().err
+    assert run(tmp_path, "verify", "--type", "A1xA1xA1", "--budget", "64") == 0
+
+
 def test_verify_passes_weak_order_on_a_large_dihedral_group(tmp_path, capsys):
     """Weak order is derived from whole-table checks, with no order limit:
     I2(10001) has order 20002."""
@@ -706,6 +742,35 @@ def test_export_contingency_json_keeps_the_rank_range(tmp_path, capsys):
     assert len(facets) == 6 and all(entry["face"].startswith("(-|") for entry in facets)
     assert run(tmp_path, "export", "--type", "A2", *argv) == 0
     assert json.loads(capsys.readouterr().out)[-6:] == facets
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--min-rank", "5", "--max-rank", "1"], "--max-rank 1 is below --min-rank 5"),
+        (["--max-rank", "-1"], "--max-rank -1 is below --min-rank 0"),
+        (["--min-rank", "-3"], "--min-rank must be nonnegative, got -3"),
+        (["--min-rank", "-3", "--max-rank", "2"], "--min-rank must be nonnegative, got -3"),
+    ],
+)
+@pytest.mark.parametrize("what", ["hasse", "sigma", "contingency"])
+def test_export_refuses_a_rank_range_that_selects_nothing(what, argv, err, tmp_path, capsys):
+    assert run(tmp_path, "export", "--type", "A1", "--what", what, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_export_refuses_only_a_rank_range_that_selects_nothing(tmp_path, capsys):
+    """A1's five faces have ranks 0 to 2: ranks 0 to 9 keep them all, 2 to 2
+    keeps the facets, and 2 to 1 is refused."""
+    hasse = ["export", "--type", "A1", "--what", "hasse"]
+    assert run(tmp_path, *hasse, "--max-rank", "9") == 0
+    assert capsys.readouterr().out.count("label=") == 5
+    assert run(tmp_path, *hasse, "--min-rank", "2", "--max-rank", "2") == 0
+    assert capsys.readouterr().out.count("label=") == 2
+    assert run(tmp_path, *hasse, "--min-rank", "2", "--max-rank", "1") == 2
 
 
 # SHA-256 of the export output, recorded before the complex stored packed faces.

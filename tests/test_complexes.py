@@ -111,6 +111,42 @@ def test_facet_count_is_group_order(spec, complexes):
     assert verify_facet_count(complexes(spec))
 
 
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2xA1"])
+def test_row_is_the_run_of_faces_with_that_index_pair(spec, complexes):
+    cx = complexes(spec)
+    x, w = np.divmod(cx.faces, cx.table.order)
+    for gens in range(1 << 2 * cx.rank):
+        assert np.array_equal(cx.row(gens), w[x == gens])
+
+
+def test_row_of_an_empty_row_is_empty(complexes):
+    """Past the last index pair, and in row 0 of a face list without its
+    facets, there are no faces."""
+    cx = complexes("A2")
+    assert cx.row(1 << 2 * cx.rank).shape == (0,)
+    no_facets = TwoSidedComplex(cx.table, cx.faces[cx.table.order:], cx.reps)
+    assert no_facets.row(0).shape == (0,)
+    assert len(no_facets.row(1)) == len(cx.row(1))
+    assert not verify_facet_count(no_facets)
+
+
+@pytest.mark.parametrize(
+    "check", [verify_balanced, verify_pseudomanifold, verify_facet_count, sigma_ideal]
+)
+def test_row_readers_build_nothing_the_size_of_the_faces(check, complexes):
+    """Each reads the rows it needs as slices of the sorted faces: on A1^8
+    (390,625 faces, 3.1 MB) none allocates a sixteenth of them."""
+    cx = complexes("A1xA1xA1xA1xA1xA1xA1xA1")
+    tracemalloc.start()
+    try:
+        result = check(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 3**8 if check is sigma_ideal else result
+    assert peak < cx.faces.nbytes / 16
+
+
 def test_build_face_count_mismatch_raises(tables, monkeypatch):
     monkeypatch.setattr(bicox.complexes, "face_count", lambda table: 34)
     with pytest.raises(InternalCheckError):
