@@ -215,8 +215,10 @@ def run_verification(table):
 
 
 def cmd_verify(args) -> int:
+    system = classify(parse_type_spec(args.type))  # refused before the table is read or built
+    check_capacity(args, system.canonical_name, system.order)
+    check_budget(system.canonical_name, 4**system.rank, args.budget, "subset pairs")
     table, _, _ = get_table(args)
-    check_budget(table.system.canonical_name, 4**table.rank, args.budget, "subset pairs")
     results = run_verification(table)
     if args.format == "json":
         emit(

@@ -28,10 +28,11 @@ lower intervals, balanced coloring, interval partition, weak-order
 monotonicity, shelling along a facet order, thinness, the pseudomanifold
 property, the Euler characteristic, and the embedding of the classical
 complex.  Every check covers the whole complex, most as whole-array
-checks over the table, and finds the faces of a row X only through
-:meth:`TwoSidedComplex.row`.  Thinness and weak-order monotonicity are not
-checked on their own: thinness follows from the boolean intervals and the
-pseudomanifold property, and weak-order monotonicity from the boolean
+checks over the table, reads a row X of faces only through
+:meth:`TwoSidedComplex.row` or counts all rows from their starts, and
+holds at most one coset closure.  Thinness and weak-order monotonicity are
+not checked on their own: thinness follows from the boolean intervals and
+the pseudomanifold property, and weak-order monotonicity from the boolean
 intervals and the table's single-index rows being the facet walls.
 """
 
@@ -386,9 +387,11 @@ def verify_pseudomanifold(cx: TwoSidedComplex) -> bool:
 
 
 def euler_characteristic(cx: TwoSidedComplex) -> int:
-    """Alternating sum of face counts by dimension, empty face excluded."""
-    rank = cx.ranks(cx.faces)
-    return int(np.sum(np.where(rank % 2 == 1, 1, -1)[rank >= 1]))  # dimension rank - 1
+    """Alternating sum of face counts by dimension, empty face excluded: the
+    faces of row X, between X * |W| and the next row start, have rank 2n - |X|."""
+    starts = np.arange((1 << 2 * cx.rank) + 1) * cx.table.order
+    count = np.diff(np.searchsorted(cx.faces, starts))[:-1]  # the last row is (S, e, S)
+    return int(np.where(popcount_table(2 * cx.rank)[:-1] % 2, count, -count).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -396,53 +399,40 @@ def euler_characteristic(cx: TwoSidedComplex) -> int:
 
 
 def sigma_ideal(cx: TwoSidedComplex) -> np.ndarray:
-    """The upper order ideal above (0, e, S): all faces with empty left set,
-    which are rows 0 to 2^n - 1, a prefix of ``faces`` (a view, not a copy).
-
-    This sub-poset is a copy of the classical Coxeter complex.
-    """
+    """The upper order ideal above (0, e, S), a copy of the classical Coxeter
+    complex: all faces with empty left set, which are rows 0 to 2^n - 1, a
+    prefix of ``faces`` (a view, not a copy)."""
     return cx.faces[: np.searchsorted(cx.faces, (cx.table.full_mask + 1) * cx.table.order)]
-
-
-def _holders(labels: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """[K, c]: the label in ``labels[K]`` shared by every member of the
-    class c of ``row``, or -1 where the members' labels differ.  The
-    columns of ``labels`` are gathered once, grouped by class."""
-    members = np.argsort(row, kind="stable")
-    starts = np.flatnonzero(np.diff(row[members], prepend=-1))
-    grouped = labels.take(members, axis=1)
-    lowest = np.minimum.reduceat(grouped, starts, axis=1)
-    return np.where(lowest == np.maximum.reduceat(grouped, starts, axis=1), lowest, -1)
 
 
 def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
     """The ideal above (0, e, S) is order-isomorphic to the classical
-    complex built independently from left cosets under reverse inclusion.
-
-    The left cosets of each W_K are numbered by closure
-    (:func:`~bicox.cosets.coset_labels`), and the ideal faces (0, u, K) must
-    hit each number once.  Then for an ideal face g and a subset K at most
-    one ideal face f = (0, u, K) has f <= g, and at most one left coset of
-    W_K contains the coset of g; comparing the two for every g and K
-    compares f <= g with coset(f) >= coset(g) for every pair of the ideal.
-    The [K, u] lookups of each g are one flat index, row K starting at
-    K * |W|, shared by the ``take``s on the face marks and on the labels.
+    complex, built independently from left cosets under reverse inclusion.
+    For each K, with the cosets u.W_K numbered by closure
+    (:func:`~bicox.cosets.coset_labels`), on arrays of length |W|: (1) the
+    faces (0, u, K) of row K hit each number once, (2) each reps[0, K, w]
+    is a face of row K numbered like w, and (3) w -> w.s keeps every number
+    for s in K and none for s outside K.  By (1) and (2), reps[0, K, u'] ==
+    u iff u' is in u.W_K, so (0, u, K) <= (0, u', K') iff K >= K' and u' in
+    u.W_K, iff u.W_K >= u'.W_K', so f <= g iff coset(f) >= coset(g) for
+    all N^2 pairs of the ideal.  Comparing every K with every K' is no
+    stronger: its K' = 0 row, all of W under the identity numbering, is
+    (2); rows K' != 0 reread the same entries and compare closures, and a
+    W_K' coset lies in a W_K coset iff K' <= K, which (3) keeps on each
+    closure alone.
     """
     table = cx.table
-    masks = np.arange(table.full_mask + 1)
-    labels = np.array([coset_labels(table, 0, gens) for gens in range(table.full_mask + 1)])
-    in_ideal = np.zeros(labels.shape, dtype=bool)  # [K, u]: (0, u, K) is a face
-    in_ideal.ravel()[sigma_ideal(cx)] = True
-    starts = masks[:, None] * table.order
-    for gens, row in enumerate(labels):
-        g = cx.row(gens)
-        if not np.array_equal(np.sort(row[g]), np.arange(row.max() + 1)):
-            return False
-        holder = _holders(labels, row)
-        at = starts + cx.reps[0].take(g, axis=1)
-        comparable = (masks & gens == gens)[:, None] & in_ideal.take(at)
-        found = np.where(comparable, labels.take(at), -1)
-        if not np.array_equal(found, holder[:, row[g]]):
+    for gens in range(table.full_mask + 1):
+        labels, g, down = coset_labels(table, 0, gens), cx.row(gens), cx.reps[0, gens]
+        if not (
+            np.array_equal(np.sort(labels[g]), np.arange(labels.max() + 1))
+            and np.bincount(g, minlength=table.order).take(down).all()
+            and np.array_equal(labels.take(down), labels)
+            and all(
+                ((labels.take(table.right_mult[:, s]) == labels) == (gens >> s & 1)).all()
+                for s in range(table.rank)
+            )
+        ):
             return False
     return True
 

@@ -410,6 +410,21 @@ def test_verify_counts_subset_pairs_against_the_budget(tmp_path, capsys, monkeyp
     assert run(tmp_path, "verify", "--type", "A1xA1xA1", "--budget", "64") == 0
 
 
+def test_refused_verify_builds_and_caches_nothing(tmp_path, capsys):
+    """The 4^16 subset pairs of A1^16 are counted before the table is read
+    or built, so the refused command leaves the cache directory empty."""
+    assert run(tmp_path, "verify", "--type", "x".join(["A1"] * 16)) == 3
+    assert "4294967296 subset pairs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_refuses_elements_before_subset_pairs(tmp_path, capsys):
+    """A16 is over both limits; the element refusal comes first."""
+    assert run(tmp_path, "verify", "--type", "A16") == 3
+    assert capsys.readouterr().err.endswith("elements; pass --allow-heavy to build it\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_passes_weak_order_on_a_large_dihedral_group(tmp_path, capsys):
     """Weak order is derived from whole-table checks, with no order limit:
     I2(10001) has order 20002."""

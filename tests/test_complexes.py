@@ -131,7 +131,8 @@ def test_row_of_an_empty_row_is_empty(complexes):
 
 
 @pytest.mark.parametrize(
-    "check", [verify_balanced, verify_pseudomanifold, verify_facet_count, sigma_ideal]
+    "check",
+    [verify_balanced, verify_pseudomanifold, verify_facet_count, sigma_ideal, verify_sigma_embedding],
 )
 def test_row_readers_build_nothing_the_size_of_the_faces(check, complexes):
     """Each reads the rows it needs as slices of the sorted faces: on A1^8
@@ -731,6 +732,41 @@ def test_euler_characteristic_a2_by_dimension(complexes):
     assert counts[0] - counts[1] + counts[2] - counts[3] == 0
 
 
+def euler_by_ranks(cx):
+    """Reference Euler characteristic: each face's sign by its own rank."""
+    rank = cx.ranks(cx.faces)
+    return int(np.sum(np.where(rank % 2 == 1, 1, -1)[rank >= 1]))
+
+
+def test_euler_characteristic_builds_nothing_the_size_of_the_faces(complexes):
+    """It counts the faces of every row from the 4^8 + 1 row starts: on A1^8
+    that is under the 3.1 MB of faces, where ranking every face took 9.8 MB."""
+    cx = complexes("A1xA1xA1xA1xA1xA1xA1xA1")
+    tracemalloc.start()
+    try:
+        chi = euler_characteristic(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chi == 0
+    assert peak < cx.faces.nbytes
+
+
+@pytest.mark.parametrize("spec", ["A2", "B3"])
+@pytest.mark.parametrize("row", [0, 0b000111, 0b101110, "last"])
+def test_euler_characteristic_of_a_face_list_missing_one_face(spec, row, complexes):
+    """One face dropped from row X moves the sum by the sign of its rank;
+    the empty face, in the last row, counts for nothing."""
+    cx = complexes(spec)
+    n = cx.rank
+    row = (1 << 2 * n) - 1 if row == "last" else row % (1 << 2 * n)
+    drop = np.searchsorted(cx.faces, row * cx.table.order + cx.row(row)[-1])
+    bad = copy.copy(cx)
+    bad.faces = np.delete(cx.faces, drop)
+    rank = 2 * n - bin(row).count("1")
+    assert euler_characteristic(bad) == euler_by_ranks(bad) == (0 if rank == 0 else (-1) ** rank)
+
+
 def test_wall_lies_in_two_specific_facets(complexes):
     cx = complexes("A2")
     wall = Face(0b01, 0, 0)  # ({s1}, e, empty)
@@ -764,6 +800,132 @@ def test_classical_complex_face_count(complexes):
     table = cx.table
     cosets = sum(count_cosets_by_sweep(table, 0, gens) for gens in range(table.full_mask + 1))
     assert cosets == len(sigma_ideal(cx)) == 24 + 12 * 3 + (4 + 6 + 4) + 1
+
+
+def left_cosets(table, gens):
+    """[w]: the coset w.W_K of K = ``gens`` as a frozenset of ids, found by
+    walking ``right_mult`` over the generators in K from each unreached w."""
+    letters = [s for s in range(table.rank) if gens >> s & 1]
+    coset_of = [None] * table.order
+    for u in range(table.order):
+        if coset_of[u] is None:
+            coset, todo = {u}, [u]
+            while todo:
+                w = todo.pop()
+                for x in (int(table.right_mult[w, s]) for s in letters):
+                    if x not in coset:
+                        coset.add(x)
+                        todo.append(x)
+            for w in coset:
+                coset_of[w] = frozenset(coset)
+    return coset_of
+
+
+def sigma_by_pairs(cx):
+    """Reference embedding: the ideal's faces (0, u, K) go one-to-one onto
+    all left cosets u.W_K, and f <= g, a ``reps`` lookup, exactly when
+    coset(f) contains coset(g), over every pair of the ideal."""
+    by_gens = [left_cosets(cx.table, gens) for gens in range(cx.table.full_mask + 1)]
+    ideal = cx.as_faces(sigma_ideal(cx))
+    cosets = [by_gens[f.right][f.w] for f in ideal]
+    if len(set(cosets)) != len(ideal) or set(cosets) != set().union(*map(set, by_gens)):
+        return False
+    reps = cx.reps[0].tolist()
+    return all(
+        (f.right & g.right == g.right and reps[f.right][g.w] == f.w) == (high >= low)
+        for f, high in zip(ideal, cosets)
+        for g, low in zip(ideal, cosets)
+    )
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "I2(5)"])
+def test_sigma_embedding_agrees_with_the_pairwise_reference(spec, complexes):
+    cx = complexes(spec)
+    assert sigma_by_pairs(cx) and verify_sigma_embedding(cx)
+
+
+def cases(test):
+    """The argument tuples of a test's parametrize mark."""
+    (mark,) = test.pytestmark
+    return mark.args[1]
+
+
+@pytest.mark.parametrize("spec, where, value, failing", cases(test_corrupt_table_entry_fails))
+def test_sigma_reference_agrees_on_each_corrupt_entry(spec, where, value, failing, complexes):
+    cx = complexes(spec)
+    table = cx.table
+    name = {"s1": table.generator_id(0), "s2": table.generator_id(1), "w0": table.longest}
+    gens_l, gens_r, w = where
+    bad = with_entry(cx, gens_l, gens_r, name[w], name[value])
+    assert sigma_by_pairs(bad) == verify_sigma_embedding(bad)
+
+
+@pytest.mark.parametrize("replacement, failing", cases(test_wrong_face_list_fails))
+def test_sigma_reference_agrees_on_each_wrong_face_list(replacement, failing, complexes):
+    cx = complexes("A3")
+    bad = copy.copy(cx)
+    bad.faces = np.sort(np.append(cx.faces[:-1], replacement(cx)))
+    assert sigma_by_pairs(bad) == verify_sigma_embedding(bad)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+@pytest.mark.parametrize("what", ["entry", "face"])
+def test_sigma_reference_agrees_on_seeded_corruptions(spec, what, complexes):
+    """50 single changes each: an entry of a (0, K) row of the table set to
+    a random element, or an ideal face replaced by a random pair (0, u, K)."""
+    cx = complexes(spec)
+    rng = random.Random(f"{spec}-{what}")
+    order, ideal = cx.table.order, len(sigma_ideal(cx))
+    verdicts = []
+    for _ in range(50):
+        gens, w, value = (rng.randrange(n) for n in (cx.table.full_mask + 1, order, order))
+        if what == "entry":
+            bad = with_entry(cx, 0, gens, w, value)
+        else:
+            bad = copy.copy(cx)
+            bad.faces = cx.faces.copy()
+            bad.faces[rng.randrange(ideal)] = gens * order + w
+            bad.faces.sort()
+        verdicts.append(verify_sigma_embedding(bad))
+        assert sigma_by_pairs(bad) == verdicts[-1]
+    assert not all(verdicts)
+
+
+def test_sigma_embedding_fails_on_a_closure_with_two_classes_merged(complexes, monkeypatch):
+    """Numbering two cosets of W_{s1} alike fails the check."""
+    cx = complexes("A3")
+    closure = bicox.complexes.coset_labels
+
+    def merged(table, gens_l, gens_r):
+        labels = closure(table, gens_l, gens_r)
+        return np.where(labels == 1, 0, labels) if gens_r == 0b001 else labels
+
+    monkeypatch.setattr(bicox.complexes, "coset_labels", merged)
+    assert not verify_sigma_embedding(cx)
+
+
+def test_sigma_embedding_sees_a_merge_that_the_table_and_faces_follow(complexes, monkeypatch):
+    """The cosets {e, s1} and {s2, s2.s1} of W_{s1} numbered alike, with
+    reps[0, {s1}] sending both to e and the face (0, s2, {s1}) dropped: the
+    row and its entries agree with the closure, and only s2, which keeps e
+    in the merged class, tells."""
+    cx = complexes("A3")
+    s2 = cx.table.generator_id(1)
+    closure = bicox.complexes.coset_labels
+
+    def merged(table, gens_l, gens_r):
+        labels = closure(table, gens_l, gens_r)
+        if gens_r != 0b001:
+            return labels
+        return np.unique(np.where(labels == labels[s2], 0, labels), return_inverse=True)[1]
+
+    bad = copy.copy(cx)
+    bad.reps = cx.reps.copy()
+    bad.reps[0, 0b001][bad.reps[0, 0b001] == s2] = 0
+    bad.faces = cx.faces[cx.faces != 0b001 * cx.table.order + s2]
+    assert verify_sigma_embedding(cx) and not verify_sigma_embedding(bad)
+    monkeypatch.setattr(bicox.complexes, "coset_labels", merged)
+    assert not verify_sigma_embedding(bad)
 
 
 # --- export -------------------------------------------------------------------
