@@ -20,8 +20,9 @@ ascending array of the fixed points of ``reps``.  :class:`Face` tuples
 come only from :meth:`TwoSidedComplex.as_faces`, and the covers of packed
 faces are one array of table gathers, :meth:`TwoSidedComplex.covers`.
 Every gather over ``reps`` is a flat ``take`` on the raveled table, row X
-starting at X * |W|; the whole-table ones run over blocks of rows
-(:func:`~bicox.cosets.blocks`), so no index array is the size of the table.
+starting at X * |W|.  The build, boolean and shelling read the table in
+ascending blocks of rows (:func:`~bicox.cosets.blocks`), so no index array
+is the size of the table.
 
 Besides construction this module carries the verification suite: boolean
 lower intervals, balanced coloring, interval partition, weak-order
@@ -297,12 +298,18 @@ def verify_shelling(cx: TwoSidedComplex, order: list[int]) -> ShellingReport:
     The boundary faces of the facet (0, w, 0) are (X, reps[X, w]) over the
     packed index pairs X = I << n | J other than 0, and such a face lies in
     an earlier facet exactly when an earlier w' has reps[X, w'] ==
-    reps[X, w].  At each position these X must be the union of the descent
-    walls of w: the X with I meeting Des_L(w) or J meeting Des_R(w), read
-    from the descent masks.  The report also records where the intersection
-    is first empty or not pure of codimension one (it has a face that lies
-    in none of its codimension-one faces), which is the raw shelling
-    condition.  Works one left mask I at a time, over (2^n, |W|) blocks.
+    reps[X, w].  At each position these X must be the descent walls of w:
+    the X with I meeting Des_L(w) or J meeting Des_R(w), read from
+    :func:`~bicox.cosets.descent_free`.  The report also records where the
+    intersection is first empty or not pure of codimension one (it has a
+    face that lies in none of its codimension-one faces), which is the raw
+    shelling condition.
+
+    One pass reads ascending blocks of rows (:func:`~bicox.cosets.blocks`),
+    row 0 too: its face is the facet itself, met before it by none and in
+    no wall.  A face met in row X is impure when no bit b of X has its wall,
+    row 1 << b, met earlier; ``atoms`` gathers those bits.  Row 1 << b comes
+    no later than any row holding b, so each block takes its atoms first.
     """
     table = cx.table
     n, size = cx.rank, table.order
@@ -310,34 +317,26 @@ def verify_shelling(cx: TwoSidedComplex, order: list[int]) -> ShellingReport:
         raise ValueError("order must be a permutation of all facet representatives")
     pos = np.empty(size, dtype=np.min_scalar_type(size))
     pos[np.asarray(order, dtype=np.intp)] = np.arange(size)
-    masks = np.arange(1 << n)
-    rows = masks[:, None] * size
-    block_pos = np.broadcast_to(pos, (len(masks), size)).ravel()
-    right_walls = (masks[:, None] & table.des_right) != 0  # [J, w]: J meets Des_R(w)
-
-    def earlier(gens_l: int) -> np.ndarray:
-        """[J, w]: whether the face (I, J, reps[I, J, w]) lies in a facet before w."""
-        at = (rows + cx.reps[gens_l]).ravel()
-        first = np.full(at.size, size, dtype=pos.dtype)  # [J * |W| + u]: first position
-        np.minimum.at(first, at, block_pos)
-        return (first[at] < block_pos).reshape(-1, size)
-
-    atoms = np.zeros(size, dtype=np.intp)  # [w]: the codimension-one X met earlier
-    right_only = earlier(0)
-    for s in range(n):
-        atoms |= right_only[1 << s].astype(np.intp) << s
-        atoms |= earlier(1 << s)[0].astype(np.intp) << n + s
-    mismatch = np.zeros(size, dtype=bool)
-    impure = np.zeros(size, dtype=bool)
-    met = np.zeros(size, dtype=bool)
-    for gens_l in range(1 << n):
-        got = earlier(gens_l)
-        walls = right_walls | ((gens_l & table.des_left) != 0)
-        mismatch |= (got != walls).any(axis=0)
-        packed = gens_l << n | masks
-        impure |= (got & ((packed[:, None] & atoms) == 0)).any(axis=0)
-        met |= got.any(axis=0)
-    impure |= ~met
+    flat = cx.reps.reshape(1 << 2 * n, size)
+    free_l, free_r = descent_free(table)
+    packed = np.arange(len(flat), dtype=np.min_scalar_type(len(flat) - 1))  # X, 2n bits
+    parts = blocks(len(flat), size)
+    starts = np.arange(len(packed[parts[0]]))[:, None] * size  # row i of a block at i * |W|
+    tiled = np.tile(pos, len(starts))  # np.minimum.at errs on a 2-D index with broadcast values
+    atoms = np.zeros(size, dtype=packed.dtype)  # [w]: bit b when row 1 << b met earlier
+    mismatch, impure = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    for rows in parts:
+        x = packed[rows]
+        at = (starts[: len(x)] + flat[rows]).ravel()
+        first = np.full(at.size, size, dtype=pos.dtype)  # [i * |W| + u]: first position
+        np.minimum.at(first, at, tiled[: at.size])
+        got = (first.take(at) < tiled[: at.size]).reshape(len(x), size)
+        del at, first  # so that no two blocks' gathers are held at once
+        mismatch |= (got == (free_l[x >> n] & free_r[x & table.full_mask])).any(0)
+        wall = x & x - 1 == 0  # the rows 1 << b, and row 0, which adds no bit
+        atoms |= np.bitwise_or.reduce(x[wall, None] * got[wall], axis=0)
+        impure |= (got & (x[:, None] & atoms == 0)).any(0)
+    impure |= atoms == 0  # no wall met: nothing met, or the loop saw it impure
     impure[pos == 0] = False
 
     def first_of(bad: np.ndarray) -> int | None:

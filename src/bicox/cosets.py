@@ -84,7 +84,7 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
 
 def descent_free(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """(free_l, free_r): [mask, w] whether Des_L(w), resp. Des_R(w), misses the mask."""
-    masks = np.arange(table.full_mask + 1)[:, None]
+    masks = np.arange(table.full_mask + 1, dtype=table.des_left.dtype)[:, None]
     return (masks & table.des_left) == 0, (masks & table.des_right) == 0
 
 

@@ -422,15 +422,22 @@ def test_gathers_in_small_blocks_agree_with_one_block(gather, complexes, monkeyp
     Identity rows on the downward-closed index pairs {0, 1 << 5} keep every
     cover identity and break minimality; relabelling the rows that hold
     bit 0, or bit 5, keeps minimality and breaks the cover identity across
-    that bit."""
+    that bit.  Shelling reports, along the length order and with w0 first,
+    are those of one block on every one of these tables."""
     cx = complexes("A3")
     identity = cx.reps.reshape(64, -1).copy()
     identity[1 << 5] = np.arange(cx.table.order)
+    corrupt = (with_rows(cx, identity), relabelled(cx, 0), relabelled(cx, 5))
+    by_length = length_order(cx.table)
+    orders = (by_length, [cx.table.longest] + [w for w in by_length if w != cx.table.longest])
+    one_block = [verify_shelling(c, order) for c in (cx,) + corrupt for order in orders]
     monkeypatch.setattr(bicox.cosets, "GATHER", gather)
     assert np.array_equal(minimal_rep_table(cx.table), cx.reps)
     assert verify_boolean(cx) and verify_balanced(cx) and verify_sigma_embedding(cx)
-    for bad in (with_rows(cx, identity), relabelled(cx, 0), relabelled(cx, 5)):
+    for bad in corrupt:
         assert not verify_boolean(bad)
+    assert [verify_shelling(c, order) for c in (cx,) + corrupt for order in orders] == one_block
+    assert one_block[0].ok and not one_block[1].ok
 
 
 def test_balanced_reads_each_vertex_row_alone(complexes):
@@ -684,6 +691,31 @@ def test_shelling_matches_walk(spec, complexes):
         assert report == shelling_by_walk(cx, order), order
         outcomes.add(report.ok)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "H3", "I2(5)"])
+def test_shelling_matches_walk_in_one_row_blocks(spec, complexes, monkeypatch):
+    """With GATHER = 7 a block holds one row (three for A1), so the wall row
+    1 << b and the rows holding bit b are read in different blocks."""
+    monkeypatch.setattr(bicox.cosets, "GATHER", 7)
+    test_shelling_matches_walk(spec, complexes)
+
+
+def test_shelling_holds_a_quarter_of_the_table_at_most(complexes, monkeypatch):
+    """One pass over blocks of rows, with no (2^n, |W|) array per left mask:
+    on H4 with one row per block the check traces under a quarter of the
+    7.4 MB table."""
+    cx = complexes("H4")
+    order = length_order(cx.table)
+    monkeypatch.setattr(bicox.cosets, "GATHER", 4096)
+    tracemalloc.start()
+    try:
+        report = verify_shelling(cx, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.first_impure is None
+    assert peak < cx.reps.nbytes / 4
 
 
 def test_shelling_rejects_bad_order(complexes):

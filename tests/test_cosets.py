@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bicox.cosets import (
     coset_labels,
     count_cosets_by_sweep,
     count_minimal_by_descents,
+    descent_free,
     double_quotient_size,
     is_minimal_rep,
     minimal_rep_table,
@@ -172,6 +174,23 @@ def test_minimal_rep_table_matches_closure_labels(spec, tables):
             labels = coset_labels(table, gens_l, gens_r)
             least = np.unique(labels, return_index=True)[1]
             assert np.array_equal(least[labels], reps[gens_l, gens_r]), (gens_l, gens_r)
+
+
+def test_descent_free_masks_in_the_descent_dtype(tables):
+    """The masks take the uint16 of the descent masks, so on H4 the two
+    (16, 14,400) answers are built with no int64 array beside them; each
+    row is the mask missing the descent set, as Python ints say."""
+    table = tables("H4")
+    tracemalloc.start()
+    try:
+        free_l, free_r = descent_free(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_400_000
+    for free, des in ((free_l, table.des_left), (free_r, table.des_right)):
+        for mask in range(table.full_mask + 1):
+            assert free[mask].tolist() == [int(d) & mask == 0 for d in des.tolist()]
 
 
 def test_coset_sweep_needs_no_minimal_rep(a3, monkeypatch):
