@@ -24,7 +24,9 @@ from pathlib import Path
 from . import cache as cache_mod
 from .complexes import (
     TwoSidedComplex,
+    check_table_gate,
     euler_characteristic,
+    face_count,
     face_labels,
     hasse_dot,
     rank_sorted,
@@ -68,7 +70,7 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 HEAVY_ORDER = 1_000_000
-DOUBLE_QUOTIENT_GATE = 4_000_000  # most entries the double-quotient oracle closes
+FACE_BUDGET = 500_000  # most faces export draws
 
 
 def default_cache_dir() -> Path:
@@ -122,22 +124,13 @@ def emit(args, text: str) -> None:
 # verify
 
 
-def double_quotient_cost(f) -> int:
-    """The entries the double-quotient oracle closes: for every J, one row
-    of the [W : W_J] right cosets per left mask, 2^n rows.  [W : W_J] counts
-    the minimal representatives of the cosets w.W_J, the w with no right
-    descent in J, which is f[S][S - J] in the flag f-table ``f``.  So the
-    sum over J is the last row's, the sum of 2^(n - |Des_R(w)|) over w."""
-    return len(f) * sum(f[-1])
-
-
 def run_verification(table):
     """All checks as (name, status, detail); statuses PASS/FAIL/SKIP/FLAG.
 
     A check that raises :class:`InternalCheckError` is recorded as FAIL with
-    the error text, and the remaining checks still run.  The double-quotient
-    oracle over its cost gate is one SKIP line, and a complex over the face
-    budget is one SKIP line that ends the report.
+    the error text, and the remaining checks still run.  Over the table gate
+    (:func:`~bicox.complexes.check_table_gate`) the double-quotient oracle and
+    the complex are SKIP lines with its text, which end the report.
     """
     n = table.rank
     results = []
@@ -172,18 +165,15 @@ def run_verification(table):
     except BicoxError as err:
         record("gamma-reconstruction", False, str(err))
 
-    cost = double_quotient_cost(f)
-    if cost <= DOUBLE_QUOTIENT_GATE:
-        check("double-quotient-oracle", lambda: verify_double_quotients(table, f), subset_pairs)
-    else:
-        detail = f"2^{n} x sum of [W:W_J] = {cost} over {DOUBLE_QUOTIENT_GATE}"
-        results.append(("double-quotient-oracle", "SKIP", detail))
+    try:
+        check_table_gate(table)
+    except CapacityError as err:
+        gated = ("double-quotient-oracle", "complex")
+        return results + [(name, "SKIP", str(err)) for name in gated]
+    check("double-quotient-oracle", lambda: verify_double_quotients(table, f), subset_pairs)
 
     try:
         cx = TwoSidedComplex.build(table)
-    except CapacityError as err:
-        results.append(("complex", "SKIP", str(err)))
-        return results
     except InternalCheckError as err:
         record("complex", False, str(err))
         return results
@@ -317,6 +307,7 @@ def cmd_export(args) -> int:
     table, _, _ = get_table(args)
     if args.what == "contingency":
         model = SymmetricGroupFaces(table)  # ValueError unless type A, before any complex
+    check_budget(table.system.canonical_name, face_count(table), FACE_BUDGET, "faces")
     cx = TwoSidedComplex.build(table)
     ranks = {"min_rank": args.min_rank, "max_rank": args.max_rank}
     if args.what == "hasse":

@@ -44,11 +44,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coxeter import GroupTable, descent_walk, popcount_table
+from .coxeter import GroupTable, check_budget, descent_walk, popcount_table
 from .cosets import blocks, coset_labels, descent_free, minimal_rep_table
-from .errors import CapacityError, InternalCheckError
+from .errors import InternalCheckError
 
-FACE_BUDGET = 500_000  # most faces a complex is built with
+TABLE_GATE = 1 << 28  # most entries 4^n * |W| of a table of minimal representatives
 
 
 class Face(NamedTuple):
@@ -90,6 +90,13 @@ def face_count(table: GroupTable) -> int:
     return int(interval_sizes(table).sum())
 
 
+def check_table_gate(table: GroupTable) -> None:
+    """Refuse (:class:`CapacityError`) a ``reps`` of over :data:`TABLE_GATE`
+    entries, 4^n * |W|, never fewer than the double-quotient oracle closes."""
+    entries = 4**table.rank * table.order
+    check_budget(table.system.canonical_name, entries, TABLE_GATE, "table entries")
+
+
 class TwoSidedComplex:
     """All faces of the two-sided complex of a finite Coxeter group, packed
     as X * |W| + w in ascending order, and the table ``reps[I, J, w]`` of
@@ -103,23 +110,22 @@ class TwoSidedComplex:
 
     @classmethod
     def build(cls, table: GroupTable) -> "TwoSidedComplex":
-        """The fixed points reps[X, w] == w, a block of rows at a time; their
-        number must be the sum of the interval sizes, read from the descent sets."""
+        """The fixed points reps[X, w] == w, a block of rows at a time, into
+        one array; their number must be the sum of the interval sizes, read
+        from the descent sets, and is counted to the end past that sum."""
+        check_table_gate(table)
         total = face_count(table)
-        if total > FACE_BUDGET:
-            raise CapacityError(
-                f"complex of {table.system.canonical_name} has {total} faces, "
-                f"over the budget of {FACE_BUDGET}"
-            )
         reps = minimal_rep_table(table)
         flat, ids = reps.reshape(-1, table.order), np.arange(table.order)
-        faces = np.concatenate([
-            np.flatnonzero(flat[rows] == ids) + rows.start * table.order
-            for rows in blocks(len(flat), table.order)
-        ])
-        if len(faces) != total:
+        faces, count = np.empty(total, dtype=np.int64), 0
+        for rows in blocks(len(flat), table.order):
+            found = np.flatnonzero(flat[rows] == ids)
+            if count + len(found) <= total:
+                faces[count : count + len(found)] = found + rows.start * table.order
+            count += len(found)
+        if count != total:
             raise InternalCheckError(
-                f"enumerated {len(faces)} faces, the interval sizes sum to {total}"
+                f"enumerated {count} faces, the interval sizes sum to {total}"
             )
         faces.flags.writeable = False
         return cls(table, faces, reps)

@@ -53,16 +53,16 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
     and Des_R(w) misses J, else the entry of the shorter s.w or w.s, read
     by one flat ``take`` on the raveled table, where row (I, J) starts at
     (I * 2^n + J) * |W|, a block of left masks I at a time.  Holds 4^n * |W|
-    ids in the narrowest unsigned type, so it suits small groups.
+    ids in the narrowest unsigned type, as many as ``check_table_gate`` admits.
     """
     n, order = table.rank, table.order
-    masks = np.arange(1 << n)
+    masks = np.arange(1 << n, dtype=table.des_left.dtype)
     lowest = lowest_bits(n)
-    ids = np.arange(order)
+    ids = np.arange(order, dtype=table.left_mult.dtype)
 
     def step_down(mult, des):
         """(2^n, |W|): w across its lowest descent in the mask, else w."""
-        hit = masks[:, None] & des.astype(np.intp)
+        hit = masks[:, None] & des
         return np.where(hit != 0, mult[ids, lowest[hit]], ids)
 
     down_l = step_down(table.left_mult, table.des_left)
@@ -75,8 +75,7 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
     for a, b in zip(bounds[1:-1], bounds[2:]):  # e is its own entry everywhere
         for gens_l in blocks(1 << n, (b - a) << n):
             dl = down_l[gens_l, None, a:b]
-            at = np.where(dl != ids[a:b], dl, down_r[None, :, a:b])
-            at += starts[gens_l]
+            at = starts[gens_l] + np.where(dl != ids[a:b], dl, down_r[None, :, a:b])
             reps[gens_l, :, a:b] = flat.take(at)
     reps.flags.writeable = False
     return reps

@@ -17,7 +17,7 @@ class NotFiniteError(BicoxError):
 
 
 class CapacityError(BicoxError):
-    """A requested computation exceeds the configured element or face budget."""
+    """A requested computation exceeds the configured element, face or table budget."""
 
 
 class InternalCheckError(BicoxError):

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import bicox
 from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
-from bicox.cli import double_quotient_cost, main
+from bicox.cli import FACE_BUDGET, main
+from bicox.complexes import TABLE_GATE, face_count
 from bicox.coxeter import DEFAULT_BUDGET, count_text, descent_walk, parabolic
-from bicox.enumeration import flag_f
 from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
@@ -352,35 +352,45 @@ def test_verify_b5_runs_double_quotient_oracle(tmp_path, capsys):
 
 
 def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
-    """The oracle's gate counts the entries it closes, 2^n x sum of
-    [W : W_J]: A6 (3026752) is under it and D6 (13831232) over it."""
+    """One gate on the 4^n x |W| table entries bounds the double-quotient
+    oracle and the complex: A6 (20643840) is under it, with every line
+    PASS, and A7 (660602880) over it, with both lines SKIP and the report
+    ending there."""
     assert run(tmp_path, "verify", "--type", "A6", "--format", "json") == 0
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["double-quotient-oracle"] == {
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 17 and {c["status"] for c in checks} == {"PASS"}
+    assert checks[6] == {
         "name": "double-quotient-oracle",
         "status": "PASS",
         "detail": "all 4096 subset pairs",
     }
-    assert checks["complex"] == {
-        "name": "complex",
-        "status": "SKIP",
-        "detail": "complex of A6 has 546193 faces, over the budget of 500000",
-    }
-    assert run(tmp_path, "verify", "--type", "D6", "--format", "json") == 0
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["double-quotient-oracle"] == {
-        "name": "double-quotient-oracle",
-        "status": "SKIP",
-        "detail": "2^6 x sum of [W:W_J] = 13831232 over 4000000",
-    }
+    assert run(tmp_path, "verify", "--type", "A7", "--format", "json") == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    gate = "A7 has 660602880 table entries, over the budget of 268435456"
+    assert checks[6:] == [
+        {"name": "double-quotient-oracle", "status": "SKIP", "detail": gate},
+        {"name": "complex", "status": "SKIP", "detail": gate},
+    ]
+    assert {c["status"] for c in checks[:6]} == {"PASS"}
 
 
 @pytest.mark.parametrize(
-    "spec", ["A1", "A3", "H3", "A4", "F4", "B5", "I2(7)", "A1xA1xA1xA1xA1xA1xA1xA1", "D4xD4"]
+    "spec",
+    [
+        "A1", "A3", "H3", "A4", "F4", "B5", "I2(7)", "A1xA1xA1xA1xA1xA1xA1xA1", "D4xD4",
+        "A1xB2xI2(5)xI2(5)", "A1xA1xA1xA1xA1xA1xI2(5)",
+    ],
 )
-def test_double_quotient_cost_is_the_sum_of_parabolic_indices(spec, tables):
-    """The gate's count, read from the flag f-table, against 2^n times the
-    sum over J of [W : W_J], from the classified parabolic orders."""
+def test_no_check_is_lost_to_the_table_gate(spec, tables):
+    """The double-quotient oracle closes 2^n times the sum over J of
+    [W : W_J] entries, from the classified parabolic orders: at most the
+    4^n x |W| entries of the table.  A group that the oracle's old gate
+    (4,000,000 closed entries) or the complex's old face budget (500,000)
+    admitted is under the table gate.  The last two groups are the largest
+    tables under each old gate among the products of rank at most 8 and
+    order at most 10^7 of A1-A8, B2-B7, D4-D8, E6, E7, F4, H3, H4 and
+    I2(m), m in 5-10, 12, 20, 50, 100, 1000 and 10000; past rank 8, A1^9
+    already has 5^9 faces and 6^9 closed entries."""
     table = tables(spec)
     system, n = table.system, table.rank
 
@@ -388,7 +398,10 @@ def test_double_quotient_cost_is_the_sum_of_parabolic_indices(spec, tables):
         sub = [s for s in range(n) if gens >> s & 1]
         return system.order // parabolic(system, sub).order if sub else system.order
 
-    assert double_quotient_cost(flag_f(table)) == (1 << n) * sum(map(index, range(1 << n)))
+    closed, entries = (1 << n) * sum(map(index, range(1 << n))), 4**n * table.order
+    assert closed <= entries
+    if closed <= 4_000_000 or face_count(table) <= FACE_BUDGET:
+        assert entries <= TABLE_GATE
 
 
 def test_verify_counts_subset_pairs_against_the_budget(tmp_path, capsys, monkeypatch):
@@ -809,6 +822,19 @@ def test_export_matches_golden(spec, what, fmt, digest, tmp_path, capsys):
 def test_export_over_face_budget_exits_3(tmp_path, capsys):
     assert run(tmp_path, "export", "--type", "A6", "--what", "hasse") == 3
     assert "over the budget of 500000" in capsys.readouterr().err
+
+
+def test_export_counts_faces_before_building_a_table(tmp_path, capsys, monkeypatch):
+    """Export's face limit is read from the descent sets: A6's 546,193
+    faces are refused before any table of minimal representatives."""
+    import bicox.complexes
+
+    def never(table):
+        raise AssertionError("table of minimal representatives started")
+
+    monkeypatch.setattr(bicox.complexes, "minimal_rep_table", never)
+    assert run(tmp_path, "export", "--type", "A6", "--what", "hasse") == 3
+    assert capsys.readouterr().err == "error: A6 has 546193 faces, over the budget of 500000\n"
 
 
 def test_export_to_file(tmp_path, capsys):

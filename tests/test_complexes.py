@@ -155,9 +155,23 @@ def test_build_face_count_mismatch_raises(tables, monkeypatch):
 
 
 def test_face_budget(tables, monkeypatch):
-    monkeypatch.setattr(bicox.complexes, "FACE_BUDGET", 10)
+    monkeypatch.setattr(bicox.complexes, "TABLE_GATE", 10)
     with pytest.raises(CapacityError):
         TwoSidedComplex.build(tables("A3"))
+
+
+def test_build_holds_less_than_half_the_faces_beside_the_complex(tables):
+    """The build fills one face array a block at a time, and steps down the
+    table through ids of the multiplication table's int32: on A1^8 its
+    traced peak over the finished complex stays under half the faces."""
+    table = tables("A1xA1xA1xA1xA1xA1xA1xA1")
+    tracemalloc.start()
+    try:
+        cx = TwoSidedComplex.build(table)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < cx.faces.nbytes / 2
 
 
 def test_faces_are_packed_table_positions(complexes):
