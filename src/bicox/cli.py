@@ -89,8 +89,11 @@ def check_capacity(args, name: str, count: int, unit: str = "elements") -> None:
     check_budget(name, count, args.budget, unit)
 
 
-def get_table(args):
-    system = classify(parse_type_spec(args.type))
+def get_table(args, system=None):
+    """(table, cache path, whether the cache held it) for ``--type``,
+    classified here unless the caller passes its ``system``."""
+    if system is None:
+        system = classify(parse_type_spec(args.type))
     check_capacity(args, system.canonical_name, system.order)  # before any file name
     path = cache_mod.cache_path(args.cache_dir, system.canonical_name)
     if path.exists():
@@ -208,7 +211,7 @@ def cmd_verify(args) -> int:
     system = classify(parse_type_spec(args.type))  # refused before the table is read or built
     check_capacity(args, system.canonical_name, system.order)
     check_budget(system.canonical_name, 4**system.rank, args.budget, "subset pairs")
-    table, _, _ = get_table(args)
+    table, _, _ = get_table(args, system)
     results = run_verification(table)
     if args.format == "json":
         emit(

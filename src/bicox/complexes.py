@@ -45,10 +45,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coxeter import GroupTable, check_budget, descent_walk, popcount_table
-from .cosets import blocks, coset_labels, descent_free, minimal_rep_table
+from .cosets import blocks, coset_labels, descent_free, minimal_rep_table, rep_dtype
 from .errors import InternalCheckError
 
-TABLE_GATE = 1 << 28  # most entries 4^n * |W| of a table of minimal representatives
+# most bytes of a table of minimal representatives: A7's 1,321,205,760, and
+# every table of at most 2^28 entries, none over 4 bytes each
+TABLE_GATE = 5 << 28
 
 
 class Face(NamedTuple):
@@ -92,9 +94,10 @@ def face_count(table: GroupTable) -> int:
 
 def check_table_gate(table: GroupTable) -> None:
     """Refuse (:class:`CapacityError`) a ``reps`` of over :data:`TABLE_GATE`
-    entries, 4^n * |W|, never fewer than the double-quotient oracle closes."""
-    entries = 4**table.rank * table.order
-    check_budget(table.system.canonical_name, entries, TABLE_GATE, "table entries")
+    bytes: 4^n * |W| entries, never fewer than the double-quotient oracle
+    closes, each of :func:`~bicox.cosets.rep_dtype`."""
+    size = 4**table.rank * table.order * rep_dtype(table.order).itemsize
+    check_budget(table.system.canonical_name, size, TABLE_GATE, "table bytes")
 
 
 class TwoSidedComplex:

@@ -46,6 +46,12 @@ def blocks(count: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def rep_dtype(order: int) -> np.dtype:
+    """The narrowest unsigned type that holds every id of a group of
+    ``order`` elements: the type of :func:`minimal_rep_table`."""
+    return np.min_scalar_type(order - 1)
+
+
 def minimal_rep_table(table: GroupTable) -> np.ndarray:
     """Read-only ``reps[I, J, w]``: the minimal element of W_I w W_J, every I, J, w.
 
@@ -53,7 +59,7 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
     and Des_R(w) misses J, else the entry of the shorter s.w or w.s, read
     by one flat ``take`` on the raveled table, where row (I, J) starts at
     (I * 2^n + J) * |W|, a block of left masks I at a time.  Holds 4^n * |W|
-    ids in the narrowest unsigned type, as many as ``check_table_gate`` admits.
+    ids of :func:`rep_dtype`, as many bytes as ``check_table_gate`` admits.
     """
     n, order = table.rank, table.order
     masks = np.arange(1 << n, dtype=table.des_left.dtype)
@@ -67,7 +73,7 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
 
     down_l = step_down(table.left_mult, table.des_left)
     down_r = step_down(table.right_mult, table.des_right)
-    reps = np.empty((1 << n, 1 << n, order), dtype=np.min_scalar_type(order - 1))
+    reps = np.empty((1 << n, 1 << n, order), dtype=rep_dtype(order))
     reps[...] = ids
     flat = reps.ravel()
     starts = (np.arange(1 << 2 * n) * order).reshape(1 << n, 1 << n, 1)

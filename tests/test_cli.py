@@ -18,7 +18,7 @@ import bicox
 from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
 from bicox.cli import FACE_BUDGET, main
 from bicox.complexes import TABLE_GATE, face_count
-from bicox.coxeter import DEFAULT_BUDGET, count_text, descent_walk, parabolic
+from bicox.coxeter import DEFAULT_BUDGET, classify, count_text, descent_walk, parabolic
 from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
@@ -352,10 +352,11 @@ def test_verify_b5_runs_double_quotient_oracle(tmp_path, capsys):
 
 
 def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
-    """One gate on the 4^n x |W| table entries bounds the double-quotient
-    oracle and the complex: A6 (20643840) is under it, with every line
-    PASS, and A7 (660602880) over it, with both lines SKIP and the report
-    ending there."""
+    """One gate on the bytes of the table, 4^n x |W| entries of the
+    narrowest unsigned type, bounds the double-quotient oracle and the
+    complex: A6 (20643840 uint16 entries) is under it, with every line
+    PASS, and D4xD4 (2415919104 uint16 entries) over it, with both lines
+    SKIP and the report ending there."""
     assert run(tmp_path, "verify", "--type", "A6", "--format", "json") == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert len(checks) == 17 and {c["status"] for c in checks} == {"PASS"}
@@ -364,9 +365,9 @@ def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
         "status": "PASS",
         "detail": "all 4096 subset pairs",
     }
-    assert run(tmp_path, "verify", "--type", "A7", "--format", "json") == 0
+    assert run(tmp_path, "verify", "--type", "D4xD4", "--format", "json") == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
-    gate = "A7 has 660602880 table entries, over the budget of 268435456"
+    gate = "D4xD4 has 4831838208 table bytes, over the budget of 1342177280"
     assert checks[6:] == [
         {"name": "double-quotient-oracle", "status": "SKIP", "detail": gate},
         {"name": "complex", "status": "SKIP", "detail": gate},
@@ -386,9 +387,11 @@ def test_no_check_is_lost_to_the_table_gate(spec, tables):
     [W : W_J] entries, from the classified parabolic orders: at most the
     4^n x |W| entries of the table.  A group that the oracle's old gate
     (4,000,000 closed entries) or the complex's old face budget (500,000)
-    admitted is under the table gate.  The last two groups are the largest
-    tables under each old gate among the products of rank at most 8 and
-    order at most 10^7 of A1-A8, B2-B7, D4-D8, E6, E7, F4, H3, H4 and
+    admitted is under the table gate, in bytes of the narrowest unsigned
+    type.  So is every table of at most 2^28 entries, the gate's old count,
+    as none holds over 4 bytes an entry.  The last two groups are the
+    largest tables under each old gate among the products of rank at most
+    8 and order at most 10^7 of A1-A8, B2-B7, D4-D8, E6, E7, F4, H3, H4 and
     I2(m), m in 5-10, 12, 20, 50, 100, 1000 and 10000; past rank 8, A1^9
     already has 5^9 faces and 6^9 closed entries."""
     table = tables(spec)
@@ -400,8 +403,29 @@ def test_no_check_is_lost_to_the_table_gate(spec, tables):
 
     closed, entries = (1 << n) * sum(map(index, range(1 << n))), 4**n * table.order
     assert closed <= entries
+    size = entries * np.min_scalar_type(table.order - 1).itemsize
     if closed <= 4_000_000 or face_count(table) <= FACE_BUDGET:
-        assert entries <= TABLE_GATE
+        assert size <= TABLE_GATE
+    assert (1 << 28) * 4 <= TABLE_GATE
+
+
+def test_verify_classifies_its_type_once(tmp_path, capsys, monkeypatch):
+    """``bicox verify`` hands its classified system to the table lookup, so
+    the spec is classified once, from an empty cache and from a warm one."""
+    import bicox.cli
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return classify(matrix)
+
+    monkeypatch.setattr(bicox.cli, "classify", counted)
+    for _ in range(2):
+        calls.clear()
+        assert run(tmp_path, "verify", "--type", "A2") == 0
+        assert len(calls) == 1
+    assert capsys.readouterr().out.count("PASS contingency-isomorphism") == 2
 
 
 def test_verify_counts_subset_pairs_against_the_budget(tmp_path, capsys, monkeypatch):

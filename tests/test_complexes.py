@@ -13,6 +13,7 @@ from bicox.complexes import (
     Face,
     ShellingReport,
     TwoSidedComplex,
+    check_table_gate,
     euler_characteristic,
     face_labels,
     facet_walls,
@@ -158,6 +159,20 @@ def test_face_budget(tables, monkeypatch):
     monkeypatch.setattr(bicox.complexes, "TABLE_GATE", 10)
     with pytest.raises(CapacityError):
         TwoSidedComplex.build(tables("A3"))
+
+
+@pytest.mark.parametrize("spec", ["A3", "I2(300)", "I2(40000)"])
+def test_table_gate_counts_the_bytes_of_reps(spec, tables, monkeypatch):
+    """The gate admits a table of exactly its bytes and refuses one byte
+    less, with uint8, uint16 and uint32 entries."""
+    table = tables(spec)
+    size = minimal_rep_table(table).nbytes
+    monkeypatch.setattr(bicox.complexes, "TABLE_GATE", size)
+    check_table_gate(table)
+    monkeypatch.setattr(bicox.complexes, "TABLE_GATE", size - 1)
+    with pytest.raises(CapacityError) as refused:
+        check_table_gate(table)
+    assert str(refused.value) == f"{spec} has {size} table bytes, over the budget of {size - 1}"
 
 
 def test_build_holds_less_than_half_the_faces_beside_the_complex(tables):

@@ -368,6 +368,37 @@ def reference_isomorphism(cx):
     return complex_edges == split_edges == merge_edges
 
 
+def cells_isomorphism(cx):
+    """The isomorphism check on plain cells, face by face: each split or
+    merge is looked up among the faces' cells by its tuple, and one that is
+    missing there gives an edge (i, None) that the complex does not have."""
+    model = bicox.contingency.SymmetricGroupFaces(cx.table)
+    faces = cx.as_faces(cx.faces)
+    tabs = [model._cells_of(face) for face in faces]
+    position = {cells: i for i, cells in enumerate(tabs)}
+    if len(position) != len(faces):
+        return False
+    for face, cells, rank in zip(faces, tabs, cx.ranks(cx.faces).tolist()):
+        if model._face_of(cells) != face or len(cells) + len(cells[0]) - 2 != rank:
+            return False
+    if position.keys() != set(bicox.contingency._table_cells(model.n)):
+        return False
+    low, high = cx.cover_edges(cx.faces)
+    complex_edges = set(zip(low.tolist(), high.tolist()))
+    row_splits = {}
+    split_edges = {
+        (i, position.get(above))
+        for i, cells in enumerate(tabs)
+        for above in bicox.contingency._splits(cells, row_splits)
+    }
+    merge_edges = {
+        (position.get(below), i)
+        for i, cells in enumerate(tabs)
+        for below in bicox.contingency._merges(cells)
+    }
+    return complex_edges == split_edges == merge_edges
+
+
 def shift_rank(cx, monkeypatch):
     bad = copy.copy(cx)
     bad.ranks = lambda packed: cx.ranks(packed) + 1
@@ -392,57 +423,81 @@ def add_cover_edge(cx, monkeypatch):
 def swap_one_line(cx, monkeypatch):
     """The model draws s1 with the permutation of s2 and back."""
     a, b = (cx.table.generator_id(k) for k in range(2))
+    fill = bicox.contingency._one_line_array
 
-    class Swapped(SymmetricGroupFaces):
-        def __init__(self, table):
-            super().__init__(table)
-            perms = self._one_line
-            perms[a], perms[b] = perms[b], perms[a]
-            self._index = {p: w for w, p in enumerate(perms)}
+    def swapped(table, position):
+        perms = fill(table, position)
+        perms[[a, b]] = perms[[b, a]]
+        return perms
 
-    monkeypatch.setattr(bicox.contingency, "SymmetricGroupFaces", Swapped)
+    monkeypatch.setattr(bicox.contingency, "_one_line_array", swapped)
     return cx
 
 
 def remove_table(cx, monkeypatch):
     """The enumeration loses its last table."""
-    every = bicox.contingency._table_cells
-    monkeypatch.setattr(bicox.contingency, "_table_cells", lambda n: list(every(n))[:-1])
+    every = bicox.contingency._table_keys
+    monkeypatch.setattr(bicox.contingency, "_table_keys", lambda n: every(n)[:-1])
     return cx
 
 
-def drop_split(cx, monkeypatch):
-    """Every table loses its last split."""
-    every = bicox.contingency._splits
+def replace_table(cx, monkeypatch):
+    """The enumeration's last table becomes n balls in column 8 of row 1,
+    which is no table: as many keys, not the same ones."""
+    every = bicox.contingency._table_keys
     monkeypatch.setattr(
-        bicox.contingency, "_splits", lambda cells, row_splits: every(cells, row_splits)[:-1]
+        bicox.contingency,
+        "_table_keys",
+        lambda n: np.append(every(n)[:-1], sum(7 << 6 * k for k in range(n))),
     )
     return cx
 
 
+def last_of_each(along):
+    """``along`` without the last move of each table."""
+
+    def fewer(x, y):
+        source, moved = along(x, y)
+        keep = np.append(source[1:] == source[:-1], False)[: len(source)]
+        return source[keep], moved[keep]
+
+    return fewer
+
+
+def drop_split(cx, monkeypatch):
+    """Every table loses its last row split and its last column split."""
+    every = bicox.contingency._splits_along
+    monkeypatch.setattr(bicox.contingency, "_splits_along", last_of_each(every))
+    return cx
+
+
 def drop_merge(cx, monkeypatch):
-    """Every table loses its last merge."""
-    every = bicox.contingency._merges
-    monkeypatch.setattr(bicox.contingency, "_merges", lambda cells: every(cells)[:-1])
+    """Every table loses its last row merge and its last column merge."""
+    every = bicox.contingency._merges_along
+    monkeypatch.setattr(bicox.contingency, "_merges_along", last_of_each(every))
     return cx
 
 
 def missort_one_box(cx, monkeypatch):
     """The sorting map sends the one-box table to a face with no right
     generators."""
-    sort = SymmetricGroupFaces._face_of
+    sort = SymmetricGroupFaces._faces_of
 
-    def missorted(self, cells):
-        face = sort(self, cells)
-        return face._replace(right=0) if cells == ((self.n,),) else face
+    def missorted(self, rows, column_major, by_col):
+        left, u, right = sort(self, rows, column_major, by_col)
+        one_box = ~rows.any(axis=1) & ~by_col.any(axis=1)
+        return left, u, np.where(one_box, 0, right)
 
-    monkeypatch.setattr(SymmetricGroupFaces, "_face_of", missorted)
+    monkeypatch.setattr(SymmetricGroupFaces, "_faces_of", missorted)
     return cx
 
 
 def refuse_minimal(cx, monkeypatch):
     """No sorted representative passes the descent test."""
-    monkeypatch.setattr(bicox.contingency, "is_minimal_rep", lambda *args: False)
+    free = bicox.contingency.descent_free
+    monkeypatch.setattr(
+        bicox.contingency, "descent_free", lambda table: [np.zeros_like(m) for m in free(table)]
+    )
     return cx
 
 
@@ -452,11 +507,13 @@ CORRUPTIONS = [
     add_cover_edge,
     swap_one_line,
     remove_table,
+    replace_table,
     drop_split,
     drop_merge,
     missort_one_box,
     refuse_minimal,
 ]
+REACH_THE_REFERENCES = {shift_rank, drop_cover_edge, add_cover_edge, swap_one_line}
 
 
 def outcome(check, cx):
@@ -468,23 +525,82 @@ def outcome(check, cx):
 
 @pytest.mark.parametrize(
     "spec, corrupt",
-    [
+    [(spec, None) for spec in ["A1", "A2", "A3", "A4"]]
+    + [
         (spec, corrupt)
         for spec in ["A1", "A2", "A3"]
-        for corrupt in [None] + CORRUPTIONS
+        for corrupt in CORRUPTIONS
         if not (spec == "A1" and corrupt is swap_one_line)  # A1 has one generator
     ],
 )
 def test_isomorphism_matches_object_reference(spec, corrupt, tables, monkeypatch):
-    """The check on cell tuples returns what the object-based one does, on
-    the complexes of S_2 to S_4 and on each corruption."""
+    """The array check, the cells check and the object check all accept the
+    complexes of S_2 to S_5.  Each corruption makes the array check return
+    False, or raise the minimality error, on S_2 to S_4, and both
+    references do the same on the corruptions that reach them."""
     cx = TwoSidedComplex.build(tables(spec))
     expected = True
     if corrupt is not None:
         cx = corrupt(cx, monkeypatch)
         expected = "sorted representative is not minimal" if corrupt is refuse_minimal else False
-    assert outcome(reference_isomorphism, cx) == expected
     assert outcome(verify_refinement_isomorphism, cx) == expected
+    if corrupt is None or corrupt in REACH_THE_REFERENCES:
+        assert outcome(reference_isomorphism, cx) == expected
+        assert outcome(cells_isomorphism, cx) == expected
+
+
+def test_refinement_isomorphism_on_a5(tables):
+    """The complex of S_6, 37,277 faces."""
+    assert verify_refinement_isomorphism(TwoSidedComplex.build(tables("A5")))
+
+
+def cells_key(cells):
+    """Reference key of a table given by its cells: the balls' cells
+    row << 3 | col, ascending, 6 bits each, first highest."""
+    balls = sorted(
+        r << 3 | c for r, row in enumerate(cells) for c, x in enumerate(row) for _ in range(x)
+    )
+    return sum(cell << 6 * (len(balls) - 1 - k) for k, cell in enumerate(balls))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_table_keys_match_the_table_cells(n):
+    keys = bicox.contingency._table_keys(n)
+    assert sorted(keys.tolist()) == sorted(map(cells_key, bicox.contingency._table_cells(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_array_moves_are_the_cells_moves(n):
+    """For every table of total n, the array splits and merges are the
+    cells ones, each once."""
+    contingency = bicox.contingency
+    every = list(contingency._table_cells(n))
+    rows, cols = contingency._balls(np.array([cells_key(c) for c in every], dtype=np.int64), n)
+    column_major = np.argsort(cols, axis=1, kind="stable")
+    by_col = np.take_along_axis(cols, column_major, axis=1)
+    by_col_rows = np.take_along_axis(rows, column_major, axis=1)
+    for along, moves in [
+        (contingency._splits_along, lambda cells: contingency._splits(cells, {})),
+        (contingency._merges_along, contingency._merges),
+    ]:
+        source, keys = contingency._covers(along, rows, cols, by_col, by_col_rows)
+        expected = [(i, cells_key(move)) for i, cells in enumerate(every) for move in moves(cells)]
+        assert sorted(zip(source.tolist(), keys.tolist())) == sorted(expected)
+
+
+def test_one_line_is_the_left_action(tables):
+    """Every w's permutation is distinct, and s*w is w's with the values of
+    the canonical generator s swapped, for every s and w of A4."""
+    model = SymmetricGroupFaces(tables("A4"))
+    perms = {model.one_line(w) for w in range(model.table.order)}
+    assert len(perms) == model.table.order
+    vertices = model.table.system.components[0].vertices
+    for k, s in enumerate(vertices):
+        swap = {k + 1: k + 2, k + 2: k + 1}
+        for w in range(model.table.order):
+            expected = tuple(swap.get(v, v) for v in model.one_line(w))
+            assert model.one_line(int(model.table.left_mult[w, s])) == expected
+            assert model.id_of(expected) == model.table.left_mult[w, s]
 
 
 def test_table_to_face_checks_total(s3_model):
