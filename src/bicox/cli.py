@@ -89,11 +89,9 @@ def check_capacity(args, name: str, count: int, unit: str = "elements") -> None:
     check_budget(name, count, args.budget, unit)
 
 
-def get_table(args, system=None):
-    """(table, cache path, whether the cache held it) for ``--type``,
-    classified here unless the caller passes its ``system``."""
-    if system is None:
-        system = classify(parse_type_spec(args.type))
+def get_table(args, system):
+    """(table, cache path, whether the cache held it) for ``system``, the
+    classified ``--type``."""
     check_capacity(args, system.canonical_name, system.order)  # before any file name
     path = cache_mod.cache_path(args.cache_dir, system.canonical_name)
     if path.exists():
@@ -307,7 +305,7 @@ def cmd_export(args) -> int:
         raise ValueError(f"--min-rank must be nonnegative, got {args.min_rank}")
     if args.max_rank is not None and args.max_rank < args.min_rank:
         raise ValueError(f"--max-rank {args.max_rank} is below --min-rank {args.min_rank}")
-    table, _, _ = get_table(args)
+    table, _, _ = get_table(args, classify(parse_type_spec(args.type)))
     if args.what == "contingency":
         model = SymmetricGroupFaces(table)  # ValueError unless type A, before any complex
     check_budget(table.system.canonical_name, face_count(table), FACE_BUDGET, "faces")
@@ -333,7 +331,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_build(args) -> int:
-    table, path, hit = get_table(args)
+    table, path, hit = get_table(args, classify(parse_type_spec(args.type)))
     status = "cached" if hit else "built"
     print(
         f"{status} {table.system.canonical_name}: order {table.order}, "

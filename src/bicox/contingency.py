@@ -45,7 +45,7 @@ import numpy as np
 from .complexes import Face, TwoSidedComplex
 from .coxeter import GroupTable, descent_walk, layer_bounds, popcount_table
 from .errors import CapacityError, InternalCheckError
-from .cosets import blocks, descent_free, is_minimal_rep
+from .cosets import descent_free, is_minimal_rep
 
 Cells = tuple[tuple[int, ...], ...]  # a table's rows, bottom to top
 
@@ -138,14 +138,21 @@ class SymmetricGroupFaces:
         self._gens_of = table.full_mask ^ (masks[:, None] >> np.arange(table.rank) & 1) @ (
             1 << vertices
         )
+        # the same as Python tuples and lists, for the methods on one face
+        self._perms = list(map(tuple, self._one_line.tolist()))
+        self._blocks = self._block_of.tolist()
 
     def one_line(self, w: int) -> tuple[int, ...]:
-        return tuple(self._one_line[w].tolist())
+        return self._perms[w]
 
     def id_of(self, perm) -> int:
+        """The element with one-line permutation ``perm``.  Codes of other
+        lengths or values can collide with a permutation's, so the element
+        found must have ``perm`` itself."""
+        perm = tuple(perm)
         w = int(_find(self._codes, self._sorter, _perm_codes([np.subtract(perm, 1)]))[0])
-        if w < 0:
-            raise KeyError(tuple(perm))
+        if w < 0 or self._perms[w] != perm:
+            raise KeyError(perm)
         return w
 
     def face_to_table(self, face: Face) -> ContingencyTable:
@@ -153,8 +160,8 @@ class SymmetricGroupFaces:
         return ContingencyTable(self._cells_of(face))
 
     def _cells_of(self, face: Face) -> Cells:
-        rows = self._block_of[face.left].tolist()
-        cols = self._block_of[face.right].tolist()
+        rows = self._blocks[face.left]
+        cols = self._blocks[face.right]
         cells = [[0] * (cols[-1] + 1) for _ in range(rows[-1] + 1)]
         for c, value in zip(cols, self.one_line(face.w)):
             cells[rows[value - 1]][c] += 1
@@ -223,20 +230,16 @@ def _perm_codes(values: np.ndarray) -> np.ndarray:
 
 def _find(ordered: np.ndarray, sorter: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """For keys sorted by ``sorter`` into ``ordered``, the index of each
-    query among the keys, -1 where it is absent.  The queries are searched
-    in ascending order, which keeps the searches in cache."""
-    ascending = np.argsort(queries)
-    at = np.empty(len(queries), dtype=np.intp)
-    at[ascending] = np.searchsorted(ordered, queries[ascending])
-    at = np.minimum(at, len(ordered) - 1)
+    query among the keys, -1 where it is absent."""
+    at = np.minimum(np.searchsorted(ordered, queries), len(ordered) - 1)
     return np.where(ordered[at] == queries, sorter[at], -1)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending, by one sort: ``np.unique`` hashes
-    integers since numpy 2.3, and with numpy 2.4 took 45 ms where this
-    takes 1.7 ms on 253,662 random int64 (A5 has as many edges), on two
-    shared cores."""
+    """The distinct values, ascending, by one sort.  With numpy 2.4,
+    ``np.unique`` takes 70 us on A3's 1,110 edges where this takes 7 us
+    (two shared cores); with it, the ``verify_warm`` benchmark ran 1.4%
+    slower and peaked 0.5 MB higher, in 10 of 10 paired runs."""
     values = np.sort(values)
     return values[np.append(True, values[1:] != values[:-1])[: len(values)]]
 
@@ -526,8 +529,7 @@ def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:
     the first face that is not minimal for its masks, or that comes back
     other than it went or with another rank, decides: a non-minimal one
     raises, any other returns False.  Surjectivity compares the sorted keys
-    with :func:`_table_keys`.  The splits and merges of every table, drawn
-    for a block of faces at a time (:func:`~bicox.cosets.blocks`), are
+    with :func:`_table_keys`.  The splits and merges of every table are
     looked up among the face keys; an absent one becomes an edge -1 that
     no cover has.  The complex, split and merge edges are compared as sets,
     each a sorted array of distinct low * F + high over the F faces.
@@ -564,14 +566,10 @@ def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:
     low, high = cx.cover_edges(cx.faces)
     edges = [_distinct(low * count + high)]
     for along, up in [(_splits_along, True), (_merges_along, False)]:
-        codes = []
-        for part in blocks(count, 1):
-            source, moved = _covers(along, rows[part], cols[part], by_col[part], by_col_rows[part])
-            source += part.start
-            other = _find(ordered, sorter, moved)
-            low, high = (source, other) if up else (other, source)
-            codes.append(np.where(other < 0, -1, low * count + high))
-        edges.append(_distinct(np.concatenate(codes)))
+        source, moved = _covers(along, rows, cols, by_col, by_col_rows)
+        other = _find(ordered, sorter, moved)
+        low, high = (source, other) if up else (other, source)
+        edges.append(_distinct(np.where(other < 0, -1, low * count + high)))
     return np.array_equal(edges[0], edges[1]) and np.array_equal(edges[1], edges[2])
 
 

@@ -436,19 +436,23 @@ def swap_one_line(cx, monkeypatch):
 
 def remove_table(cx, monkeypatch):
     """The enumeration loses its last table."""
-    every = bicox.contingency._table_keys
-    monkeypatch.setattr(bicox.contingency, "_table_keys", lambda n: every(n)[:-1])
+    cells, keys = bicox.contingency._table_cells, bicox.contingency._table_keys
+    monkeypatch.setattr(bicox.contingency, "_table_cells", lambda n: list(cells(n))[:-1])
+    monkeypatch.setattr(bicox.contingency, "_table_keys", lambda n: keys(n)[:-1])
     return cx
 
 
 def replace_table(cx, monkeypatch):
-    """The enumeration's last table becomes n balls in column 8 of row 1,
-    which is no table: as many keys, not the same ones."""
-    every = bicox.contingency._table_keys
+    """The enumeration's last table becomes its first once more: as many
+    tables, not the same ones."""
+    cells, keys = bicox.contingency._table_cells, bicox.contingency._table_keys
+
+    def again(every):
+        return every[:-1] + every[:1]
+
+    monkeypatch.setattr(bicox.contingency, "_table_cells", lambda n: again(list(cells(n))))
     monkeypatch.setattr(
-        bicox.contingency,
-        "_table_keys",
-        lambda n: np.append(every(n)[:-1], sum(7 << 6 * k for k in range(n))),
+        bicox.contingency, "_table_keys", lambda n: np.array(again(keys(n).tolist()))
     )
     return cx
 
@@ -465,36 +469,48 @@ def last_of_each(along):
 
 
 def drop_split(cx, monkeypatch):
-    """Every table loses its last row split and its last column split."""
-    every = bicox.contingency._splits_along
-    monkeypatch.setattr(bicox.contingency, "_splits_along", last_of_each(every))
+    """Every table loses its last split: on cells its last one, on arrays
+    its last row split and its last column split."""
+    cells, along = bicox.contingency._splits, bicox.contingency._splits_along
+    monkeypatch.setattr(
+        bicox.contingency, "_splits", lambda c, row_splits: cells(c, row_splits)[:-1]
+    )
+    monkeypatch.setattr(bicox.contingency, "_splits_along", last_of_each(along))
     return cx
 
 
 def drop_merge(cx, monkeypatch):
-    """Every table loses its last row merge and its last column merge."""
-    every = bicox.contingency._merges_along
-    monkeypatch.setattr(bicox.contingency, "_merges_along", last_of_each(every))
+    """Every table loses its last merge: on cells its last one, on arrays
+    its last row merge and its last column merge."""
+    cells, along = bicox.contingency._merges, bicox.contingency._merges_along
+    monkeypatch.setattr(bicox.contingency, "_merges", lambda c: cells(c)[:-1])
+    monkeypatch.setattr(bicox.contingency, "_merges_along", last_of_each(along))
     return cx
 
 
 def missort_one_box(cx, monkeypatch):
     """The sorting map sends the one-box table to a face with no right
     generators."""
-    sort = SymmetricGroupFaces._faces_of
+    sort, sort_all = SymmetricGroupFaces._face_of, SymmetricGroupFaces._faces_of
 
-    def missorted(self, rows, column_major, by_col):
-        left, u, right = sort(self, rows, column_major, by_col)
+    def missorted(self, cells):
+        face = sort(self, cells)
+        return face._replace(right=0) if cells == ((self.n,),) else face
+
+    def all_missorted(self, rows, column_major, by_col):
+        left, u, right = sort_all(self, rows, column_major, by_col)
         one_box = ~rows.any(axis=1) & ~by_col.any(axis=1)
         return left, u, np.where(one_box, 0, right)
 
-    monkeypatch.setattr(SymmetricGroupFaces, "_faces_of", missorted)
+    monkeypatch.setattr(SymmetricGroupFaces, "_face_of", missorted)
+    monkeypatch.setattr(SymmetricGroupFaces, "_faces_of", all_missorted)
     return cx
 
 
 def refuse_minimal(cx, monkeypatch):
     """No sorted representative passes the descent test."""
     free = bicox.contingency.descent_free
+    monkeypatch.setattr(bicox.contingency, "is_minimal_rep", lambda *args: False)
     monkeypatch.setattr(
         bicox.contingency, "descent_free", lambda table: [np.zeros_like(m) for m in free(table)]
     )
@@ -513,7 +529,6 @@ CORRUPTIONS = [
     missort_one_box,
     refuse_minimal,
 ]
-REACH_THE_REFERENCES = {shift_rank, drop_cover_edge, add_cover_edge, swap_one_line}
 
 
 def outcome(check, cx):
@@ -535,18 +550,16 @@ def outcome(check, cx):
 )
 def test_isomorphism_matches_object_reference(spec, corrupt, tables, monkeypatch):
     """The array check, the cells check and the object check all accept the
-    complexes of S_2 to S_5.  Each corruption makes the array check return
-    False, or raise the minimality error, on S_2 to S_4, and both
-    references do the same on the corruptions that reach them."""
+    complexes of S_2 to S_5, and each corruption makes all three return
+    False, or raise the minimality error, on S_2 to S_4."""
     cx = TwoSidedComplex.build(tables(spec))
     expected = True
     if corrupt is not None:
         cx = corrupt(cx, monkeypatch)
         expected = "sorted representative is not minimal" if corrupt is refuse_minimal else False
+    assert outcome(reference_isomorphism, cx) == expected
+    assert outcome(cells_isomorphism, cx) == expected
     assert outcome(verify_refinement_isomorphism, cx) == expected
-    if corrupt is None or corrupt in REACH_THE_REFERENCES:
-        assert outcome(reference_isomorphism, cx) == expected
-        assert outcome(cells_isomorphism, cx) == expected
 
 
 def test_refinement_isomorphism_on_a5(tables):
@@ -601,6 +614,18 @@ def test_one_line_is_the_left_action(tables):
             expected = tuple(swap.get(v, v) for v in model.one_line(w))
             assert model.one_line(int(model.table.left_mult[w, s])) == expected
             assert model.id_of(expected) == model.table.left_mult[w, s]
+
+
+@pytest.mark.parametrize(
+    "perm", [(2, 3, 4), (1, 1, 2, 3, 4), (), (1, 2, 3), (1, 2, 4, 3, 0), (1, 2, 19, 4), (1, 1, 3, 4)]
+)
+def test_id_of_refuses_what_is_no_permutation(perm, tables):
+    """On S_4, a tuple of another length, or with values that are not 1 to
+    4, is no element, even where its packed code is a permutation's:
+    (2, 3, 4) packs as the identity, (1, 2, 19, 4) as (1, 3, 2, 4)."""
+    model = SymmetricGroupFaces(tables("A3"))
+    with pytest.raises(KeyError):
+        model.id_of(perm)
 
 
 def test_table_to_face_checks_total(s3_model):
