@@ -200,7 +200,8 @@ def run_verification(table):
         where = f"first mismatch at facet {report.first_mismatch}, first impure at facet {impure}"
         record("shelling", False, where)
     if table.system.is_irreducible("A") and n <= 3:
-        edges = f"{every_face}, {len(cx.cover_edges(cx.faces)[0])} cover edges"
+        # each face of rank r covers r faces
+        edges = f"{every_face}, {int(cx.ranks(cx.faces).sum())} cover edges"
         check("contingency-isomorphism", lambda: verify_refinement_isomorphism(cx), edges)
     return results
 

@@ -15,9 +15,24 @@ right cosets x.W_J are closed first, over the columns x.s (s in J) of
 ``right_mult``, and numbered by least id; then s in I acts on the coset of
 least id u as the coset of s.u, and W_I's orbits on the cosets are closed
 the same way, one private kernel serving both steps.
+
 :func:`verify_double_quotients` checks every pair (I, J) at once: the
-descent filter as one matrix product, and per J the orbits of every W_I
-together (:func:`sweep_counts`), 2^n x [W : W_J] entries in all.
+descent filter as one matrix product, against Mackey's formula for
+permutation characters (Geck-Pfeiffer, *Characters of Finite Coxeter
+Groups and Iwahori-Hecke Algebras*, 2000), which reads no descent set
+either:
+
+    |W_I\\W/W_J| = <1^W_I, 1^W_J>
+                = sum over conjugacy classes C of
+                  |C & W_I| |C & W_J| |W| / (|C| |W_I| |W_J|).
+
+Every W_J is closed at once from the ``right_mult`` columns on one
+(2^n, |W|) label array, each generator lowering a strided view of the rows
+that hold it, and the classes are closed over x -> s.(x.s).  The
+numerators are exact in int64: every partial sum is at most |W|^2.  Two
+consistency clauses keep the count from accepting tables that are no
+group's: (s.x).s = s.(x.s) for every x and s, and each W_J is closed under
+left multiplication by every s in J; a class size must also divide |W|.
 
 The table of minimal representatives, :func:`minimal_rep_table`, is filled
 one length layer at a time by flat ``take``s on the raveled table, over
@@ -29,6 +44,8 @@ and safe for concurrent use.  Generator subsets are bitmasks.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -175,13 +192,6 @@ def count_cosets_by_sweep(table: GroupTable, gens_l: int, gens_r: int) -> int:
     return int(coset_labels(table, gens_l, gens_r).max()) + 1
 
 
-def sweep_counts(table: GroupTable, gens_r: int) -> np.ndarray:
-    """Entry I: the number of double cosets W_I w W_J, every I at once: the
-    cosets that are the least of their W_I-orbit (:func:`_coset_orbits`)."""
-    _, orbit = _coset_orbits(table, np.arange(table.full_mask + 1), gens_r)
-    return np.count_nonzero(orbit == np.arange(orbit.shape[1]), axis=1)
-
-
 def _descent_counts(table: GroupTable) -> np.ndarray:
     """counts[I, J] = :func:`count_minimal_by_descents`, every pair at once:
     a product of the left and right descent-free indicators."""
@@ -190,10 +200,84 @@ def _descent_counts(table: GroupTable) -> np.ndarray:
     return (free_l.astype(float) @ free_r.T.astype(float)).astype(np.int64)
 
 
-def _mismatch(gens_l: int, gens_r: int, by_descents: int, by_sweep: int) -> InternalCheckError:
+def _holding(rows: np.ndarray, s: int) -> np.ndarray:
+    """The rows of a (2^n, ...) array whose mask holds generator s, as a
+    strided (2^(n - s - 1), 2^s, ...) view."""
+    return rows.reshape(-1, 2, 1 << s, *rows.shape[1:])[:, 1]
+
+
+def _close_subsets(actions) -> np.ndarray:
+    """labels[J, x]: the least index reachable from x through the actions of
+    the generators in J, every mask J at once.
+
+    ``actions[s]`` is generator s's action on range(count).  As in
+    :func:`_close`, neighbour minima and pointer jumps lower the labels
+    until none moves, here on one (2^n, count) array: generator s lowers
+    the rows of the masks holding it (:func:`_holding`) by the same rows
+    gathered through its action, so no index array is larger than one
+    action.
+    """
+    count = len(actions[0])
+    labels = np.broadcast_to(np.arange(count, dtype=actions[0].dtype), (1 << len(actions), count))
+    while True:
+        lower = labels.copy()
+        for s, action in enumerate(actions):
+            rows = _holding(lower, s)
+            np.minimum(rows, rows[..., action], out=rows)
+        lower = np.take_along_axis(lower, lower, axis=1)
+        if np.array_equal(lower, labels):
+            return labels
+        labels = lower
+
+
+def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den): |W_I\\W/W_J| = num[I, J] / den[I, J], every pair at
+    once, by Mackey's formula (see the module docstring), reading only the
+    multiplication tables.
+
+    W_J is where row J of ``right_mult``'s closure (:func:`_close_subsets`)
+    is labelled e (0); the classes C are closed over x -> s.(x.s).  Each
+    term |C & W_I| |W| / |C| is at most |W|, so every partial sum of num is
+    at most |W| |W_J| <= |W|^2: exact in int64 for any table that fits in
+    memory.  Raises :class:`InternalCheckError` on a class size that does
+    not divide |W|, on (s.x).s != s.(x.s), or on a W_J not closed under
+    left multiplication by some s in J.
+    """
+    n, order, left, right = table.rank, table.order, table.left_mult, table.right_mult
+    steps = [left[right[:, s], s] for s in range(n)]
+    classes = _numbered(_close(np.arange(order), steps))
+    sizes = np.bincount(classes)
+    uneven = np.flatnonzero(order % sizes)
+    if len(uneven):
+        least = int(np.argmax(classes == uneven[0]))
+        raise InternalCheckError(
+            f"the conjugacy class of element {least} has {sizes[uneven[0]]} elements, "
+            f"which does not divide |W| = {order}"
+        )
+    for s, step in enumerate(steps):
+        moved = np.flatnonzero(right[left[:, s], s] != step)
+        if len(moved):
+            raise InternalCheckError(f"(s.x).s differs from s.(x.s) for s = {s}, x = {moved[0]}")
+    in_sub = _close_subsets([right[:, s] for s in range(n)]) == 0
+    for s in range(n):
+        rows = _holding(in_sub, s)
+        open_rows = (rows & ~rows[..., left[:, s]]).any(axis=-1)
+        if open_rows.any():
+            gens_r = int(_holding(np.arange(1 << n), s)[open_rows].min())
+            raise InternalCheckError(
+                f"W_J for J={gens_r:b} is not closed under left multiplication by s = {s}"
+            )
+    masks, x = np.nonzero(in_sub)
+    meet = np.bincount(masks * len(sizes) + classes[x], minlength=len(sizes) << n)
+    meet = meet.reshape(1 << n, len(sizes))  # |C & W_J|
+    orders = meet.sum(axis=1)
+    return (meet * (order // sizes)) @ meet.T, np.outer(orders, orders)
+
+
+def _mismatch(gens_l: int, gens_r: int, by_descents: int, other: str) -> InternalCheckError:
     return InternalCheckError(
         f"double quotient count mismatch for I={gens_l:b}, J={gens_r:b}: "
-        f"descent filter {by_descents}, coset sweep {by_sweep}"
+        f"descent filter {by_descents}, {other}"
     )
 
 
@@ -206,7 +290,7 @@ def double_quotient_size(table: GroupTable, gens_l: int, gens_r: int) -> int:
     by_descents = count_minimal_by_descents(table, gens_l, gens_r)
     by_sweep = count_cosets_by_sweep(table, gens_l, gens_r)
     if by_descents != by_sweep:
-        raise _mismatch(gens_l, gens_r, by_descents, by_sweep)
+        raise _mismatch(gens_l, gens_r, by_descents, f"coset sweep {by_sweep}")
     return by_descents
 
 
@@ -214,18 +298,27 @@ def verify_double_quotients(table: GroupTable, f) -> bool:
     """Whether the flag f-table entry ``f[S - I][S - J]`` is |^I W^J| for
     every pair I, J.
 
-    Both counts of :func:`double_quotient_size` are made for all pairs: the
-    descent filter at once, the sweep once per J (:func:`sweep_counts`).
-    Pairs are scanned I outer, J inner; at the first pair where anything
-    disagrees, a descent/sweep mismatch raises :class:`InternalCheckError`
-    as :func:`double_quotient_size` does, and otherwise the answer is False.
+    Two counts are made for all pairs at once: the descent filter, and
+    |W_I\\W/W_J| = sum over classes C of |C & W_I| |C & W_J| |W| / (|C|
+    |W_I| |W_J|) (:func:`_character_counts`), which reads no descent set
+    and is exact in int64, every partial sum being at most |W|^2.  Before
+    any pair, every class size must divide |W|, and two consistency
+    clauses must hold, (s.x).s = s.(x.s) for every x and s, and each W_J
+    closed under left multiplication by every s in J; else
+    :class:`InternalCheckError` is raised.  Pairs are scanned I outer, J
+    inner; at the first pair where anything disagrees, a count mismatch or
+    a non-integer count (printed as a reduced p/q) raises
+    :class:`InternalCheckError`, and otherwise the answer is False.
     """
     by_descents = _descent_counts(table)
-    by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in range(table.full_mask + 1)]).T
-    bad = (by_descents != by_sweep) | (by_descents != np.asarray(f)[::-1, ::-1])
+    num, den = _character_counts(table)
+    by_characters, rest = np.divmod(num, den)
+    bad = (rest != 0) | (by_characters != by_descents)
+    bad |= by_descents != np.asarray(f)[::-1, ::-1]
     if not bad.any():
         return True
-    gens_l, gens_r = divmod(int(np.argmax(bad)), table.full_mask + 1)
-    if by_descents[gens_l, gens_r] != by_sweep[gens_l, gens_r]:
-        raise _mismatch(gens_l, gens_r, by_descents[gens_l, gens_r], by_sweep[gens_l, gens_r])
+    pair = divmod(int(np.argmax(bad)), table.full_mask + 1)
+    if rest[pair] or by_characters[pair] != by_descents[pair]:
+        count = Fraction(int(num[pair]), int(den[pair]))
+        raise _mismatch(*pair, by_descents[pair], f"permutation characters {count}")
     return False

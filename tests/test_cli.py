@@ -499,7 +499,7 @@ def test_verify_keeps_report_when_oracle_trips(tmp_path, a2, capsys):
     out = captured.out
     assert (
         "FAIL double-quotient-oracle  (double quotient count mismatch for I=1, J=0: "
-        "descent filter 4, coset sweep 3)"
+        "descent filter 4, permutation characters 3)"
     ) in out
     assert "FAIL contingency-isomorphism  (element 1 is not e but has no left descent)" in out
 

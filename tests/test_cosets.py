@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from bicox.cosets import (
+    _character_counts,
+    _coset_orbits,
+    _descent_counts,
     coset_labels,
     count_cosets_by_sweep,
     count_minimal_by_descents,
@@ -15,7 +18,6 @@ from bicox.cosets import (
     double_quotient_size,
     is_minimal_rep,
     minimal_rep_table,
-    sweep_counts,
     verify_double_quotients,
 )
 from bicox.enumeration import flag_f
@@ -67,6 +69,22 @@ def closure_labels(table, gens_l, gens_r):
         if np.array_equal(lower, labels):
             return np.unique(labels, return_inverse=True)[1]
         labels = lower
+
+
+def sweep_counts(table, gens_r):
+    """Entry I: the number of double cosets W_I w W_J, every I at once: the
+    cosets that are the least of their W_I-orbit (``_coset_orbits``)."""
+    _, orbit = _coset_orbits(table, np.arange(table.full_mask + 1), gens_r)
+    return np.count_nonzero(orbit == np.arange(orbit.shape[1]), axis=1)
+
+
+def sweep_check(table, f):
+    """The sweep reference of the double-quotient oracle: whether the descent
+    filter, :func:`sweep_counts` and ``f[S - I][S - J]`` agree at every pair."""
+    by_descents = _descent_counts(table)
+    by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in range(table.full_mask + 1)]).T
+    by_f = np.asarray(f)[::-1, ::-1]
+    return np.array_equal(by_sweep, by_descents) and np.array_equal(by_f, by_descents)
 
 
 def one_line(table, w):
@@ -210,7 +228,7 @@ def test_coset_sweep_needs_no_minimal_rep(a3, monkeypatch):
     for gens_l in range(a3.full_mask + 1):
         for gens_r in range(a3.full_mask + 1):
             assert count_cosets_by_sweep(a3, gens_l, gens_r) == expected[gens_l, gens_r]
-    # the all-pairs path, and its sweep reads no descent set either
+    # the all-pairs path; the sweep reference reads no descent set either
     assert verify_double_quotients(a3, expected[::-1, ::-1])
     blind = dataclasses.replace(
         a3, des_left=np.zeros_like(a3.des_left), des_right=np.zeros_like(a3.des_right)
@@ -268,14 +286,21 @@ def test_corrupt_right_mult_column_fails_oracle(a3):
     assert (0, 0b001) in failed
 
 
+def descent_flipped(table):
+    """``table`` with s1's left descent cleared: the counts of every pair
+    (I, J) with s1 in I move, and the first such pair is (1, 0)."""
+    des_left = table.des_left.copy()
+    des_left[table.generator_id(0)] ^= 1
+    return dataclasses.replace(table, des_left=des_left)
+
+
 def test_all_pairs_check_fails_where_the_pair_loop_does(a3):
-    """On a corrupt right_mult column the all-pairs check raises the text a
-    loop over double_quotient_size (I outer, J inner) raises first, also
-    when a wrong f entry comes later in that order; a wrong f entry at an
-    earlier pair is a plain False, as in that loop."""
-    right = a3.right_mult.copy()
-    right[[0, 2], 0] = right[[2, 0], 0]
-    bad = dataclasses.replace(a3, right_mult=right)
+    """On a descent-flipped table the all-pairs check raises at the pair a
+    loop over double_quotient_size (I outer, J inner) raises at first, with
+    the same counts, also when a wrong f entry comes later in that order; a
+    wrong f entry at an earlier pair is a plain False, as in that loop.  A
+    swapped right_mult column raises before any pair."""
+    bad = descent_flipped(a3)
     masks = range(a3.full_mask + 1)
     expected = np.array(
         [[count_minimal_by_descents(bad, gens_l, gens_r) for gens_r in masks] for gens_l in masks]
@@ -287,18 +312,126 @@ def test_all_pairs_check_fails_where_the_pair_loop_does(a3):
                 double_quotient_size(bad, gens_l, gens_r)
             except InternalCheckError as err:
                 failures.append(((gens_l, gens_r), str(err)))
-    assert failures[0][0] == (0, 0b001)
+    assert failures[0][0] == (1, 0)
+    first = failures[0][1].replace("coset sweep", "permutation characters")
+    assert first.endswith("I=1, J=0: descent filter 13, permutation characters 12")
     full = a3.full_mask
     f = expected[::-1, ::-1].copy()  # the flag f-table's complement order
     with pytest.raises(InternalCheckError) as caught:
         verify_double_quotients(bad, f)
-    assert str(caught.value) == failures[0][1]
-    f[full ^ 1, full ^ 0] += 1  # the pair (1, 0): after (0, 1) with I outer
+    assert str(caught.value) == first
+    f[full ^ 1, full ^ 1] += 1  # the pair (1, 1): after (1, 0) with I outer
     with pytest.raises(InternalCheckError) as caught:
         verify_double_quotients(bad, f)
-    assert str(caught.value) == failures[0][1]
+    assert str(caught.value) == first
     f[full ^ 0, full ^ 0] += 1  # the pair (0, 0), before every other
     assert verify_double_quotients(bad, f) is False
+    swapped = swap_entries(a3, "right_mult", 0, 0, 2)
+    with pytest.raises(InternalCheckError, match="does not divide"):
+        verify_double_quotients(swapped, flag_f(swapped))
+
+
+def swap_entries(table, name, s, x, y):
+    """``table`` with entries x and y of column s of ``name`` swapped."""
+    column = getattr(table, name).copy()
+    column[[x, y], s] = column[[y, x], s]
+    return dataclasses.replace(table, **{name: column})
+
+
+def left_s1_times_s3(table):
+    """``table`` with s1.x read as s1.x.s3.  It commutes with x -> x.s1, so
+    (s.x).s = s.(x.s) still holds and every class size divides |W|; the
+    closure of W_J under left multiplication is the first clause to fail."""
+    left = table.left_mult.copy()
+    left[:, 0] = table.right_mult[table.left_mult[:, 0], 2]
+    return dataclasses.replace(table, left_mult=left)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda a3: swap_entries(a3, "right_mult", 0, 0, 2),
+         "the conjugacy class of element 0 has 7 elements, which does not divide |W| = 24"),
+        (lambda a3: swap_entries(a3, "right_mult", 0, 1, 2),
+         "(s.x).s differs from s.(x.s) for s = 0, x = 0"),
+        (left_s1_times_s3, "W_J for J=1 is not closed under left multiplication by s = 0"),
+    ],
+    ids=["class-size", "associativity", "left-closure"],
+)
+def test_character_count_consistency_clauses(a3, corrupt, message):
+    bad = corrupt(a3)
+    with pytest.raises(InternalCheckError) as caught:
+        verify_double_quotients(bad, flag_f(bad))
+    assert str(caught.value) == message
+
+
+def test_non_integer_count_is_a_reduced_fraction(a3, monkeypatch):
+    import bicox.cosets
+
+    counts = bicox.cosets._character_counts(a3)
+    num, den = (part.copy() for part in counts)
+    num[0, 0], den[0, 0] = 50, 4
+    monkeypatch.setattr(bicox.cosets, "_character_counts", lambda table: (num, den))
+    with pytest.raises(InternalCheckError) as caught:
+        verify_double_quotients(a3, flag_f(a3))
+    assert str(caught.value).endswith("I=0, J=0: descent filter 24, permutation characters 25/2")
+
+
+@pytest.mark.parametrize("spec", ALL_PAIRS_SPECS + ["I2(101)"])
+def test_character_counts_match_sweep_and_descents(spec, tables):
+    """Mackey's formula gives whole counts equal to the sweep's and the
+    descent filter's, also on I2(101), whose class of reflections is one
+    conjugation path of 101 elements, and on the table with no descents."""
+    table = tables(spec)
+    num, den = _character_counts(table)
+    assert not (num % den).any()
+    by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in range(table.full_mask + 1)]).T
+    assert np.array_equal(num // den, by_sweep)
+    assert np.array_equal(num // den, _descent_counts(table))
+    blind = dataclasses.replace(
+        table, des_left=np.zeros_like(table.des_left), des_right=np.zeros_like(table.des_right)
+    )
+    blind_num, blind_den = _character_counts(blind)
+    assert np.array_equal(blind_num, num) and np.array_equal(blind_den, den)
+
+
+def corrupted(table, rng):
+    """One seeded corruption: two entries of a left_mult or right_mult
+    column swapped, one overwritten, or one descent bit flipped."""
+    kind = int(rng.integers(3))
+    if kind < 2:
+        name = ("left_mult", "right_mult")[int(rng.integers(2))]
+        s, x, y = int(rng.integers(table.rank)), *rng.integers(table.order, size=2)
+        if kind == 0:
+            return swap_entries(table, name, s, x, y)
+        column = getattr(table, name).copy()
+        column[x, s] = y
+        return dataclasses.replace(table, **{name: column})
+    name = ("des_left", "des_right")[int(rng.integers(2))]
+    des = getattr(table, name).copy()
+    des[rng.integers(table.order)] ^= np.uint16(1 << int(rng.integers(table.rank)))
+    return dataclasses.replace(table, **{name: des})
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)xA1", "A1xA1xA1"])
+def test_character_oracle_fails_every_table_the_sweep_fails(spec, tables):
+    """On 200 seeded corruptions per group, every table that the sweep
+    reference fails also fails the oracle, by a raise or by False."""
+    table = tables(spec)
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    swept = missed = 0
+    for _ in range(200):
+        bad = corrupted(table, rng)
+        f = flag_f(bad)
+        if sweep_check(bad, f):
+            continue
+        swept += 1
+        try:
+            missed += verify_double_quotients(bad, f)
+        except InternalCheckError:
+            pass
+    assert missed == 0
+    assert swept > 150  # most corruptions change some count
 
 
 # --- pinned examples ---------------------------------------------------------
