@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coxeter import GroupTable, check_budget, descent_walk, popcount_table
-from .cosets import blocks, coset_labels, descent_free, minimal_rep_table, rep_dtype
+from .cosets import blocks, descent_free, minimal_rep_table, rep_dtype, right_coset_minima
 from .errors import InternalCheckError
 
 # most bytes of a table of minimal representatives: A7's 1,321,205,760, and
@@ -416,30 +416,38 @@ def sigma_ideal(cx: TwoSidedComplex) -> np.ndarray:
 def verify_sigma_embedding(cx: TwoSidedComplex) -> bool:
     """The ideal above (0, e, S) is order-isomorphic to the classical
     complex, built independently from left cosets under reverse inclusion.
-    For each K, with the cosets u.W_K numbered by closure
-    (:func:`~bicox.cosets.coset_labels`), on arrays of length |W|: (1) the
-    faces (0, u, K) of row K hit each number once, (2) each reps[0, K, w]
-    is a face of row K numbered like w, and (3) w -> w.s keeps every number
-    for s in K and none for s outside K.  By (1) and (2), reps[0, K, u'] ==
-    u iff u' is in u.W_K, so (0, u, K) <= (0, u', K') iff K >= K' and u' in
-    u.W_K, iff u.W_K >= u'.W_K', so f <= g iff coset(f) >= coset(g) for
-    all N^2 pairs of the ideal.  Comparing every K with every K' is no
-    stronger: its K' = 0 row, all of W under the identity numbering, is
-    (2); rows K' != 0 reread the same entries and compare closures, and a
-    W_K' coset lies in a W_K coset iff K' <= K, which (3) keeps on each
-    closure alone.
+    For each K, with each w labelled by the least id of its coset w.W_K
+    (:func:`~bicox.cosets.right_coset_minima`), on arrays of length |W|:
+    (1) the faces (0, u, K) of row K hit each least id once: the mask of
+    their labels is the mask of the least ids, and there are as many faces
+    as least ids; (2) each reps[0, K, w] is a face of row K labelled like
+    w; and (3) w -> w.s, one gather for every s, keeps every label for s in
+    K and none for s outside K.  By (1) and (2), reps[0, K, u'] == u iff u'
+    is in u.W_K, so (0, u, K) <= (0, u', K') iff K >= K' and u' in u.W_K,
+    iff u.W_K >= u'.W_K', so f <= g iff coset(f) >= coset(g) for all N^2
+    pairs of the ideal.  Comparing every K with every K' is no stronger:
+    its K' = 0 row, all of W under the identity labelling, is (2); rows
+    K' != 0 reread the same entries and compare closures, and a W_K' coset
+    lies in a W_K coset iff K' <= K, which (3) keeps on each closure alone.
+
+    The check holds one K at a time: all K at once would hold (2^n, |W|)
+    arrays, as large as the ideal itself, and is slower from H4 on.
     """
     table = cx.table
+    ids = np.arange(table.order)
+    moves = table.right_mult.T.astype(np.intp, order="C")  # [s, w]: w.s
+    bits = np.arange(table.full_mask + 1) >> np.arange(table.rank)[:, None] & 1 == 1
     for gens in range(table.full_mask + 1):
-        labels, g, down = coset_labels(table, 0, gens), cx.row(gens), cx.reps[0, gens]
+        labels, g, down = right_coset_minima(table, gens), cx.row(gens), cx.reps[0, gens]
+        least = labels == ids
+        seen, hit = np.zeros_like(least), np.zeros_like(least)
+        seen[labels.take(g)], hit[g] = True, True
         if not (
-            np.array_equal(np.sort(labels[g]), np.arange(labels.max() + 1))
-            and np.bincount(g, minlength=table.order).take(down).all()
+            np.array_equal(seen, least)
+            and len(g) == np.count_nonzero(least)
+            and hit.take(down).all()
             and np.array_equal(labels.take(down), labels)
-            and all(
-                ((labels.take(table.right_mult[:, s]) == labels) == (gens >> s & 1)).all()
-                for s in range(table.rank)
-            )
+            and ((labels.take(moves) == labels) == bits[:, gens, None]).all()
         ):
             return False
     return True

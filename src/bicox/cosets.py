@@ -11,10 +11,12 @@ filter below and the checks in :mod:`bicox.complexes` read.
 Counting them is checked two ways that share no code:
 :func:`count_minimal_by_descents` filters W by descent sets, and
 :func:`coset_labels` closes the cosets through the quotient W/W_J.  The
-right cosets x.W_J are closed first, over the columns x.s (s in J) of
-``right_mult``, and numbered by least id; then s in I acts on the coset of
-least id u as the coset of s.u, and W_I's orbits on the cosets are closed
-the same way, one private kernel serving both steps.
+right cosets x.W_J are closed first by :func:`right_coset_minima`, over the
+columns x.s (s in J) of ``right_mult``, each element labelled with the
+least id of its coset; then s in I acts on the coset of least id u as the
+coset of s.u, and W_I's orbits on the cosets are closed the same way, one
+private kernel serving both steps.  The embedding check of
+:mod:`bicox.complexes` reads :func:`right_coset_minima` alone.
 
 :func:`verify_double_quotients` checks every pair (I, J) at once: the
 descent filter as one matrix product, against Mackey's formula for
@@ -136,11 +138,18 @@ def _close(labels: np.ndarray, steps) -> np.ndarray:
     while True:
         lower = labels
         for step in steps:
-            lower = np.minimum(lower, lower[step])
-        lower = lower[lower]
+            lower = np.minimum(lower, lower.take(step))
+        lower = lower.take(lower)
         if np.array_equal(lower, labels):
             return labels
         labels = lower
+
+
+def right_coset_minima(table: GroupTable, gens_r: int) -> np.ndarray:
+    """Entry x: the least id in the right coset x.W_J, closed by
+    :func:`_close` over J's ``right_mult`` columns and not renumbered."""
+    steps = [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
+    return _close(np.arange(table.order), steps)
 
 
 def _numbered(labels: np.ndarray) -> np.ndarray:
@@ -153,13 +162,12 @@ def _coset_orbits(table: GroupTable, masks, gens_r: int) -> tuple[np.ndarray, np
     least id, and for the i-th left mask I of ``masks`` the row ``orbit[i]``
     labelling each coset with the least coset of its W_I-orbit.
 
-    The right cosets are closed over J's ``right_mult`` columns.  Then s
+    The right cosets are closed by :func:`right_coset_minima`.  Then s
     acts on the coset of least id u as the coset of s.u, and the orbits of
     every W_I are closed together on a len(masks) x [W : W_J] array of flat
     indices, where s moves an entry of row I only when s is in I.
     """
-    steps = [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
-    labels = _close(np.arange(table.order), steps)
+    labels = right_coset_minima(table, gens_r)
     least = np.flatnonzero(labels == np.arange(table.order))
     coset = _numbered(labels)
     masks = np.asarray(masks)
@@ -194,10 +202,16 @@ def count_cosets_by_sweep(table: GroupTable, gens_l: int, gens_r: int) -> int:
 
 def _descent_counts(table: GroupTable) -> np.ndarray:
     """counts[I, J] = :func:`count_minimal_by_descents`, every pair at once:
-    a product of the left and right descent-free indicators."""
+    a product of the left and right descent-free indicators, summed over
+    :func:`blocks` of ids.  Each block's product is taken in float32 and
+    added in int64: a block holds at most 2^16 ids, so every partial sum
+    of its 0/1 terms is below 2^24 and exact in float32."""
     free_l, free_r = descent_free(table)
-    # 0/1 entries and sums at most |W|: exact in float64
-    return (free_l.astype(float) @ free_r.T.astype(float)).astype(np.int64)
+    counts = np.zeros((len(free_l), len(free_r)), dtype=np.int64)
+    for ids in blocks(table.order, len(free_l)):
+        product = free_l[:, ids].astype(np.float32) @ free_r[:, ids].T.astype(np.float32)
+        counts += product.astype(np.int64)
+    return counts
 
 
 def _holding(rows: np.ndarray, s: int) -> np.ndarray:
@@ -212,22 +226,26 @@ def _close_subsets(actions) -> np.ndarray:
 
     ``actions[s]`` is generator s's action on range(count).  As in
     :func:`_close`, neighbour minima and pointer jumps lower the labels
-    until none moves, here on one (2^n, count) array: generator s lowers
-    the rows of the masks holding it (:func:`_holding`) by the same rows
-    gathered through its action, so no index array is larger than one
-    action.
+    until none moves, here in place on one (2^n, count) array of
+    :func:`rep_dtype`: generator s lowers the rows of the masks holding it
+    (:func:`_holding`) by the same rows gathered through its action, and
+    the jumps run over :func:`blocks` of rows, so no index array is larger
+    than one action or block.  Labels only decrease, so a round moved a
+    label iff their sum fell.
     """
     count = len(actions[0])
-    labels = np.broadcast_to(np.arange(count, dtype=actions[0].dtype), (1 << len(actions), count))
+    labels = np.empty((1 << len(actions), count), dtype=rep_dtype(count))
+    labels[...] = np.arange(count)
+    total = None
     while True:
-        lower = labels.copy()
         for s, action in enumerate(actions):
-            rows = _holding(lower, s)
-            np.minimum(rows, rows[..., action], out=rows)
-        lower = np.take_along_axis(lower, lower, axis=1)
-        if np.array_equal(lower, labels):
+            rows = _holding(labels, s)
+            np.minimum(rows, rows.take(action, axis=-1), out=rows)
+        for rows in blocks(len(labels), count):
+            labels[rows] = np.take_along_axis(labels[rows], labels[rows], axis=1)
+        before, total = total, int(labels.sum(dtype=np.int64))
+        if total == before:
             return labels
-        labels = lower
 
 
 def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:

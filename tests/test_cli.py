@@ -843,6 +843,29 @@ def test_export_matches_golden(spec, what, fmt, digest, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# Exit code and SHA-256 of ``verify --format json`` per group, recorded
+# before the embedding check read right-coset minima.
+VERIFY_GOLDENS = [
+    ("A1", 0, "fb281a0a9d8031ccb53fe778dcf7334749047b966a82d99f9257d1316ca75932"),
+    ("A2", 0, "835a6659d983858938781dcf79a255a92f658b71752e3e26090104f84b517cad"),
+    ("A3", 0, "2b0a6858f4d6c9cf08817f6072dae9efaa321c2aa0779e042fc452e3e26d66d0"),
+    ("B3", 0, "31a31b53d6f990d27b6549626f8b6968f70e62781432161c9d5ca862248edd13"),
+    ("H3", 0, "cebb13f0140ae30b0a657c1dfc4b987073d33a75d2950768eb15ac2231ea8b81"),
+    ("A4", 0, "093ce421e23d7299f0f8aa1d405b6b602fad3659caaacddf2990f37e09fb32a3"),
+    ("B4", 0, "67e3d94ac172132dd8df45401949143e2bc03b2f2cdea7822869d0cfeab32110"),
+    ("D4", 0, "39c4ff59fc81998239eaa3029b5ad4a499790c59511546a67e0b0f08ba2d7cdd"),
+    ("F4", 0, "92af9d7ec5adff611a3f07760d6c8bdb815eb06cf4b5535e163807e19ef378ac"),
+    ("A1xA1xA1xA1", 0, "af9a3d4371d257a6e4f375905a732fc8074fcc81559a1837a52520fade03a54f"),
+    ("I2(5)xA1", 0, "c1fb2d83bf368fb91294c7ff5aa32fbc81e18d8accb72bef3abc25df399c05af"),
+]
+
+
+@pytest.mark.parametrize("spec, code, digest", VERIFY_GOLDENS)
+def test_verify_json_matches_golden(spec, code, digest, tmp_path, capsys):
+    assert run(tmp_path, "verify", "--type", spec, "--format", "json") == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_export_over_face_budget_exits_3(tmp_path, capsys):
     assert run(tmp_path, "export", "--type", "A6", "--what", "hasse") == 3
     assert "over the budget of 500000" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The two-sided complex: structure, topology, and the embedded complex."""
 
 import copy
+import dataclasses
 import random
 import tracemalloc
 
@@ -32,7 +33,7 @@ from bicox.complexes import (
     verify_weak_order_monotone,
 )
 from bicox.cli import main
-from bicox.cosets import count_cosets_by_sweep, minimal_rep_table
+from bicox.cosets import coset_labels, count_cosets_by_sweep, minimal_rep_table
 from bicox.coxeter import length_order
 from bicox.errors import CapacityError, InternalCheckError
 
@@ -953,40 +954,100 @@ def test_sigma_reference_agrees_on_seeded_corruptions(spec, what, complexes):
 
 
 def test_sigma_embedding_fails_on_a_closure_with_two_classes_merged(complexes, monkeypatch):
-    """Numbering two cosets of W_{s1} alike fails the check."""
+    """Labelling two cosets of W_{s1} alike fails the check."""
     cx = complexes("A3")
-    closure = bicox.complexes.coset_labels
+    closure = bicox.complexes.right_coset_minima
 
-    def merged(table, gens_l, gens_r):
-        labels = closure(table, gens_l, gens_r)
-        return np.where(labels == 1, 0, labels) if gens_r == 0b001 else labels
+    def merged(table, gens_r):
+        labels = closure(table, gens_r)
+        return np.where(labels == np.unique(labels)[1], 0, labels) if gens_r == 0b001 else labels
 
-    monkeypatch.setattr(bicox.complexes, "coset_labels", merged)
+    monkeypatch.setattr(bicox.complexes, "right_coset_minima", merged)
     assert not verify_sigma_embedding(cx)
 
 
 def test_sigma_embedding_sees_a_merge_that_the_table_and_faces_follow(complexes, monkeypatch):
-    """The cosets {e, s1} and {s2, s2.s1} of W_{s1} numbered alike, with
+    """The cosets {e, s1} and {s2, s2.s1} of W_{s1} labelled alike, with
     reps[0, {s1}] sending both to e and the face (0, s2, {s1}) dropped: the
     row and its entries agree with the closure, and only s2, which keeps e
     in the merged class, tells."""
     cx = complexes("A3")
     s2 = cx.table.generator_id(1)
-    closure = bicox.complexes.coset_labels
+    closure = bicox.complexes.right_coset_minima
 
-    def merged(table, gens_l, gens_r):
-        labels = closure(table, gens_l, gens_r)
-        if gens_r != 0b001:
-            return labels
-        return np.unique(np.where(labels == labels[s2], 0, labels), return_inverse=True)[1]
+    def merged(table, gens_r):
+        labels = closure(table, gens_r)
+        return np.where(labels == labels[s2], 0, labels) if gens_r == 0b001 else labels
 
     bad = copy.copy(cx)
     bad.reps = cx.reps.copy()
     bad.reps[0, 0b001][bad.reps[0, 0b001] == s2] = 0
     bad.faces = cx.faces[cx.faces != 0b001 * cx.table.order + s2]
     assert verify_sigma_embedding(cx) and not verify_sigma_embedding(bad)
-    monkeypatch.setattr(bicox.complexes, "coset_labels", merged)
+    monkeypatch.setattr(bicox.complexes, "right_coset_minima", merged)
     assert not verify_sigma_embedding(bad)
+
+
+def sigma_by_coset_labels(cx):
+    """Reference for the embedding's three clauses per K, on cosets
+    numbered 0, 1, ... by :func:`~bicox.cosets.coset_labels`: (1) the
+    sorted numbers of row K's faces are every number once, (2) a bincount
+    of the row holds each reps[0, K, w], numbered like w, and (3) one
+    gather per generator s keeps every number for s in K and none outside."""
+    table = cx.table
+    for gens in range(table.full_mask + 1):
+        labels, g, down = coset_labels(table, 0, gens), cx.row(gens), cx.reps[0, gens]
+        if not (
+            np.array_equal(np.sort(labels[g]), np.arange(labels.max() + 1))
+            and np.bincount(g, minlength=table.order).take(down).all()
+            and np.array_equal(labels.take(down), labels)
+            and all(
+                ((labels.take(table.right_mult[:, s]) == labels) == (gens >> s & 1)).all()
+                for s in range(table.rank)
+            )
+        ):
+            return False
+    return True
+
+
+SIGMA_CORRUPTIONS = ["entry", "dropped face", "added non-face", "swapped right_mult"]
+
+
+def sigma_corrupted(cx, kind, rng):
+    """One seeded corruption of ``kind``: an entry of a (0, K) row of the
+    table set to a random element, one face of the ideal dropped, one
+    non-face (0, w, K) added, or two entries of a right_mult column swapped."""
+    table, ideal = cx.table, sigma_ideal(cx)
+    gens, w, value = (rng.randrange(n) for n in (table.full_mask + 1, table.order, table.order))
+    if kind == "entry":
+        return with_entry(cx, 0, gens, w, value)
+    bad = copy.copy(cx)
+    if kind == "swapped right_mult":
+        right = table.right_mult.copy()
+        s = rng.randrange(table.rank)
+        right[[w, value], s] = right[[value, w], s]
+        bad.table = dataclasses.replace(table, right_mult=right)
+    elif kind == "dropped face":
+        bad.faces = np.delete(cx.faces, rng.randrange(len(ideal)))
+    else:
+        non_faces = np.setdiff1d(np.arange((table.full_mask + 1) * table.order), ideal)
+        bad.faces = np.sort(np.append(cx.faces, non_faces[rng.randrange(len(non_faces))]))
+    return bad
+
+
+@pytest.mark.parametrize("kind", SIGMA_CORRUPTIONS)
+@pytest.mark.parametrize("spec", ["A2", "A3", "B3", "H3", "A2xA1", "I2(5)", "A1xA1xA1", "D4"])
+def test_sigma_embedding_agrees_with_coset_labels_on_seeded_corruptions(spec, kind, complexes):
+    """40 seeded corruptions of each kind per group: the check on
+    right-coset minima gives the reference's verdict every time."""
+    cx = complexes(spec)
+    rng = random.Random(f"sigma-{spec}-{kind}")
+    verdicts = []
+    for _ in range(40):
+        bad = sigma_corrupted(cx, kind, rng)
+        verdicts.append(verify_sigma_embedding(bad))
+        assert sigma_by_coset_labels(bad) == verdicts[-1]
+    assert not all(verdicts)
 
 
 # --- export -------------------------------------------------------------------

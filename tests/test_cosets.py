@@ -18,6 +18,7 @@ from bicox.cosets import (
     double_quotient_size,
     is_minimal_rep,
     minimal_rep_table,
+    right_coset_minima,
     verify_double_quotients,
 )
 from bicox.enumeration import flag_f
@@ -192,6 +193,46 @@ def test_minimal_rep_table_matches_closure_labels(spec, tables):
             labels = coset_labels(table, gens_l, gens_r)
             least = np.unique(labels, return_index=True)[1]
             assert np.array_equal(least[labels], reps[gens_l, gens_r]), (gens_l, gens_r)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "F4", "I2(5)xA1"])
+def test_right_coset_minima_are_the_minimal_representatives(spec, tables):
+    """The least id of each right coset x.W_J, which is its shortest
+    element since ids are length-sorted, is the table's reps[0, J, x]."""
+    table = tables(spec)
+    reps = minimal_rep_table(table)
+    for gens_r in range(table.full_mask + 1):
+        assert np.array_equal(right_coset_minima(table, gens_r), reps[0, gens_r]), gens_r
+
+
+def test_descent_counts_hold_no_float64_copy(tables):
+    """H4's (16, 14,400) indicators are multiplied in four blocks of at
+    most 4,096 ids, in float32: the counts are every pair's descent
+    filter, and the product holds under 2 MiB."""
+    table = tables("H4")
+    tracemalloc.start()
+    try:
+        counts = _descent_counts(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    masks = range(table.full_mask + 1)
+    assert counts.tolist() == [[count_minimal_by_descents(table, i, j) for j in masks] for i in masks]
+
+
+def test_character_counts_close_every_subgroup_in_place(tables):
+    """H4's (16, 14,400) W_J labels are closed in place as uint16, with
+    no second array beside them: the count holds under 2 MiB."""
+    table = tables("H4")
+    tracemalloc.start()
+    try:
+        num, den = _character_counts(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert np.array_equal(num // den, _descent_counts(table)) and not (num % den).any()
 
 
 def test_descent_free_masks_in_the_descent_dtype(tables):
