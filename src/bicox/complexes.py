@@ -61,12 +61,6 @@ class Face(NamedTuple):
     right: int
 
 
-def restriction(table: GroupTable, w: int) -> Face:
-    """The minimum face represented by w: (Asc_L(w), w, Asc_R(w))."""
-    full = table.full_mask
-    return Face(full ^ int(table.des_left[w]), w, full ^ int(table.des_right[w]))
-
-
 def facet_walls(table: GroupTable) -> np.ndarray:
     """[bit, w]: the representative of the wall X = 1 << bit of the facet
     (0, w, 0), with X = I << n | J.  On the left it is s.w when s is a left

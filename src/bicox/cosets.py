@@ -6,17 +6,10 @@ from I and Des_R(u) disjoint from J; moreover u lies below every coset member
 in the two-sided weak order.  Cosets are therefore canonicalized as triples
 (I, u, J) with u minimal, and never stored as element sets.  That test for
 every mask at once is :func:`descent_free`, which the all-pairs descent
-filter below and the checks in :mod:`bicox.complexes` read.
-
-Counting them is checked two ways that share no code:
-:func:`count_minimal_by_descents` filters W by descent sets, and
-:func:`coset_labels` closes the cosets through the quotient W/W_J.  The
-right cosets x.W_J are closed first by :func:`right_coset_minima`, over the
-columns x.s (s in J) of ``right_mult``, each element labelled with the
-least id of its coset; then s in I acts on the coset of least id u as the
-coset of s.u, and W_I's orbits on the cosets are closed the same way, one
-private kernel serving both steps.  The embedding check of
-:mod:`bicox.complexes` reads :func:`right_coset_minima` alone.
+filter below and the checks in :mod:`bicox.complexes` read.  The
+embedding check of :mod:`bicox.complexes` reads :func:`right_coset_minima`,
+the right cosets x.W_J closed over the columns x.s (s in J) of
+``right_mult``, each element labelled with the least id of its coset.
 
 :func:`verify_double_quotients` checks every pair (I, J) at once: the
 descent filter as one matrix product, against Mackey's formula for
@@ -120,13 +113,6 @@ def is_minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> bool:
     )
 
 
-def count_minimal_by_descents(table: GroupTable, gens_l: int, gens_r: int) -> int:
-    """|{w : Des_L(w) disjoint from I, Des_R(w) disjoint from J}|."""
-    ok = (table.des_left & np.uint16(gens_l)) == 0
-    ok &= (table.des_right & np.uint16(gens_r)) == 0
-    return int(np.count_nonzero(ok))
-
-
 def _close(labels: np.ndarray, steps) -> np.ndarray:
     """Each entry's least label reachable through the index arrays ``steps``.
 
@@ -157,51 +143,8 @@ def _numbered(labels: np.ndarray) -> np.ndarray:
     return (np.cumsum(labels == np.arange(len(labels))) - 1)[labels]
 
 
-def _coset_orbits(table: GroupTable, masks, gens_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(coset, orbit)``: each element's right coset x.W_J, numbered by
-    least id, and for the i-th left mask I of ``masks`` the row ``orbit[i]``
-    labelling each coset with the least coset of its W_I-orbit.
-
-    The right cosets are closed by :func:`right_coset_minima`.  Then s
-    acts on the coset of least id u as the coset of s.u, and the orbits of
-    every W_I are closed together on a len(masks) x [W : W_J] array of flat
-    indices, where s moves an entry of row I only when s is in I.
-    """
-    labels = right_coset_minima(table, gens_r)
-    least = np.flatnonzero(labels == np.arange(table.order))
-    coset = _numbered(labels)
-    masks = np.asarray(masks)
-    flat = np.arange(len(masks) * len(least)).reshape(len(masks), -1)
-    steps = []
-    for s in range(table.rank):
-        moved = masks >> s & 1 == 1
-        if moved.any():
-            step = flat.copy()
-            step[moved] += coset[table.left_mult[least, s]] - flat[0]
-            steps.append(step.ravel())
-    return coset, _close(flat.ravel(), steps).reshape(flat.shape) - flat[:, :1]
-
-
-def coset_labels(table: GroupTable, gens_l: int, gens_r: int) -> np.ndarray:
-    """Entry x: the number of the double coset W_I x W_J, numbered in the
-    order of their least ids.
-
-    Read from W_I's orbits on the right cosets of W_J
-    (:func:`_coset_orbits`): cosets are numbered by least id, so the least
-    coset of an orbit holds the least id of its double coset.  No descent
-    set or minimal representative is used.
-    """
-    coset, orbit = _coset_orbits(table, [gens_l], gens_r)
-    return _numbered(orbit[0])[coset]
-
-
-def count_cosets_by_sweep(table: GroupTable, gens_l: int, gens_r: int) -> int:
-    """Number of double cosets W_I w W_J, from :func:`coset_labels`."""
-    return int(coset_labels(table, gens_l, gens_r).max()) + 1
-
-
 def _descent_counts(table: GroupTable) -> np.ndarray:
-    """counts[I, J] = :func:`count_minimal_by_descents`, every pair at once:
+    """counts[I, J] = :func:`double_quotient_size`, every pair at once:
     a product of the left and right descent-free indicators, summed over
     :func:`blocks` of ids.  Each block's product is taken in float32 and
     added in int64: a block holds at most 2^16 ids, so every partial sum
@@ -292,24 +235,16 @@ def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     return (meet * (order // sizes)) @ meet.T, np.outer(orders, orders)
 
 
-def _mismatch(gens_l: int, gens_r: int, by_descents: int, other: str) -> InternalCheckError:
-    return InternalCheckError(
-        f"double quotient count mismatch for I={gens_l:b}, J={gens_r:b}: "
-        f"descent filter {by_descents}, {other}"
-    )
-
-
 def double_quotient_size(table: GroupTable, gens_l: int, gens_r: int) -> int:
-    """|^I W^J|, computed by two independent methods that must agree.
+    """|^I W^J|: the w with Des_L(w) disjoint from I and Des_R(w) disjoint
+    from J, one per double coset W_I w W_J.
 
-    Raises :class:`InternalCheckError` if the descent-filter count and the
-    coset-partition count differ (would signal an implementation bug).
+    :func:`verify_double_quotients` checks this count for every pair at
+    once against Mackey's formula for permutation characters.
     """
-    by_descents = count_minimal_by_descents(table, gens_l, gens_r)
-    by_sweep = count_cosets_by_sweep(table, gens_l, gens_r)
-    if by_descents != by_sweep:
-        raise _mismatch(gens_l, gens_r, by_descents, f"coset sweep {by_sweep}")
-    return by_descents
+    ok = (table.des_left & np.uint16(gens_l)) == 0
+    ok &= (table.des_right & np.uint16(gens_r)) == 0
+    return int(np.count_nonzero(ok))
 
 
 def verify_double_quotients(table: GroupTable, f) -> bool:
@@ -338,5 +273,8 @@ def verify_double_quotients(table: GroupTable, f) -> bool:
     pair = divmod(int(np.argmax(bad)), table.full_mask + 1)
     if rest[pair] or by_characters[pair] != by_descents[pair]:
         count = Fraction(int(num[pair]), int(den[pair]))
-        raise _mismatch(*pair, by_descents[pair], f"permutation characters {count}")
+        raise InternalCheckError(
+            f"double quotient count mismatch for I={pair[0]:b}, J={pair[1]:b}: "
+            f"descent filter {by_descents[pair]}, permutation characters {count}"
+        )
     return False

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bicox.cosets import coset_labels
 from bicox.coxeter import build_group, classify_spec
 
 
@@ -76,9 +75,42 @@ def minimal_rep(table, gens_l, w, gens_r):
         w = int(right[w, (hit & -hit).bit_length() - 1])
 
 
+def close(labels, steps):
+    """Reference closure: entry x lowered to the least label reachable from
+    x through the index arrays ``steps``, by neighbour minima and pointer
+    jumps until no label moves."""
+    while True:
+        lower = labels.copy()
+        for step in steps:
+            lower = np.minimum(lower, labels[step])
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return labels
+        labels = lower
+
+
+def numbered(labels):
+    """Closed labels renumbered 0, 1, ... in the order of their least entries."""
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def closure_labels(table, gens_l, gens_r):
+    """Reference double-coset numbers, by least id: every element closed at
+    once over the columns s.x (s in I) and x.s (s in J), with no quotient
+    and no descent set."""
+    steps = [table.left_mult[:, s] for s in range(table.rank) if gens_l >> s & 1]
+    steps += [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
+    return numbered(close(np.arange(table.order), steps))
+
+
+def closure_count(table, gens_l, gens_r):
+    """|W_I\\W/W_J| from :func:`closure_labels`."""
+    return int(closure_labels(table, gens_l, gens_r).max()) + 1
+
+
 def double_coset(table, gens_l, u, gens_r):
     """All elements of W_I u W_J, read from the closure labels."""
-    labels = coset_labels(table, gens_l, gens_r)
+    labels = closure_labels(table, gens_l, gens_r)
     return set(np.flatnonzero(labels == labels[u]).tolist())
 
 

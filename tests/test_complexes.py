@@ -19,7 +19,6 @@ from bicox.complexes import (
     face_labels,
     facet_walls,
     hasse_dot,
-    restriction,
     sigma_ideal,
     verify_balanced,
     verify_boolean,
@@ -33,11 +32,11 @@ from bicox.complexes import (
     verify_weak_order_monotone,
 )
 from bicox.cli import main
-from bicox.cosets import coset_labels, count_cosets_by_sweep, minimal_rep_table
+from bicox.cosets import minimal_rep_table
 from bicox.coxeter import length_order
 from bicox.errors import CapacityError, InternalCheckError
 
-from conftest import down_reach, word
+from conftest import closure_count, closure_labels, down_reach, word
 from test_cosets import coset_oracle
 
 
@@ -59,6 +58,12 @@ def dim_counts(cx):
 
 
 # --- references for the face order -------------------------------------------
+
+
+def restriction(table, w):
+    """The minimum face represented by w: (Asc_L(w), w, Asc_R(w))."""
+    full = table.full_mask
+    return Face(full ^ int(table.des_left[w]), w, full ^ int(table.des_right[w]))
 
 
 def submasks(mask):
@@ -860,7 +865,7 @@ def test_classical_complex_face_count(complexes):
     the sum over K of |W| / |W_K|."""
     cx = complexes("A3")
     table = cx.table
-    cosets = sum(count_cosets_by_sweep(table, 0, gens) for gens in range(table.full_mask + 1))
+    cosets = sum(closure_count(table, 0, gens) for gens in range(table.full_mask + 1))
     assert cosets == len(sigma_ideal(cx)) == 24 + 12 * 3 + (4 + 6 + 4) + 1
 
 
@@ -990,13 +995,13 @@ def test_sigma_embedding_sees_a_merge_that_the_table_and_faces_follow(complexes,
 
 def sigma_by_coset_labels(cx):
     """Reference for the embedding's three clauses per K, on cosets
-    numbered 0, 1, ... by :func:`~bicox.cosets.coset_labels`: (1) the
+    numbered 0, 1, ... by :func:`~conftest.closure_labels`: (1) the
     sorted numbers of row K's faces are every number once, (2) a bincount
     of the row holds each reps[0, K, w], numbered like w, and (3) one
     gather per generator s keeps every number for s in K and none outside."""
     table = cx.table
     for gens in range(table.full_mask + 1):
-        labels, g, down = coset_labels(table, 0, gens), cx.row(gens), cx.reps[0, gens]
+        labels, g, down = closure_labels(table, 0, gens), cx.row(gens), cx.reps[0, gens]
         if not (
             np.array_equal(np.sort(labels[g]), np.arange(labels.max() + 1))
             and np.bincount(g, minlength=table.order).take(down).all()

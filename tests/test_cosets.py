@@ -9,11 +9,7 @@ import pytest
 
 from bicox.cosets import (
     _character_counts,
-    _coset_orbits,
     _descent_counts,
-    coset_labels,
-    count_cosets_by_sweep,
-    count_minimal_by_descents,
     descent_free,
     double_quotient_size,
     is_minimal_rep,
@@ -24,7 +20,18 @@ from bicox.cosets import (
 from bicox.enumeration import flag_f
 from bicox.errors import InternalCheckError
 
-from conftest import build, double_coset, down_reach, minimal_rep, mult, word
+from conftest import (
+    build,
+    close,
+    closure_count,
+    closure_labels,
+    double_coset,
+    down_reach,
+    minimal_rep,
+    mult,
+    numbered,
+    word,
+)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -56,27 +63,60 @@ def coset_oracle(table, gens_l, w, gens_r):
     }
 
 
-def closure_labels(table, gens_l, gens_r):
-    """Reference double-coset numbers, by least id: every element closed at
-    once over the columns s.x (s in I) and x.s (s in J), with no quotient."""
-    neighbours = [table.left_mult[:, s] for s in range(table.rank) if gens_l >> s & 1]
-    neighbours += [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
-    labels = np.arange(table.order)
-    while True:
-        lower = labels.copy()
-        for column in neighbours:
-            lower = np.minimum(lower, labels[column])
-        lower = lower[lower]
-        if np.array_equal(lower, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = lower
+def coset_orbits(table, masks, gens_r):
+    """``(coset, orbit)``: each element's right coset x.W_J, numbered by
+    least id, and for the i-th left mask I of ``masks`` the row ``orbit[i]``
+    labelling each coset with the least coset of its W_I-orbit.
+
+    The right cosets are closed over J's ``right_mult`` columns.  Then s
+    acts on the coset of least id u as the coset of s.u, and the orbits of
+    every W_I are closed together on a len(masks) x [W : W_J] array of flat
+    indices, where s moves an entry of row I only when s is in I.
+    """
+    steps = [table.right_mult[:, s] for s in range(table.rank) if gens_r >> s & 1]
+    labels = close(np.arange(table.order), steps)
+    least = np.flatnonzero(labels == np.arange(table.order))
+    coset = numbered(labels)
+    masks = np.asarray(masks)
+    flat = np.arange(len(masks) * len(least)).reshape(len(masks), -1)
+    steps = []
+    for s in range(table.rank):
+        moved = masks >> s & 1 == 1
+        if moved.any():
+            step = flat.copy()
+            step[moved] += coset[table.left_mult[least, s]] - flat[0]
+            steps.append(step.ravel())
+    return coset, close(flat.ravel(), steps).reshape(flat.shape) - flat[:, :1]
+
+
+def sweep_labels(table, gens_l, gens_r):
+    """Entry x: the number of W_I x W_J, read from W_I's orbits on the
+    right cosets of W_J (:func:`coset_orbits`): cosets are numbered by
+    least id, so the least coset of an orbit holds the least id of its
+    double coset."""
+    coset, orbit = coset_orbits(table, [gens_l], gens_r)
+    return numbered(orbit[0])[coset]
 
 
 def sweep_counts(table, gens_r):
     """Entry I: the number of double cosets W_I w W_J, every I at once: the
-    cosets that are the least of their W_I-orbit (``_coset_orbits``)."""
-    _, orbit = _coset_orbits(table, np.arange(table.full_mask + 1), gens_r)
+    cosets that are the least of their W_I-orbit (:func:`coset_orbits`)."""
+    _, orbit = coset_orbits(table, np.arange(table.full_mask + 1), gens_r)
     return np.count_nonzero(orbit == np.arange(orbit.shape[1]), axis=1)
+
+
+def pair_loop(table, gens_l, gens_r):
+    """|^I W^J| by :func:`double_quotient_size`, checked against
+    :func:`closure_count`: the per-pair oracle that the all-pairs check
+    replaced.  Raises :class:`InternalCheckError` where they differ."""
+    by_descents = double_quotient_size(table, gens_l, gens_r)
+    by_sweep = closure_count(table, gens_l, gens_r)
+    if by_descents != by_sweep:
+        raise InternalCheckError(
+            f"double quotient count mismatch for I={gens_l:b}, J={gens_r:b}: "
+            f"descent filter {by_descents}, coset sweep {by_sweep}"
+        )
+    return by_descents
 
 
 def sweep_check(table, f):
@@ -161,8 +201,8 @@ def test_quotient_counting_methods_agree(spec, tables):
     full = table.full_mask
     for gens_l in range(full + 1):
         for gens_r in range(full + 1):
-            a = count_minimal_by_descents(table, gens_l, gens_r)
-            b = count_cosets_by_sweep(table, gens_l, gens_r)
+            a = double_quotient_size(table, gens_l, gens_r)
+            b = closure_count(table, gens_l, gens_r)
             assert a == b
 
 
@@ -190,7 +230,7 @@ def test_minimal_rep_table_matches_closure_labels(spec, tables):
     reps = minimal_rep_table(table)
     for gens_l in range(table.full_mask + 1):
         for gens_r in range(table.full_mask + 1):
-            labels = coset_labels(table, gens_l, gens_r)
+            labels = closure_labels(table, gens_l, gens_r)
             least = np.unique(labels, return_index=True)[1]
             assert np.array_equal(least[labels], reps[gens_l, gens_r]), (gens_l, gens_r)
 
@@ -218,7 +258,7 @@ def test_descent_counts_hold_no_float64_copy(tables):
         tracemalloc.stop()
     assert peak < 2 << 20
     masks = range(table.full_mask + 1)
-    assert counts.tolist() == [[count_minimal_by_descents(table, i, j) for j in masks] for i in masks]
+    assert counts.tolist() == [[double_quotient_size(table, i, j) for j in masks] for i in masks]
 
 
 def test_character_counts_close_every_subgroup_in_place(tables):
@@ -252,30 +292,24 @@ def test_descent_free_masks_in_the_descent_dtype(tables):
             assert free[mask].tolist() == [int(d) & mask == 0 for d in des.tolist()]
 
 
-def test_coset_sweep_needs_no_minimal_rep(a3, monkeypatch):
-    import bicox.cosets
-
-    def never(*args):
-        raise AssertionError("the sweep oracle called minimal_rep_table or is_minimal_rep")
-
-    monkeypatch.setattr(bicox.cosets, "minimal_rep_table", never)
-    monkeypatch.setattr(bicox.cosets, "is_minimal_rep", never)
+def test_coset_sweeps_read_no_descent_set(a3):
+    """The per-pair closure count and the all-masks sweep give the descent
+    filter's counts on A3, and the same counts with both descent masks
+    zeroed: neither reference reads a descent set."""
+    masks = range(a3.full_mask + 1)
     expected = np.array(
-        [
-            [count_minimal_by_descents(a3, gens_l, gens_r) for gens_r in range(a3.full_mask + 1)]
-            for gens_l in range(a3.full_mask + 1)
-        ]
+        [[double_quotient_size(a3, gens_l, gens_r) for gens_r in masks] for gens_l in masks]
     )
-    for gens_l in range(a3.full_mask + 1):
-        for gens_r in range(a3.full_mask + 1):
-            assert count_cosets_by_sweep(a3, gens_l, gens_r) == expected[gens_l, gens_r]
-    # the all-pairs path; the sweep reference reads no descent set either
     assert verify_double_quotients(a3, expected[::-1, ::-1])
     blind = dataclasses.replace(
         a3, des_left=np.zeros_like(a3.des_left), des_right=np.zeros_like(a3.des_right)
     )
-    for gens_r in range(a3.full_mask + 1):
-        assert sweep_counts(blind, gens_r).tolist() == expected[:, gens_r].tolist()
+    for table in (a3, blind):
+        for gens_l in masks:
+            for gens_r in masks:
+                assert closure_count(table, gens_l, gens_r) == expected[gens_l, gens_r]
+        for gens_r in masks:
+            assert sweep_counts(table, gens_r).tolist() == expected[:, gens_r].tolist()
 
 
 ALL_PAIRS_SPECS = ["A3", "B3", "H3", "F4", "I2(5)xA2", "A1xA1xA1xA1"]
@@ -290,8 +324,8 @@ def test_all_pairs_counts_match_per_pair_counts(spec, tables):
     by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in masks]).T
     for gens_l in masks:
         for gens_r in masks:
-            assert by_sweep[gens_l, gens_r] == count_cosets_by_sweep(table, gens_l, gens_r)
-            assert by_sweep[gens_l, gens_r] == count_minimal_by_descents(table, gens_l, gens_r)
+            assert by_sweep[gens_l, gens_r] == closure_count(table, gens_l, gens_r)
+            assert by_sweep[gens_l, gens_r] == double_quotient_size(table, gens_l, gens_r)
     f = flag_f(table)  # f[S - I][S - J] = |^I W^J|
     assert np.array_equal(by_sweep[::-1, ::-1], f)
     assert verify_double_quotients(table, f)
@@ -303,11 +337,12 @@ def test_all_pairs_counts_match_per_pair_counts(spec, tables):
 
 @pytest.mark.parametrize("spec", ALL_PAIRS_SPECS)
 def test_coset_labels_match_closure_reference(spec, tables):
+    """The sweep's labels through W/W_J equal the plain closure's."""
     table = tables(spec)
     for gens_l in range(table.full_mask + 1):
         for gens_r in range(table.full_mask + 1):
             expected = closure_labels(table, gens_l, gens_r)
-            assert np.array_equal(coset_labels(table, gens_l, gens_r), expected), (gens_l, gens_r)
+            assert np.array_equal(sweep_labels(table, gens_l, gens_r), expected), (gens_l, gens_r)
 
 
 def test_corrupt_right_mult_column_fails_oracle(a3):
@@ -321,7 +356,7 @@ def test_corrupt_right_mult_column_fails_oracle(a3):
     for gens_l in range(full + 1):
         for gens_r in range(full + 1):
             try:
-                double_quotient_size(bad, gens_l, gens_r)
+                pair_loop(bad, gens_l, gens_r)
             except InternalCheckError:
                 failed.append((gens_l, gens_r))
     assert (0, 0b001) in failed
@@ -337,20 +372,20 @@ def descent_flipped(table):
 
 def test_all_pairs_check_fails_where_the_pair_loop_does(a3):
     """On a descent-flipped table the all-pairs check raises at the pair a
-    loop over double_quotient_size (I outer, J inner) raises at first, with
+    loop over :func:`pair_loop` (I outer, J inner) raises at first, with
     the same counts, also when a wrong f entry comes later in that order; a
     wrong f entry at an earlier pair is a plain False, as in that loop.  A
     swapped right_mult column raises before any pair."""
     bad = descent_flipped(a3)
     masks = range(a3.full_mask + 1)
     expected = np.array(
-        [[count_minimal_by_descents(bad, gens_l, gens_r) for gens_r in masks] for gens_l in masks]
+        [[double_quotient_size(bad, gens_l, gens_r) for gens_r in masks] for gens_l in masks]
     )
     failures = []
     for gens_l in masks:
         for gens_r in masks:
             try:
-                double_quotient_size(bad, gens_l, gens_r)
+                pair_loop(bad, gens_l, gens_r)
             except InternalCheckError as err:
                 failures.append(((gens_l, gens_r), str(err)))
     assert failures[0][0] == (1, 0)

@@ -417,10 +417,10 @@ def test_saved_file_bytes_unchanged(spec, tables, tmp_path):
         assert np.array_equal(arr, getattr(tables(spec), field))
 
 
-def test_lengths_past_int16_survive_the_cache(tmp_path):
+def test_lengths_past_int16_survive_the_cache(tmp_path, tables):
     """I2(40000) has a longest length of 40000, past int16: it builds, and
     the cache (which stores lengths past 255 in 4 bytes) loads it back."""
-    table = build("I2(40000)")
+    table = tables("I2(40000)")
     assert int(table.length[table.longest]) == 40000
     loaded = load_table(save_table(table, tmp_path))
     assert loaded.length.dtype == table.length.dtype == coxeter.LENGTH_DTYPE

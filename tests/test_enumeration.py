@@ -26,6 +26,7 @@ from bicox.enumeration import (
 )
 from bicox.errors import CapacityError, GammaBasisError
 
+from conftest import closure_count
 from expected_tables import EULERIAN, GAMMA, grid_entries
 
 
@@ -168,9 +169,9 @@ def test_flag_f_equals_double_quotient_sizes(spec, tables):
     f = flag_f(table)
     for gens_l in range(full + 1):
         for gens_r in range(full + 1):
-            assert f[gens_l][gens_r] == double_quotient_size(
-                table, full ^ gens_l, full ^ gens_r
-            )
+            pair = (table, full ^ gens_l, full ^ gens_r)
+            assert f[gens_l][gens_r] == double_quotient_size(*pair)
+            assert f[gens_l][gens_r] == closure_count(*pair)
 
 
 def test_flag_f_corners(a3):
