@@ -10,7 +10,8 @@ so a round trip is bit-identical.
 The blob is written and hashed part by part, straight from the table's
 arrays, so saving a table holds no copy of the whole blob; loading hashes
 and parses the file's bytes in place and copies only into the new table.
-A sealed blob with ids out of range or out of length order is malformed.
+A sealed blob with ids out of range or out of length order, or with a
+length distribution other than the Poincare polynomial's, is malformed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .coxeter import LENGTH_DTYPE, CoxeterMatrix, GroupTable, classify
+from .coxeter import (
+    LENGTH_DTYPE,
+    CoxeterMatrix,
+    GroupTable,
+    classify,
+    layer_bounds,
+    poincare_coefficients,
+)
 from .errors import CacheError, InternalCheckError, NotFiniteError
 
 MAGIC = b"BICOXGT\x00"
@@ -126,7 +134,7 @@ def deserialize(blob: bytes) -> GroupTable:
                 raise CacheError("malformed cache file: element id out of range")
         if max(des_left.max(), des_right.max()) >= 1 << n:
             raise CacheError("malformed cache file: descent mask wider than the rank")
-        return GroupTable(  # which checks that ids are sorted by length from e
+        table = GroupTable(  # which checks that ids are sorted by length from e
             system=system,
             order=int(order),
             length=length,
@@ -137,6 +145,14 @@ def deserialize(blob: bytes) -> GroupTable:
             des_right=des_right,
             longest=int(longest),
         )
+        # Every walk down the table visits each length up to the last, so
+        # that must be the positive-root count before the layers are cut.
+        poincare = poincare_coefficients(system.components)
+        if length[-1] != len(poincare) - 1 or not np.array_equal(
+            np.diff(layer_bounds(table)), poincare
+        ):
+            raise CacheError("malformed cache file: lengths are not the Poincare polynomial's")
+        return table
     except (struct.error, ValueError, OverflowError, NotFiniteError, InternalCheckError) as err:
         raise CacheError(f"malformed cache file: {err}") from err
 

@@ -21,9 +21,9 @@ either:
                 = sum over conjugacy classes C of
                   |C & W_I| |C & W_J| |W| / (|C| |W_I| |W_J|).
 
-Every W_J is closed at once from the ``right_mult`` columns on one
-(2^n, |W|) label array, each generator lowering a strided view of the rows
-that hold it, and the classes are closed over x -> s.(x.s).  The
+Each W_J is the right coset of e, closed one J at a time by
+:func:`right_coset_minima`, the closure the embedding check reads, and the
+classes are closed over x -> s.(x.s) by the same :func:`_close`.  The
 numerators are exact in int64: every partial sum is at most |W|^2.  Two
 consistency clauses keep the count from accepting tables that are no
 group's: (s.x).s = s.(x.s) for every x and s, and each W_J is closed under
@@ -163,41 +163,13 @@ def _holding(rows: np.ndarray, s: int) -> np.ndarray:
     return rows.reshape(-1, 2, 1 << s, *rows.shape[1:])[:, 1]
 
 
-def _close_subsets(actions) -> np.ndarray:
-    """labels[J, x]: the least index reachable from x through the actions of
-    the generators in J, every mask J at once.
-
-    ``actions[s]`` is generator s's action on range(count).  As in
-    :func:`_close`, neighbour minima and pointer jumps lower the labels
-    until none moves, here in place on one (2^n, count) array of
-    :func:`rep_dtype`: generator s lowers the rows of the masks holding it
-    (:func:`_holding`) by the same rows gathered through its action, and
-    the jumps run over :func:`blocks` of rows, so no index array is larger
-    than one action or block.  Labels only decrease, so a round moved a
-    label iff their sum fell.
-    """
-    count = len(actions[0])
-    labels = np.empty((1 << len(actions), count), dtype=rep_dtype(count))
-    labels[...] = np.arange(count)
-    total = None
-    while True:
-        for s, action in enumerate(actions):
-            rows = _holding(labels, s)
-            np.minimum(rows, rows.take(action, axis=-1), out=rows)
-        for rows in blocks(len(labels), count):
-            labels[rows] = np.take_along_axis(labels[rows], labels[rows], axis=1)
-        before, total = total, int(labels.sum(dtype=np.int64))
-        if total == before:
-            return labels
-
-
 def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """(num, den): |W_I\\W/W_J| = num[I, J] / den[I, J], every pair at
     once, by Mackey's formula (see the module docstring), reading only the
     multiplication tables.
 
-    W_J is where row J of ``right_mult``'s closure (:func:`_close_subsets`)
-    is labelled e (0); the classes C are closed over x -> s.(x.s).  Each
+    W_J is where :func:`right_coset_minima` labels J's closure e (0), one
+    J at a time; the classes C are closed over x -> s.(x.s).  Each
     term |C & W_I| |W| / |C| is at most |W|, so every partial sum of num is
     at most |W| |W_J| <= |W|^2: exact in int64 for any table that fits in
     memory.  Raises :class:`InternalCheckError` on a class size that does
@@ -219,7 +191,9 @@ def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
         moved = np.flatnonzero(right[left[:, s], s] != step)
         if len(moved):
             raise InternalCheckError(f"(s.x).s differs from s.(x.s) for s = {s}, x = {moved[0]}")
-    in_sub = _close_subsets([right[:, s] for s in range(n)]) == 0
+    in_sub = np.empty((1 << n, order), dtype=bool)
+    for gens_r in range(1 << n):
+        in_sub[gens_r] = right_coset_minima(table, gens_r) == 0
     for s in range(n):
         rows = _holding(in_sub, s)
         open_rows = (rows & ~rows[..., left[:, s]]).any(axis=-1)

@@ -1,5 +1,6 @@
 """Cache round trips and the command-line front end."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -111,6 +112,28 @@ def test_out_of_range_cache_contents_raise_cache_error(tmp_path, a2, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: malformed cache file")
         assert "Traceback" not in err
+
+
+def relengthened_blobs(b3):
+    """Sealed B3 blobs whose lengths still rise weakly from e's 0: the last
+    raised to 100,000, which no check after the loader reads, and the last
+    element of layer 4 moved up to layer 5."""
+    last = b3.length.copy()
+    last[-1] = 100_000
+    moved = b3.length.copy()
+    moved[np.flatnonzero(moved == 4)[-1]] = 5
+    return [b"".join(_parts(dataclasses.replace(b3, length=length))) for length in (last, moved)]
+
+
+def test_lengths_off_the_poincare_polynomial_raise_cache_error(tmp_path, b3, capsys):
+    for blob in relengthened_blobs(b3):
+        with pytest.raises(CacheError, match="malformed cache file"):
+            deserialize(blob)
+        (tmp_path / "B3.gt").write_bytes(blob)
+        assert run(tmp_path, "verify", "--type", "B3") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed cache file")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def descent_flipped_blob(a2):

@@ -261,9 +261,9 @@ def test_descent_counts_hold_no_float64_copy(tables):
     assert counts.tolist() == [[double_quotient_size(table, i, j) for j in masks] for i in masks]
 
 
-def test_character_counts_close_every_subgroup_in_place(tables):
-    """H4's (16, 14,400) W_J labels are closed in place as uint16, with
-    no second array beside them: the count holds under 2 MiB."""
+def test_character_counts_close_one_subgroup_at_a_time(tables):
+    """H4's 16 subgroups W_J are closed one J at a time, each into a row of
+    one (16, 14,400) bool array: the count holds under 2 MiB."""
     table = tables("H4")
     tracemalloc.start()
     try:
@@ -451,6 +451,26 @@ def test_non_integer_count_is_a_reduced_fraction(a3, monkeypatch):
     with pytest.raises(InternalCheckError) as caught:
         verify_double_quotients(a3, flag_f(a3))
     assert str(caught.value).endswith("I=0, J=0: descent filter 24, permutation characters 25/2")
+
+
+def test_character_counts_read_the_shared_right_coset_closure(a3, monkeypatch):
+    """The oracle takes each W_J from ``right_coset_minima``, the closure
+    the embedding check reads: W_{s1} grown by s2 there fails it."""
+    import bicox.cosets
+
+    closure = bicox.cosets.right_coset_minima
+    s2 = a3.generator_id(1)
+
+    def grown(table, gens_r):
+        labels = closure(table, gens_r)
+        return np.where(np.arange(table.order) == s2, 0, labels) if gens_r == 0b001 else labels
+
+    assert verify_double_quotients(a3, flag_f(a3))
+    monkeypatch.setattr(bicox.cosets, "right_coset_minima", grown)
+    try:
+        assert not verify_double_quotients(a3, flag_f(a3))
+    except InternalCheckError:
+        pass
 
 
 @pytest.mark.parametrize("spec", ALL_PAIRS_SPECS + ["I2(101)"])
