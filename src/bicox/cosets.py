@@ -5,29 +5,38 @@ unique element u of minimal length, characterized by Des_L(u) being disjoint
 from I and Des_R(u) disjoint from J; moreover u lies below every coset member
 in the two-sided weak order.  Cosets are therefore canonicalized as triples
 (I, u, J) with u minimal, and never stored as element sets.  That test for
-every mask at once is :func:`descent_free`, which the all-pairs descent
-filter below and the checks in :mod:`bicox.complexes` read.  The
-embedding check of :mod:`bicox.complexes` reads :func:`right_coset_minima`,
-the right cosets x.W_J closed over the columns x.s (s in J) of
-``right_mult``, each element labelled with the least id of its coset.
+every mask at once is :func:`descent_free`, which the checks in
+:mod:`bicox.complexes` read; the all-pairs descent filter below makes it
+one block of ids at a time.  The embedding check of :mod:`bicox.complexes`
+reads :func:`right_coset_minima`, the right cosets x.W_J closed over the
+columns x.s (s in J) of ``right_mult``, each element labelled with the
+least id of its coset.
 
 :func:`verify_double_quotients` checks every pair (I, J) at once: the
-descent filter as one matrix product, against Mackey's formula for
-permutation characters (Geck-Pfeiffer, *Characters of Finite Coxeter
-Groups and Iwahori-Hecke Algebras*, 2000), which reads no descent set
-either:
+descent filter as one matrix product, built a block of ids at a time,
+against Mackey's formula for permutation characters (Geck-Pfeiffer,
+*Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras*, 2000),
+which reads no descent set either:
 
     |W_I\\W/W_J| = <1^W_I, 1^W_J>
                 = sum over conjugacy classes C of
                   |C & W_I| |C & W_J| |W| / (|C| |W_I| |W_J|).
 
-Each W_J is the right coset of e, closed one J at a time by
-:func:`right_coset_minima`, the closure the embedding check reads, and the
-classes are closed over x -> s.(x.s) by the same :func:`_close`.  The
-numerators are exact in int64: every partial sum is at most |W|^2.  Two
-consistency clauses keep the count from accepting tables that are no
-group's: (s.x).s = s.(x.s) for every x and s, and each W_J is closed under
-left multiplication by every s in J; a class size must also divide |W|.
+By Tits' characterization W_J is the set of w whose support, the
+generators in any reduced word of w, lies in J.  One pass gives every
+support (:func:`_supports`): supp(w) = supp(x) | {s} for x = w.s, w's
+least-id right neighbour, read from ``right_mult`` and the id order.  So
+every |C & W_J| comes from one count over (support, class) with no
+closure per J, and the classes are closed over x -> s.(x.s) by
+:func:`_close`.  The numerators are exact: every partial sum is an
+integer of at most |W|^2.  Clauses keep the count from accepting tables
+that are no group's: a class size must divide |W|; (s.x).s = s.(x.s) for
+every x and s; every w other than e must have its least right neighbour
+one shorter, so the support pass leads down to e; and supp(s.x) must lie
+within supp(x) | {s} for every x and s, which makes each W_J closed
+under left multiplication by J.  The oracle never reads the table of
+representatives, so ``bicox verify`` gives it its own gate, on its
+4^n |W| multiply-adds, past the complex's table gate.
 
 The table of minimal representatives, :func:`minimal_rep_table`, is filled
 one length layer at a time by flat ``take``s on the raveled table, over
@@ -145,36 +154,63 @@ def _numbered(labels: np.ndarray) -> np.ndarray:
 
 def _descent_counts(table: GroupTable) -> np.ndarray:
     """counts[I, J] = :func:`double_quotient_size`, every pair at once:
-    a product of the left and right descent-free indicators, summed over
-    :func:`blocks` of ids.  Each block's product is taken in float32 and
-    added in int64: a block holds at most 2^16 ids, so every partial sum
-    of its 0/1 terms is below 2^24 and exact in float32."""
-    free_l, free_r = descent_free(table)
-    counts = np.zeros((len(free_l), len(free_r)), dtype=np.int64)
-    for ids in blocks(table.order, len(free_l)):
-        product = free_l[:, ids].astype(np.float32) @ free_r[:, ids].T.astype(np.float32)
-        counts += product.astype(np.int64)
-    return counts
+    a product of the left and right descent-free indicators, each built
+    for one of :func:`blocks` of ids and multiplied there, so no
+    (2^n, |W|) array is held.  The products are summed in float32, or in
+    float64 past 2^24 elements: every partial sum of their 0/1 terms is an
+    integer of at most |W|, so exact."""
+    masks = np.arange(table.full_mask + 1, dtype=table.des_left.dtype)[:, None]
+    exact = np.float32 if table.order <= 1 << 24 else np.float64
+    counts = np.zeros((len(masks), len(masks)), dtype=exact)
+    for ids in blocks(table.order, len(masks)):
+        free_l = ((masks & table.des_left[ids]) == 0).astype(exact)
+        free_r = ((masks & table.des_right[ids]) == 0).astype(exact)
+        counts += free_l @ free_r.T
+    return counts.astype(np.int64)
 
 
-def _holding(rows: np.ndarray, s: int) -> np.ndarray:
-    """The rows of a (2^n, ...) array whose mask holds generator s, as a
-    strided (2^(n - s - 1), 2^s, ...) view."""
-    return rows.reshape(-1, 2, 1 << s, *rows.shape[1:])[:, 1]
+def _supports(table: GroupTable) -> np.ndarray:
+    """Entry w: supp(w), the mask of the generators in a reduced word of w.
+
+    Each w other than e steps to x = w.s, its least-id right neighbour,
+    and supp(w) = supp(x) | {s}; the steps are followed by pointer
+    doubling, reading only ``right_mult`` and the id order.  Raises
+    :class:`InternalCheckError` naming w where x is not one shorter (and
+    so, ids being sorted by length, not below w), before any doubling:
+    the steps might then never reach e.
+    """
+    right, length = table.right_mult, table.length
+    letter = right.argmin(axis=1)
+    up = np.take_along_axis(right, letter[:, None], axis=1)[:, 0].astype(np.intp)
+    stuck = np.flatnonzero(length[up[1:]] != length[1:] - 1)
+    if len(stuck):
+        w = stuck[0] + 1
+        raise InternalCheckError(
+            f"element {w} is not e, but its least right neighbour {up[w]} is not one shorter"
+        )
+    supp = np.left_shift(1, letter).astype(table.des_right.dtype)
+    supp[0] = up[0] = 0
+    while up.any():
+        supp |= supp.take(up)
+        up = up.take(up)
+    return supp
 
 
 def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """(num, den): |W_I\\W/W_J| = num[I, J] / den[I, J], every pair at
     once, by Mackey's formula (see the module docstring), reading only the
-    multiplication tables.
+    multiplication tables and the id order.
 
-    W_J is where :func:`right_coset_minima` labels J's closure e (0), one
-    J at a time; the classes C are closed over x -> s.(x.s).  Each
-    term |C & W_I| |W| / |C| is at most |W|, so every partial sum of num is
-    at most |W| |W_J| <= |W|^2: exact in int64 for any table that fits in
-    memory.  Raises :class:`InternalCheckError` on a class size that does
-    not divide |W|, on (s.x).s != s.(x.s), or on a W_J not closed under
-    left multiplication by some s in J.
+    W_J is {w : supp(w) within J} (:func:`_supports`), so every |C & W_J|
+    comes from one ``bincount`` over (support, class), summed over the
+    submasks of J in place; the classes C are closed over x -> s.(x.s).
+    Each term |C & W_I| |W| / |C| is at most |W|, so every partial sum of
+    num is an integer of at most |W| |W_J| <= |W|^2: exact in float64
+    below 2^26 elements, where the product is taken by BLAS, and in int64
+    past them.  Raises :class:`InternalCheckError` on a class size
+    that does not divide |W|, on (s.x).s != s.(x.s), on a support pass
+    that does not lead down to e, or on supp(s.x) not within
+    supp(x) | {s}.
     """
     n, order, left, right = table.rank, table.order, table.left_mult, table.right_mult
     steps = [left[right[:, s], s] for s in range(n)]
@@ -191,22 +227,22 @@ def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
         moved = np.flatnonzero(right[left[:, s], s] != step)
         if len(moved):
             raise InternalCheckError(f"(s.x).s differs from s.(x.s) for s = {s}, x = {moved[0]}")
-    in_sub = np.empty((1 << n, order), dtype=bool)
-    for gens_r in range(1 << n):
-        in_sub[gens_r] = right_coset_minima(table, gens_r) == 0
+    supp = _supports(table)
     for s in range(n):
-        rows = _holding(in_sub, s)
-        open_rows = (rows & ~rows[..., left[:, s]]).any(axis=-1)
-        if open_rows.any():
-            gens_r = int(_holding(np.arange(1 << n), s)[open_rows].min())
+        wide = np.flatnonzero(supp.take(left[:, s]) & ~(supp | 1 << s))
+        if len(wide):
             raise InternalCheckError(
-                f"W_J for J={gens_r:b} is not closed under left multiplication by s = {s}"
+                f"supp(s.x) is not within supp(x) | {{s}} for s = {s}, x = {wide[0]}"
             )
-    masks, x = np.nonzero(in_sub)
-    meet = np.bincount(masks * len(sizes) + classes[x], minlength=len(sizes) << n)
-    meet = meet.reshape(1 << n, len(sizes))  # |C & W_J|
-    orders = meet.sum(axis=1)
-    return (meet * (order // sizes)) @ meet.T, np.outer(orders, orders)
+    exact = np.float64 if order < 1 << 26 else np.int64  # |W|^2 below 2^53
+    meet = np.bincount(supp.astype(np.intp) * len(sizes) + classes, minlength=len(sizes) << n)
+    meet = meet.reshape(1 << n, len(sizes)).astype(exact)  # |C & W_J| once J's submasks are in
+    for s in range(n):
+        half = meet.reshape(-1, 2, 1 << s, len(sizes))
+        half[:, 1] += half[:, 0]
+    orders = meet.sum(axis=1).astype(np.int64)
+    num = (meet * (order // sizes)) @ meet.T
+    return num.astype(np.int64), np.outer(orders, orders)
 
 
 def double_quotient_size(table: GroupTable, gens_l: int, gens_r: int) -> int:
@@ -228,13 +264,14 @@ def verify_double_quotients(table: GroupTable, f) -> bool:
     Two counts are made for all pairs at once: the descent filter, and
     |W_I\\W/W_J| = sum over classes C of |C & W_I| |C & W_J| |W| / (|C|
     |W_I| |W_J|) (:func:`_character_counts`), which reads no descent set
-    and is exact in int64, every partial sum being at most |W|^2.  Before
-    any pair, every class size must divide |W|, and two consistency
-    clauses must hold, (s.x).s = s.(x.s) for every x and s, and each W_J
-    closed under left multiplication by every s in J; else
-    :class:`InternalCheckError` is raised.  Pairs are scanned I outer, J
-    inner; at the first pair where anything disagrees, a count mismatch or
-    a non-integer count (printed as a reduced p/q) raises
+    and is exact, every partial sum being an integer of at most |W|^2.
+    Both hold no (2^n, |W|) array.  Before any pair, every class size must
+    divide |W|, and three consistency clauses must hold: (s.x).s = s.(x.s)
+    for every x and s; every w other than e has its least right neighbour
+    one shorter; and supp(s.x) lies within supp(x) | {s} for every x and
+    s.  Else :class:`InternalCheckError` is raised.  Pairs are scanned I
+    outer, J inner; at the first pair where anything disagrees, a count
+    mismatch or a non-integer count (printed as a reduced p/q) raises
     :class:`InternalCheckError`, and otherwise the answer is False.
     """
     by_descents = _descent_counts(table)

@@ -828,12 +828,12 @@ def _descent_walk(length, left_mult, des_left):
 
 
 def popcount_table(n: int) -> np.ndarray:
-    """Lookup array of popcounts for all n-bit masks."""
-    masks = np.arange(1 << n, dtype=np.uint32)
+    """Lookup array of popcounts for all n-bit masks, as uint8, doubled in
+    place once per bit: the masks from 2^k to 2^(k+1) - 1 count one more
+    than those below 2^k."""
     counts = np.zeros(1 << n, dtype=np.uint8)
-    while masks.any():
-        counts += (masks & 1).astype(np.uint8)
-        masks >>= 1
+    for k in range(n):
+        np.add(counts[: 1 << k], 1, out=counts[1 << k : 2 << k])
     return counts
 
 

@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import bicox
 from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
-from bicox.cli import FACE_BUDGET, main
+from bicox.cli import FACE_BUDGET, ORACLE_GATE, main
 from bicox.complexes import TABLE_GATE, face_count
-from bicox.coxeter import DEFAULT_BUDGET, classify, count_text, descent_walk, parabolic
+from bicox.coxeter import (
+    DEFAULT_BUDGET, classify, classify_spec, count_text, descent_walk, parabolic,
+)
 from bicox.errors import CacheError, InternalCheckError
 
 from conftest import build
@@ -376,10 +378,11 @@ def test_verify_b5_runs_double_quotient_oracle(tmp_path, capsys):
 
 def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
     """One gate on the bytes of the table, 4^n x |W| entries of the
-    narrowest unsigned type, bounds the double-quotient oracle and the
-    complex: A6 (20643840 uint16 entries) is under it, with every line
-    PASS, and D4xD4 (2415919104 uint16 entries) over it, with both lines
-    SKIP and the report ending there."""
+    narrowest unsigned type, bounds the complex: A6 (20643840 uint16
+    entries) is under it, with every line PASS, and D4xD4 (2415919104
+    uint16 entries) over it, with the complex SKIP and the report ending
+    there.  The double-quotient oracle, which reads no table of
+    representatives, still runs on D4xD4 under its own gate."""
     assert run(tmp_path, "verify", "--type", "A6", "--format", "json") == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert len(checks) == 17 and {c["status"] for c in checks} == {"PASS"}
@@ -392,10 +395,28 @@ def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     gate = "D4xD4 has 4831838208 table bytes, over the budget of 1342177280"
     assert checks[6:] == [
-        {"name": "double-quotient-oracle", "status": "SKIP", "detail": gate},
+        {"name": "double-quotient-oracle", "status": "PASS", "detail": "all 65536 subset pairs"},
         {"name": "complex", "status": "SKIP", "detail": gate},
     ]
     assert {c["status"] for c in checks[:6]} == {"PASS"}
+
+
+def test_verify_skips_the_oracle_over_its_own_gate(tmp_path, capsys, monkeypatch):
+    """With the oracle's gate below A3's 4^3 x 24 multiply-adds, its line
+    is SKIP with the gate's text, and every complex line still runs."""
+    import bicox.cli
+
+    assert run(tmp_path, "verify", "--type", "A3") == 0
+    clean = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(bicox.cli, "ORACLE_GATE", 4**3 * 24 - 1)
+    assert run(tmp_path, "verify", "--type", "A3") == 0
+    lines = capsys.readouterr().out.splitlines()
+    oracle = clean.index("PASS double-quotient-oracle  (all 64 subset pairs)")
+    assert lines[oracle] == (
+        "SKIP double-quotient-oracle  (A3 has 1536 oracle multiply-adds, over the budget of 1535)"
+    )
+    assert lines[:oracle] + lines[oracle + 1 :] == clean[:oracle] + clean[oracle + 1 :]
+    assert len(lines) == 19 and lines[-1].startswith("PASS contingency-isomorphism")
 
 
 @pytest.mark.parametrize(
@@ -406,13 +427,14 @@ def test_verify_skips_what_is_over_its_gate(tmp_path, capsys):
     ],
 )
 def test_no_check_is_lost_to_the_table_gate(spec, tables):
-    """The double-quotient oracle closes 2^n times the sum over J of
-    [W : W_J] entries, from the classified parabolic orders: at most the
-    4^n x |W| entries of the table.  A group that the oracle's old gate
-    (4,000,000 closed entries) or the complex's old face budget (500,000)
-    admitted is under the table gate, in bytes of the narrowest unsigned
-    type.  So is every table of at most 2^28 entries, the gate's old count,
-    as none holds over 4 bytes an entry.  The last two groups are the
+    """The per-J closures of the former double-quotient oracle closed 2^n
+    times the sum over J of [W : W_J] entries, from the classified
+    parabolic orders: at most the 4^n x |W| entries of the table.  A group
+    that the oracle's old gate (4,000,000 closed entries) or the complex's
+    old face budget (500,000) admitted is under the table gate, in bytes of
+    the narrowest unsigned type.  So is every table of at most 2^28
+    entries, the gate's old count, as none holds over 4 bytes an entry.
+    The last two groups are the
     largest tables under each old gate among the products of rank at most
     8 and order at most 10^7 of A1-A8, B2-B7, D4-D8, E6, E7, F4, H3, H4 and
     I2(m), m in 5-10, 12, 20, 50, 100, 1000 and 10000; past rank 8, A1^9
@@ -430,6 +452,15 @@ def test_no_check_is_lost_to_the_table_gate(spec, tables):
     if closed <= 4_000_000 or face_count(table) <= FACE_BUDGET:
         assert size <= TABLE_GATE
     assert (1 << 28) * 4 <= TABLE_GATE
+
+
+def test_oracle_gate_admits_e7_and_every_table_under_the_table_gate():
+    """The oracle's 4^n x |W| multiply-adds are the entries of the table,
+    at most its bytes, so every group under the table gate is under the
+    oracle's gate; so is E7, whose 4^7 x 2,903,040 is over the table gate."""
+    assert TABLE_GATE <= ORACLE_GATE
+    e7 = 4**7 * classify_spec("E7").order
+    assert 4 * e7 > TABLE_GATE and e7 <= ORACLE_GATE
 
 
 def test_verify_classifies_its_type_once(tmp_path, capsys, monkeypatch):

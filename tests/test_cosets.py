@@ -10,6 +10,7 @@ import pytest
 from bicox.cosets import (
     _character_counts,
     _descent_counts,
+    _supports,
     descent_free,
     double_quotient_size,
     is_minimal_rep,
@@ -261,9 +262,9 @@ def test_descent_counts_hold_no_float64_copy(tables):
     assert counts.tolist() == [[double_quotient_size(table, i, j) for j in masks] for i in masks]
 
 
-def test_character_counts_close_one_subgroup_at_a_time(tables):
-    """H4's 16 subgroups W_J are closed one J at a time, each into a row of
-    one (16, 14,400) bool array: the count holds under 2 MiB."""
+def test_character_counts_hold_no_subgroup_rows(tables):
+    """H4's 16 subgroups W_J are counted from one support per element,
+    with no (16, 14,400) array of rows: the count holds under 2 MiB."""
     table = tables("H4")
     tracemalloc.start()
     try:
@@ -417,7 +418,7 @@ def swap_entries(table, name, s, x, y):
 def left_s1_times_s3(table):
     """``table`` with s1.x read as s1.x.s3.  It commutes with x -> x.s1, so
     (s.x).s = s.(x.s) still holds and every class size divides |W|; the
-    closure of W_J under left multiplication is the first clause to fail."""
+    support clause, supp(s.x) within supp(x) | {s}, is the first to fail."""
     left = table.left_mult.copy()
     left[:, 0] = table.right_mult[table.left_mult[:, 0], 2]
     return dataclasses.replace(table, left_mult=left)
@@ -430,9 +431,9 @@ def left_s1_times_s3(table):
          "the conjugacy class of element 0 has 7 elements, which does not divide |W| = 24"),
         (lambda a3: swap_entries(a3, "right_mult", 0, 1, 2),
          "(s.x).s differs from s.(x.s) for s = 0, x = 0"),
-        (left_s1_times_s3, "W_J for J=1 is not closed under left multiplication by s = 0"),
+        (left_s1_times_s3, "supp(s.x) is not within supp(x) | {s} for s = 0, x = 0"),
     ],
-    ids=["class-size", "associativity", "left-closure"],
+    ids=["class-size", "associativity", "support"],
 )
 def test_character_count_consistency_clauses(a3, corrupt, message):
     bad = corrupt(a3)
@@ -453,24 +454,62 @@ def test_non_integer_count_is_a_reduced_fraction(a3, monkeypatch):
     assert str(caught.value).endswith("I=0, J=0: descent filter 24, permutation characters 25/2")
 
 
-def test_character_counts_read_the_shared_right_coset_closure(a3, monkeypatch):
-    """The oracle takes each W_J from ``right_coset_minima``, the closure
-    the embedding check reads: W_{s1} grown by s2 there fails it."""
+def test_character_counts_read_the_support_pass(a3, monkeypatch):
+    """The oracle takes each W_J from ``_supports``: the support of s1
+    widened by s2 there makes it raise or return False."""
     import bicox.cosets
 
-    closure = bicox.cosets.right_coset_minima
-    s2 = a3.generator_id(1)
+    supports = bicox.cosets._supports
+    s1 = a3.generator_id(0)
 
-    def grown(table, gens_r):
-        labels = closure(table, gens_r)
-        return np.where(np.arange(table.order) == s2, 0, labels) if gens_r == 0b001 else labels
+    def widened(table):
+        supp = supports(table).copy()
+        supp[s1] |= 0b010
+        return supp
 
     assert verify_double_quotients(a3, flag_f(a3))
-    monkeypatch.setattr(bicox.cosets, "right_coset_minima", grown)
+    monkeypatch.setattr(bicox.cosets, "_supports", widened)
     try:
         assert not verify_double_quotients(a3, flag_f(a3))
     except InternalCheckError:
         pass
+
+
+@pytest.mark.parametrize("spec", ALL_PAIRS_SPECS + ["I2(101)"])
+def test_supports_give_every_parabolic_subgroup(spec, tables):
+    """{w : supp(w) within J} is W_J, the right coset of e in the closure
+    reference, for every J, also on the table with no descents: the
+    support pass reads no descent set."""
+    table = tables(spec)
+    blind = dataclasses.replace(
+        table, des_left=np.zeros_like(table.des_left), des_right=np.zeros_like(table.des_right)
+    )
+    for supp in (_supports(table), _supports(blind)):
+        for gens_r in range(table.full_mask + 1):
+            expected = closure_labels(table, 0, gens_r) == 0
+            assert np.array_equal(supp | gens_r == gens_r, expected), gens_r
+
+
+def test_support_pass_needs_a_shorter_right_neighbour(a3):
+    """A3 with ids 1 and 23 swapped in both multiplication tables, and the
+    lengths left in place, is still a group, so its classes pass; but
+    element 1's right neighbours all have larger ids, so the support pass
+    raises naming it before following any step."""
+    swap = np.arange(a3.order)
+    swap[[1, 23]] = [23, 1]
+
+    def relabelled(mult):
+        return swap[mult][swap].astype(mult.dtype)
+
+    bad = dataclasses.replace(
+        a3, left_mult=relabelled(a3.left_mult), right_mult=relabelled(a3.right_mult)
+    )
+    assert (bad.right_mult[1] > 1).all()
+    with pytest.raises(InternalCheckError) as caught:
+        _character_counts(bad)
+    assert str(caught.value) == (
+        "element 1 is not e, but its least right neighbour 20 is not one shorter"
+    )
 
 
 @pytest.mark.parametrize("spec", ALL_PAIRS_SPECS + ["I2(101)"])

@@ -23,7 +23,9 @@ from bicox.coxeter import (
     classify_spec,
     descent_walk,
     length_order,
+    lowest_bits,
     parse_type_spec,
+    popcount_table,
 )
 from bicox.errors import CapacityError, InternalCheckError, NotFiniteError
 
@@ -712,3 +714,15 @@ def test_mult(b3):
         for w in range(b3.order):
             assert mult(b3, b3.generator_id(s), w) == int(b3.left_mult[w, s])
             assert mult(b3, w, b3.generator_id(s)) == int(b3.right_mult[w, s])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 16])
+def test_popcount_and_lowest_bit_tables_match_python_ints(n):
+    """Both lookup arrays are uint8, one entry per n-bit mask, equal to
+    the bit count and the index of the lowest set bit (0 for the empty
+    mask) that Python ints give."""
+    counts, lowest = popcount_table(n), lowest_bits(n)
+    assert counts.dtype == lowest.dtype == np.uint8
+    masks = range(1 << n)
+    assert counts.tolist() == [bin(m).count("1") for m in masks]
+    assert lowest.tolist() == [(m & -m).bit_length() - 1 if m else 0 for m in masks]
