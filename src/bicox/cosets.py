@@ -38,10 +38,12 @@ under left multiplication by J.  The oracle never reads the table of
 representatives, so ``bicox verify`` gives it its own gate, on its
 4^n |W| multiply-adds, past the complex's table gate.
 
-The table of minimal representatives, :func:`minimal_rep_table`, is filled
-one length layer at a time by flat ``take``s on the raveled table, over
-:func:`blocks` of left masks.  Its fixed points are the faces of
-:mod:`bicox.complexes`, whose checks gather from it the same way.
+The table of minimal representatives, :func:`minimal_rep_table`, is the
+left minima of the right minima: min(W_I w W_J) = min(W_I.min(w.W_J)).
+Both one-sided tables, 2^n x |W| ids each, are filled together one length
+layer at a time by one flat ``take``, and each entry of the table is then
+one gather.  Its fixed points are the faces of :mod:`bicox.complexes`,
+whose checks gather from it over :func:`blocks` of rows.
 
 All functions are pure over an immutable :class:`~bicox.coxeter.GroupTable`
 and safe for concurrent use.  Generator subsets are bitmasks.
@@ -53,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coxeter import GroupTable, layer_bounds, lowest_bits
+from .coxeter import GroupTable, layer_bounds
 from .errors import InternalCheckError
 
 
@@ -73,37 +75,67 @@ def rep_dtype(order: int) -> np.dtype:
     return np.min_scalar_type(order - 1)
 
 
+def _step_down(table: GroupTable, ids: np.ndarray) -> np.ndarray:
+    """(2 * 2^n, |W|) in the dtype of ``ids``: row J below 2^n sends w to
+    w.s for its lowest right descent s in J, row 2^n + I to s.w for its
+    lowest left descent s in I, and w with no such descent to w.
+
+    A mask with lowest bit s sends w across s where s is a descent of w,
+    else as the mask without s does; masks are filled from the highest
+    lowest bit down, so that one is always filled first.
+    """
+    n, order = table.rank, len(ids)
+    down = np.empty((2 << n, order), dtype=ids.dtype)
+    sides = ((table.right_mult, table.des_right), (table.left_mult, table.des_left))
+    for rows, (mult, des) in zip((down[: 1 << n], down[1 << n :]), sides):
+        rows[0] = ids
+        for s in reversed(range(n)):
+            grid = rows.reshape(-1, 2 << s, order)  # [:, 0] lacks bit s, [:, 1 << s] adds it
+            across = mult[:, s].astype(ids.dtype)
+            grid[:, 1 << s] = np.where(des >> s & 1 == 1, across, grid[:, 0])
+    return down
+
+
 def minimal_rep_table(table: GroupTable) -> np.ndarray:
     """Read-only ``reps[I, J, w]``: the minimal element of W_I w W_J, every I, J, w.
 
-    Filled one length layer at a time: an entry is w when Des_L(w) misses I
-    and Des_R(w) misses J, else the entry of the shorter s.w or w.s, read
-    by one flat ``take`` on the raveled table, where row (I, J) starts at
-    (I * 2^n + J) * |W|, a block of left masks I at a time.  Holds 4^n * |W|
-    ids of :func:`rep_dtype`, as many bytes as ``check_table_gate`` admits.
+    The table is ``left[I, right[J, w]]``, where ``right[J, w]`` is the
+    least element of w.W_J and ``left[I, u]`` the least of W_I.u
+    (Björner-Brenti, *Combinatorics of Coxeter Groups*, 2005, §2.4;
+    Geck-Pfeiffer §2.1).  Let u = min(w.W_J) and v = min(W_I.u).  Then
+    u = x.v with x in W_I and l(u) = l(x) + l(v).  If some t in J were a
+    right descent of v, then l(u.t) <= l(x) + l(v.t) < l(u), and t would
+    be a right descent of u, which it is not.  So v has no left descent in
+    I and no right descent in J, and v lies in W_I w W_J: it is the
+    coset's minimal element.
+
+    Both one-sided tables are one (2 * 2^n, |W|) array ``least``: rows
+    below 2^n are ``right`` and the rest ``left``.  Its step table sends w
+    across its lowest right (resp. left) descent in the mask, and
+    ``least`` is filled from it one length layer at a time by one flat
+    ``take``; then ``reps`` gathers ``left`` over ``right``, a block of
+    right masks at a time.  Reads only ``left_mult``, ``right_mult``,
+    both descent masks and the id order, never ``inverse`` or a coset
+    closure.  Holds 4^n * |W| ids of :func:`rep_dtype`, as many bytes as
+    ``check_table_gate`` admits.
     """
-    n, order = table.rank, table.order
-    masks = np.arange(1 << n, dtype=table.des_left.dtype)
-    lowest = lowest_bits(n)
-    ids = np.arange(order, dtype=table.left_mult.dtype)
-
-    def step_down(mult, des):
-        """(2^n, |W|): w across its lowest descent in the mask, else w."""
-        hit = masks[:, None] & des
-        return np.where(hit != 0, mult[ids, lowest[hit]], ids)
-
-    down_l = step_down(table.left_mult, table.des_left)
-    down_r = step_down(table.right_mult, table.des_right)
-    reps = np.empty((1 << n, 1 << n, order), dtype=rep_dtype(order))
-    reps[...] = ids
-    flat = reps.ravel()
-    starts = (np.arange(1 << 2 * n) * order).reshape(1 << n, 1 << n, 1)
+    n, order, dtype = table.rank, table.order, rep_dtype(table.order)
+    ids = np.arange(order, dtype=dtype)
+    down = _step_down(table, ids)
+    least = np.empty_like(down)
+    least[...] = ids
+    flat = least.ravel()
+    starts = np.arange(2 << n)[:, None] * order
     bounds = layer_bounds(table)
     for a, b in zip(bounds[1:-1], bounds[2:]):  # e is its own entry everywhere
-        for gens_l in blocks(1 << n, (b - a) << n):
-            dl = down_l[gens_l, None, a:b]
-            at = starts[gens_l] + np.where(dl != ids[a:b], dl, down_r[None, :, a:b])
-            reps[gens_l, :, a:b] = flat.take(at)
+        least[:, a:b] = flat.take(starts + down[:, a:b])
+    del down
+    left, right = least[1 << n :], least[: 1 << n]
+    reps = np.empty((1 << n, 1 << n, order), dtype=dtype)
+    for gens_r in blocks(1 << n, order):
+        at = right[gens_r].astype(np.intp)
+        for row, out in zip(left, reps[:, gens_r]):
+            row.take(at, out=out, mode="clip")  # ids are in range; "raise" would buffer out
     reps.flags.writeable = False
     return reps
 
@@ -202,12 +234,15 @@ def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     multiplication tables and the id order.
 
     W_J is {w : supp(w) within J} (:func:`_supports`), so every |C & W_J|
-    comes from one ``bincount`` over (support, class), summed over the
+    comes from a ``bincount`` over (support, class), summed over the
     submasks of J in place; the classes C are closed over x -> s.(x.s).
-    Each term |C & W_I| |W| / |C| is at most |W|, so every partial sum of
-    num is an integer of at most |W| |W_J| <= |W|^2: exact in float64
-    below 2^26 elements, where the product is taken by BLAS, and in int64
-    past them.  Raises :class:`InternalCheckError` on a class size
+    The count, its subset sum and its share of the product are taken one
+    of :func:`blocks` of classes at a time, ids sorted by class where
+    there are several, so no (2^n, classes) array is held.  Each term
+    |C & W_I| |W| / |C| is at most |W|, so every partial sum of num is an
+    integer of at most |W| |W_J| <= |W|^2: exact in float64 below 2^26
+    elements, where the products are taken by BLAS, and in int64 past
+    them.  Raises :class:`InternalCheckError` on a class size
     that does not divide |W|, on (s.x).s != s.(x.s), on a support pass
     that does not lead down to e, or on supp(s.x) not within
     supp(x) | {s}.
@@ -235,13 +270,23 @@ def _character_counts(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
                 f"supp(s.x) is not within supp(x) | {{s}} for s = {s}, x = {wide[0]}"
             )
     exact = np.float64 if order < 1 << 26 else np.int64  # |W|^2 below 2^53
-    meet = np.bincount(supp.astype(np.intp) * len(sizes) + classes, minlength=len(sizes) << n)
-    meet = meet.reshape(1 << n, len(sizes)).astype(exact)  # |C & W_J| once J's submasks are in
-    for s in range(n):
-        half = meet.reshape(-1, 2, 1 << s, len(sizes))
-        half[:, 1] += half[:, 0]
-    orders = meet.sum(axis=1).astype(np.int64)
-    num = (meet * (order // sizes)) @ meet.T
+    key = classes << n | supp  # (class, support) of each id
+    spans = blocks(len(sizes), 1 << n)
+    if len(spans) > 1:
+        key.sort()  # so each block of classes is one slice
+    ends = np.cumsum(sizes)
+    num = np.zeros((1 << n, 1 << n), dtype=exact)
+    orders = np.zeros(1 << n, dtype=np.int64)
+    for span in spans:
+        size, end = sizes[span], ends[span]
+        at = key[end[0] - size[0] : end[-1]] - (span.start << n)
+        meet = np.bincount(at, minlength=len(size) << n).reshape(len(size), 1 << n)
+        meet = np.ascontiguousarray(meet.T, dtype=exact)  # |C & W_J| once J's submasks are in
+        for s in range(n):
+            half = meet.reshape(-1, 2, 1 << s, len(size))
+            half[:, 1] += half[:, 0]
+        orders += meet.sum(axis=1).astype(np.int64)
+        num += (meet * (order // size)) @ meet.T
     return num.astype(np.int64), np.outer(orders, orders)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import bicox
 from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
-from bicox.cli import FACE_BUDGET, ORACLE_GATE, main
+from bicox.cli import FACE_BUDGET, ORACLE_GATE, main, run_verification
 from bicox.complexes import TABLE_GATE, face_count
 from bicox.coxeter import (
     DEFAULT_BUDGET, classify, classify_spec, count_text, descent_walk, parabolic,
@@ -183,6 +183,38 @@ def test_cache_with_ids_out_of_length_order_is_malformed(tmp_path, a3, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: malformed cache file: ids are not weakly sorted by length\n"
         assert captured.out == ""
+
+
+def corrupted(table, kind, seed):
+    """``table`` with one seeded corruption: for ``des_left`` or
+    ``des_right`` one descent bit flipped on an element other than e, for
+    ``left_mult`` or ``right_mult`` two entries of one column swapped."""
+    rng = np.random.default_rng(seed)
+    entries = getattr(table, kind).copy()
+    s = int(rng.integers(table.rank))
+    if kind.startswith("des_"):
+        entries[rng.integers(1, table.order)] ^= 1 << s
+    else:
+        x, y = rng.choice(table.order, 2, replace=False)
+        entries[[x, y], s] = entries[[y, x], s]
+    return dataclasses.replace(table, **{kind: entries})
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["des_left", "des_right", "right_mult", "left_mult"])
+def test_hostile_tables_fail_a_check_without_a_traceback(kind, seed, tmp_path, a3, capsys):
+    """A3 with one seeded corruption runs through the table of
+    representatives and every check: at least one line FAILs, and only
+    the BicoxError family is raised.  Resealed as a cache file, ``bicox
+    verify`` exits with a documented code and prints no traceback."""
+    bad = corrupted(a3, kind, seed)
+    statuses = [status for _, status, _ in run_verification(bad)]
+    assert "FAIL" in statuses
+    (tmp_path / "A3.gt").write_bytes(b"".join(_parts(bad)))
+    code = run(tmp_path, "verify", "--type", "A3")
+    captured = capsys.readouterr()
+    assert code in (1, 2) and "Traceback" not in captured.out + captured.err
+    assert code == 2 or "\nFAIL " in captured.out
 
 
 def test_failed_save_keeps_earlier_file(tmp_path, a3, monkeypatch):

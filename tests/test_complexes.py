@@ -182,9 +182,9 @@ def test_table_gate_counts_the_bytes_of_reps(spec, tables, monkeypatch):
 
 
 def test_build_holds_less_than_half_the_faces_beside_the_complex(tables):
-    """The build fills one face array a block at a time, and steps down the
-    table through ids of the multiplication table's int32: on A1^8 its
-    traced peak over the finished complex stays under half the faces."""
+    """The build fills one face array a block at a time, beside a table of
+    representatives built from two one-sided tables of narrow ids: on A1^8
+    its traced peak over the finished complex stays under half the faces."""
     table = tables("A1xA1xA1xA1xA1xA1xA1xA1")
     tracemalloc.start()
     try:

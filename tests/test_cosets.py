@@ -15,6 +15,7 @@ from bicox.cosets import (
     double_quotient_size,
     is_minimal_rep,
     minimal_rep_table,
+    rep_dtype,
     right_coset_minima,
     verify_double_quotients,
 )
@@ -223,6 +224,34 @@ def test_minimal_rep_table_matches_scalar(spec, tables):
             assert reps[gens_l, gens_r].tolist() == expected, (gens_l, gens_r)
 
 
+@pytest.mark.parametrize("spec", ["A2xA1", "I2(5)xA1", "I2(5)xA2", "A1xA1xA1xA1"])
+def test_minimal_rep_table_matches_the_left_first_reference(spec, tables):
+    """The scalar reference steps across left descents first, an order the
+    table never takes (it takes right minima, then their left minima); on
+    products the two agree entry by entry, in the narrowest id type."""
+    table = tables(spec)
+    reps = minimal_rep_table(table)
+    assert reps.dtype == rep_dtype(table.order) and not reps.flags.writeable
+    masks, ids = range(table.full_mask + 1), range(table.order)
+    expected = [[[minimal_rep(table, i, w, j) for w in ids] for j in masks] for i in masks]
+    assert reps.tolist() == expected
+
+
+@pytest.mark.parametrize("spec, share", [("A1xA1xA1xA1xA1xA1xA1xA1", 8), ("H4", 2)])
+def test_minimal_rep_table_holds_little_beside_its_result(spec, share, tables):
+    """Beside the finished table the build holds its two one-sided tables
+    of 2^n x |W| ids and one block of gather indices: on A1^8 under an
+    eighth of the table, on H4 under half."""
+    table = tables(spec)
+    tracemalloc.start()
+    try:
+        reps = minimal_rep_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - reps.nbytes < reps.nbytes / share
+
+
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "F4", "H4"])
 def test_minimal_rep_table_matches_closure_labels(spec, tables):
     """The least id of each closure-labelled coset, which is its shortest
@@ -274,6 +303,19 @@ def test_character_counts_hold_no_subgroup_rows(tables):
         tracemalloc.stop()
     assert peak < 2 << 20
     assert np.array_equal(num // den, _descent_counts(table)) and not (num % den).any()
+
+
+@pytest.mark.parametrize("spec", ["A3", "F4", "H4", "I2(101)xA1"])
+def test_character_counts_are_the_same_by_blocks_of_classes(spec, tables, monkeypatch):
+    """Cut into blocks of one class each, the class counts are summed to
+    the same num and den as in one block."""
+    import bicox.cosets
+
+    table = tables(spec)
+    num, den = _character_counts(table)
+    monkeypatch.setattr(bicox.cosets, "GATHER", 1)
+    by_class = _character_counts(table)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(by_class, (num, den)))
 
 
 def test_descent_free_masks_in_the_descent_dtype(tables):
