@@ -12,14 +12,8 @@ from .complexes import (
     verify_shelling,
     verify_thin,
 )
-from .contingency import (
-    ContingencyTable,
-    KWayTable,
-    SymmetricGroupFaces,
-    kway_maximal_count,
-    refinement_leq,
-)
-from .cosets import double_quotient_size, is_minimal_rep
+from .contingency import ContingencyTable, SymmetricGroupFaces
+from .cosets import double_quotient_size
 from .coxeter import (
     CoxeterMatrix,
     CoxeterSystem,
@@ -61,7 +55,6 @@ __all__ = [
     "GammaTable",
     "GroupTable",
     "InternalCheckError",
-    "KWayTable",
     "NotFiniteError",
     "SymmetricGroupFaces",
     "TwoSidedComplex",
@@ -77,11 +70,8 @@ __all__ = [
     "flag_h",
     "gamma_expansion",
     "hasse_dot",
-    "is_minimal_rep",
-    "kway_maximal_count",
     "length_order",
     "parse_type_spec",
-    "refinement_leq",
     "sigma_ideal",
     "standard_matrix",
     "two_sided_eulerian",

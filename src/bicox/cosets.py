@@ -146,14 +146,6 @@ def descent_free(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     return (masks & table.des_left) == 0, (masks & table.des_right) == 0
 
 
-def is_minimal_rep(table: GroupTable, gens_l: int, w: int, gens_r: int) -> bool:
-    """Whether w is the minimal representative of W_I w W_J."""
-    return (
-        int(table.des_left[w]) & gens_l == 0
-        and int(table.des_right[w]) & gens_r == 0
-    )
-
-
 def _close(labels: np.ndarray, steps) -> np.ndarray:
     """Each entry's least label reachable through the index arrays ``steps``.
 

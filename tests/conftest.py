@@ -75,6 +75,12 @@ def minimal_rep(table, gens_l, w, gens_r):
         w = int(right[w, (hit & -hit).bit_length() - 1])
 
 
+def is_minimal_rep(table, gens_l, w, gens_r):
+    """Whether w is the minimal representative of W_I w W_J: no left
+    descent in I and no right descent in J."""
+    return int(table.des_left[w]) & gens_l == 0 and int(table.des_right[w]) & gens_r == 0
+
+
 def close(labels, steps):
     """Reference closure: entry x lowered to the least label reachable from
     x through the index arrays ``steps``, by neighbour minima and pointer

@@ -26,16 +26,8 @@ from bicox.complexes import (
     verify_thin,
     verify_weak_order_monotone,
 )
-from bicox.contingency import (
-    ContingencyTable,
-    SymmetricGroupFaces,
-    lower_covers,
-    ordered_set_partition,
-    upper_covers,
-    verify_refinement_isomorphism,
-    kway_maximal_count,
-)
-from bicox.cosets import double_quotient_size, is_minimal_rep
+from bicox.contingency import SymmetricGroupFaces, verify_refinement_isomorphism
+from bicox.cosets import double_quotient_size
 from bicox.coxeter import length_order
 from bicox.enumeration import (
     eulerian_from_flag,
@@ -46,7 +38,15 @@ from bicox.enumeration import (
     two_sided_eulerian,
 )
 
-from conftest import closure_count, double_coset, down_reach, minimal_rep
+from conftest import closure_count, double_coset, down_reach, is_minimal_rep, minimal_rep
+from contingency_objects import (
+    from_display,
+    id_of,
+    kway_maximal_count,
+    lower_covers,
+    ordered_set_partition,
+    upper_covers,
+)
 from expected_tables import EULERIAN, GAMMA, grid_entries
 from test_contingency import CENTER_7, LOWER_COVERS_7, UPPER_COVERS_7
 
@@ -222,7 +222,7 @@ def test_criterion_9_contingency_model(tables, complexes):
     with criterion(9, "contingency model: golden tables, covers, isomorphism"):
         start = time.monotonic()
         model = SymmetricGroupFaces(tables("A6"))
-        w = model.id_of((7, 1, 4, 2, 5, 3, 6))
+        w = id_of(model, (7, 1, 4, 2, 5, 3, 6))
         gens_l, gens_r = 0b010111, 0b100110
         u = minimal_rep(model.table, gens_l, w, gens_r)
         assert model.one_line(u) == (7, 1, 2, 3, 5, 4, 6)
@@ -231,13 +231,13 @@ def test_criterion_9_contingency_model(tables, complexes):
         ups = upper_covers(CENTER_7)
         downs = lower_covers(CENTER_7)
         assert len(ups) == 12 and len(downs) == 5
-        assert set(ups) == {ContingencyTable.from_display(t) for t in UPPER_COVERS_7}
-        assert set(downs) == {ContingencyTable.from_display(t) for t in LOWER_COVERS_7}
+        assert set(ups) == {from_display(t) for t in UPPER_COVERS_7}
+        assert set(downs) == {from_display(t) for t in LOWER_COVERS_7}
 
         for n in (2, 3, 4):
             assert verify_refinement_isomorphism(complexes(f"A{n - 1}")), n
 
-        partition_table = ContingencyTable.from_display(
+        partition_table = from_display(
             [[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0],
              [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
         )

@@ -13,7 +13,6 @@ from bicox.cosets import (
     _supports,
     descent_free,
     double_quotient_size,
-    is_minimal_rep,
     minimal_rep_table,
     rep_dtype,
     right_coset_minima,
@@ -29,6 +28,7 @@ from conftest import (
     closure_labels,
     double_coset,
     down_reach,
+    is_minimal_rep,
     minimal_rep,
     mult,
     numbered,
