@@ -60,15 +60,24 @@ def _census(table: GroupTable) -> np.ndarray:
 def _subset_transform(values: np.ndarray, n: int, inverse: bool) -> np.ndarray:
     """Subset sums over both indices, or with ``inverse`` their Moebius inverse.
 
-    Works in place on one int64 copy: viewed as (-1, 2, 2^k), the second half
-    of each block holds the entries with bit k of the flat index set.
+    Works on one int64 copy, one bit of the flat index I * 2^n + J at a
+    time: viewed as (-1, 2, 2^k), the second half of each block holds the
+    entries with bit k set, and gains (or loses) the first half in place.
+    Only the n high bits (those of I) are passed over directly, so every
+    block is at least 2^n entries wide; the bits of J are passed over the
+    same way on a contiguous transposed copy, which is returned transposed
+    back (a view, laid out in Fortran order).
     """
-    out = np.array(values, dtype=np.int64)
     step = np.subtract if inverse else np.add
-    for k in range(2 * n):
-        block = out.reshape(-1, 2, 1 << k)
-        step(block[:, 1], block[:, 0], out=block[:, 1])
-    return out
+
+    def high_passes(out):
+        for k in range(n, 2 * n):
+            block = out.reshape(-1, 2, 1 << k)
+            step(block[:, 1], block[:, 0], out=block[:, 1])
+        return out
+
+    out = high_passes(np.array(values, dtype=np.int64, order="C"))
+    return high_passes(out.T.copy()).T
 
 
 def flag_h(table: GroupTable) -> Table2D:
@@ -105,13 +114,25 @@ def _submask_sums(values: np.ndarray, signed: bool = False) -> np.ndarray:
     which is the Moebius inverse of the plain sums.  Both are the matrix
     product Z @ values @ Z.T of the zeta matrix Z[I, I'] = 1 when I' <= I
     (conjugated by the parity signs, D Z D, when ``signed``), done in float64
-    by BLAS and returned as int64.  Z holds only 0 and +-1, so every partial
-    sum of either product, in any order, is an integer of magnitude at most
-    4^n * max|values|; below 2^53 each one is exact in float64.  Over that
-    bound this raises :class:`CapacityError` instead of rounding.  Every
-    table that can exist is under it: entries are at most |W| <= 10^7, and
-    4^14 * 10^7 < 2^53, while a 4^n-cell table past n = 14 does not fit in
-    memory.
+    by BLAS and returned as int64.
+
+    Z is never built.  Split each index into its a = floor(n/2) high bits and
+    b = n - a low bits: I' <= I exactly when both halves are submasks, so
+    Z = Z_a (x) Z_b (Kronecker), and D = D_a (x) D_b gives the same split of
+    D Z D.  Z_a is the leading 2^a x 2^a block of Z_b, signs included, so
+    one 2^b x 2^b matrix serves all four index axes (I high, I low, J high,
+    J low), each contracted by one matmul on a reshaped view: (2^a + 2^b)
+    * 4^n multiply-adds, against 2 * 8^n for the dense product.
+
+    Exactness: each factor holds only 0 and +-1, and each matmul contracts
+    one axis, so the terms it adds up are signed sums over disjoint sets of
+    entries (they differ on that axis).  Hence every partial sum of every
+    matmul, in any order, is a signed sum of a subset of the entries: an
+    integer of magnitude at most 4^n * max|values|, exact in float64 below
+    2^53.  Over that bound this raises :class:`CapacityError` instead of
+    rounding.  Every table that can exist is under it: entries are at most
+    |W| <= 10^7, and 4^14 * 10^7 < 2^53, while a 4^n-cell table past
+    n = 14 does not fit in memory.
     """
     size = len(values)
     n = size.bit_length() - 1
@@ -121,12 +142,18 @@ def _submask_sums(values: np.ndarray, signed: bool = False) -> np.ndarray:
             f"submask sums of a rank-{n} table with an entry of {peak} "
             "can pass 2^53, where float64 is no longer exact"
         )
-    masks = np.arange(size)
-    zeta = ((masks[None, :] & ~masks[:, None]) == 0).astype(np.float64)
+    high, low = 1 << n // 2, 1 << n - n // 2
+    masks = np.arange(low)
+    zeta = ((masks[None, :] & ~masks[:, None]) == 0).astype(np.float64)  # Z_b
     if signed:
-        parity = 1.0 - 2 * (popcount_table(n) & 1)
+        parity = 1.0 - 2 * (popcount_table(n - n // 2) & 1)
         zeta *= np.outer(parity, parity)
-    return (zeta @ values @ zeta.T).astype(np.int64)
+    lead = zeta[:high, :high]  # Z_a
+    out = values.astype(np.float64).reshape(-1, low) @ zeta.T  # J low
+    out = np.matmul(lead, out.reshape(size, high, low))  # J high
+    out = lead @ out.reshape(high, -1)  # I high
+    out = np.matmul(zeta, out.reshape(high, low, size))  # I low
+    return out.reshape(size, size).astype(np.int64)
 
 
 def reciprocity_holds(f: Table2D, h: Table2D, n: int) -> bool:
@@ -172,22 +199,28 @@ def two_sided_eulerian(group: GroupTable | Factorization) -> Table2D:
     return total.tolist()
 
 
-def _by_size(n: int) -> np.ndarray:
-    """(n+1) x 2^n int64 indicator of |I| = i, to group a subset index by size."""
-    return (popcount_table(n)[None, :] == np.arange(n + 1)[:, None]).astype(np.int64)
-
-
 def eulerian_from_flag(f: Table2D, n: int) -> Table2D:
     """The Eulerian matrix recovered from the f-table alone:
 
         sum over I, J of f[I][J] x^|I| y^|J| (1-x)^(n-|I|) (1-y)^(n-|J|).
 
-    f is grouped by (|I|, |J|), then changed to the x^i y^j basis by
-    B[i][p] = (-1)^(i-p) C(n-p, i-p) in Python ints: its partial sums can pass int64.
+    f is grouped by (|I|, |J|) in int64, exactly: its rows and then its
+    columns are taken in order of popcount, and each run of one popcount is
+    summed by ``np.add.reduceat``.  The grouped matrix is then changed to
+    the x^i y^j basis by B[i][p] = (-1)^(i-p) C(n-p, i-p) in Python ints:
+    its partial sums can pass int64.  Raises ``ValueError`` unless f is
+    2^n x 2^n.
     """
+    size = 1 << n
+    f_arr = np.asarray(f, dtype=np.int64)
+    if f_arr.shape != (size, size):
+        raise ValueError(f"an f-table of rank {n} is {size} x {size}, not {f_arr.shape}")
+    pop = popcount_table(n)
+    order = np.argsort(pop, kind="stable")
+    starts = np.searchsorted(pop[order], np.arange(n + 1))
+    by_rows = np.add.reduceat(f_arr[order], starts, axis=0)
+    grouped = np.add.reduceat(by_rows[:, order], starts, axis=1)
     sizes = range(n + 1)
-    onehot = _by_size(n)
-    grouped = onehot @ np.asarray(f, dtype=np.int64) @ onehot.T
     basis = np.array(
         [[(-1) ** (i - p) * comb(n - p, i - p) if i >= p else 0 for p in sizes]
          for i in sizes],
@@ -455,30 +488,39 @@ def gamma_expansion(matrix: Table2D) -> GammaTable:
     """Solve for the gamma coefficients of a two-sided Eulerian matrix.
 
     The basis is unitriangular.  In lexicographic (a, b) order, basis (a, b)
-    has coefficient exactly 1 at cell (a, a + b): the lowest power of x in
-    it is x^a, taken only from 1 in (x + y)^b and in (1 + xy)^c.  Every
-    later unknown has 0 there: x^a needs a' <= a, and a' = a leaves y^(a+b')
-    only, so b' = b.  Hence gamma_{a,b} is the residual at (a, a + b) once
-    the earlier unknowns' columns are subtracted, all in Python ints.  The
-    triangular pattern is checked on the coefficients (it proves the basis
-    independent), and the residual must end at zero in all (n+1)^2 cells
-    (the reconstruction check); either failure raises
-    :class:`GammaBasisError`.  Negative coefficients are reported as data,
-    not errors.
+    has coefficient exactly 1 at cell (a, a + b), its pivot cell: the lowest
+    power of x in it is x^a, taken only from 1 in (x + y)^b and in
+    (1 + xy)^c.  Every later unknown has 0 there: x^a needs a' <= a, and
+    a' = a leaves y^(a+b') only, so b' = b.  The triangular pattern is
+    checked on the pivot cells (it proves the basis independent).  Then
+    gamma_{a,b} is the matrix at its pivot cell less the earlier unknowns'
+    coefficients there, by forward substitution in Python ints over the
+    pivot cells alone.  All (n+1)^2 cells are then rebuilt from the
+    coefficients by one object-dtype dot product and compared with the
+    matrix (the reconstruction check).  Either failure raises
+    :class:`GammaBasisError`, the second naming the first cell, in
+    row-major order, where the matrix and its reconstruction differ.
+    Negative coefficients are reported as data, not errors.
     """
     n = len(matrix) - 1
     unknowns = [(a, b) for a in range(n // 2 + 1) for b in range(n - 2 * a + 1)]
     columns = np.array([gamma_basis_coeffs(n, a, b) for a, b in unknowns], dtype=object)
-    pivots = np.array([[col[a, a + b] for a, b in unknowns] for col in columns])  # [col, cell]
+    columns = columns.reshape(len(unknowns), n + 1, n + 1)
+    rows = [a for a, _ in unknowns]
+    cols = [a + b for a, b in unknowns]
+    pivots = columns[:, rows, cols].astype(np.int64)  # [column, pivot cell]
     if not np.array_equal(np.tril(pivots), np.eye(len(unknowns))):
         raise GammaBasisError("gamma basis is not unitriangular at its pivot cells")
-    residual = np.array(matrix, dtype=object)
-    entries = {}
-    for (a, b), column in zip(unknowns, columns):
-        entries[a, b] = value = int(residual[a, a + b])
-        residual -= value * column
+    target = np.array(matrix, dtype=object)
+    at_pivots = pivots.tolist()
+    values = []
+    for r, cell in enumerate(zip(rows, cols)):
+        earlier = sum(value * at_pivots[c][r] for c, value in enumerate(values))
+        values.append(int(target[cell]) - earlier)
+    rebuilt = np.dot(np.array(values, dtype=object), columns.reshape(len(unknowns), (n + 1) ** 2))
+    residual = target - rebuilt.reshape(n + 1, n + 1)
     nonzero = np.argwhere(residual != 0)
     if len(nonzero):
         i, j = nonzero[0]
         raise GammaBasisError(f"gamma reconstruction leaves {residual[i, j]} at cell ({i}, {j})")
-    return GammaTable(n=n, entries=entries)
+    return GammaTable(n=n, entries=dict(zip(unknowns, values)))

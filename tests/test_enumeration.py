@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -212,10 +213,10 @@ def submask_sum_by_loops(h, n):
 
 
 @st.composite
-def h_tables(draw):
+def h_tables(draw, low=0):
     n = draw(st.integers(1, 4))
     size = 1 << n
-    row = st.lists(st.integers(0, 10**6), min_size=size, max_size=size)
+    row = st.lists(st.integers(low, 10**6), min_size=size, max_size=size)
     return n, draw(st.lists(row, min_size=size, max_size=size))
 
 
@@ -289,6 +290,58 @@ def test_submask_sums_are_exact_up_to_the_float_bound(n):
     for signed in (False, True):
         with pytest.raises(CapacityError, match="2\\^53"):
             _submask_sums(values * 2, signed=signed)
+
+
+# Ranks 1 to 4 cover equal Kronecker factors (n even), unequal ones (n odd)
+# and an empty high half (n = 1).
+@settings(deadline=None)
+@given(h_tables(low=-10**6))
+def test_factored_submask_sums_match_the_loops(nv):
+    n, values = nv
+    arr = np.array(values, dtype=np.int64)
+    assert _submask_sums(arr).tolist() == submask_sum_by_loops(values, n)
+    assert _submask_sums(arr, signed=True).tolist() == signed_submask_sum_by_loops(values, n)
+
+
+def dense_submask_sums(values, n, signed):
+    """Z @ values @ Z.T with the whole 2^n x 2^n zeta matrix, in int64."""
+    masks = np.arange(1 << n)
+    zeta = ((masks[None, :] & ~masks[:, None]) == 0).astype(np.int64)
+    if signed:
+        parity = np.array([(-1) ** bin(m).count("1") for m in masks], dtype=np.int64)
+        zeta *= np.outer(parity, parity)
+    return zeta @ values @ zeta.T
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_factored_submask_sums_match_the_dense_product(n):
+    rng = np.random.default_rng(200 + n)
+    values = rng.integers(-10**6, 10**6, size=(1 << n, 1 << n), dtype=np.int64)
+    for signed in (False, True):
+        got = _submask_sums(values, signed=signed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense_submask_sums(values, n, signed))
+
+
+def test_reciprocity_traced_peak_at_rank_8(tables):
+    table = tables("D4xD4")
+    f, h = flag_f(table), flag_h(table)
+    tracemalloc.start()
+    try:
+        assert reciprocity_holds(f, h, table.rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * 2**20
+
+
+@settings(deadline=None)
+@given(h_tables(low=-10**6))
+def test_subset_transform_matches_the_loops(nv):
+    n, values = nv
+    forward = _subset_transform(values, n, inverse=False)
+    assert forward.tolist() == submask_sum_by_loops(values, n)
+    assert _subset_transform(forward, n, inverse=True).tolist() == values
 
 
 @pytest.mark.parametrize("entry", [2**52, -(2**52), 2**62])
@@ -374,10 +427,16 @@ def test_type_d_census_oracle(tables):
     assert two_sided_eulerian(tables("D4")) == type_d_census(4)
 
 
-@pytest.mark.parametrize("spec", ["A1", "A2", "A4", "B3", "D4", "H3", "I2(7)"])
+@pytest.mark.parametrize("spec", ["A1", "A2", "A4", "B3", "D4", "H3", "I2(7)", "A7", "D4xD4"])
 def test_eulerian_from_flag_agrees(spec, tables):
     table = tables(spec)
     assert eulerian_from_flag(flag_f(table), table.rank) == two_sided_eulerian(table)
+
+
+@pytest.mark.parametrize("shape", [(16, 15), (15, 16), (16,), (8, 8), (16, 16, 1), (32, 32)])
+def test_eulerian_from_flag_refuses_a_wrong_shape(shape):
+    with pytest.raises(ValueError):
+        eulerian_from_flag(np.ones(shape, dtype=np.int64).tolist(), 4)
 
 
 def test_dihedral_eulerian(tables):
@@ -531,6 +590,43 @@ def test_gamma_recovers_random_coefficients(n_entries, data):
     else:
         with pytest.raises(GammaBasisError, match="reconstruction"):
             gamma_expansion(bad)
+
+
+def corruption_verdict(matrix, i, j, delta):
+    """What gamma_expansion says of ``matrix`` with cell (i, j) moved by delta.
+
+    The basis spans the bisymmetric matrices, and the unknowns are read at
+    the pivot cells (a, a + b), those with i <= j <= n - i.  Off the pivots
+    the coefficients do not move and the residual is delta at (i, j) alone.
+    On one, the coefficients rebuild the matrix with all of (i, j)'s orbit
+    under transpose and antipode moved by delta, so the residual is -delta
+    on the rest of the orbit; the centre cell is an orbit of its own, the
+    basis element (xy)^(n/2).
+    """
+    n = len(matrix) - 1
+    orbit = {(i, j), (j, i), (n - i, n - j), (n - j, n - i)}
+    if orbit == {(i, j)}:
+        entries = dict(gamma_expansion(matrix).entries)
+        entries[(n // 2, 0)] += delta
+        return entries
+    if not i <= j <= n - i:
+        return f"gamma reconstruction leaves {delta} at cell ({i}, {j})"
+    first = min(orbit - {(i, j)})
+    return f"gamma reconstruction leaves {-delta} at cell ({first[0]}, {first[1]})"
+
+
+@pytest.mark.parametrize("spec", ["F4", "D4xD4"])
+def test_gamma_verdicts_on_every_single_cell_corruption(spec, tables):
+    matrix = EULERIAN[spec] if spec in EULERIAN else two_sided_eulerian(tables(spec))
+    n = len(matrix) - 1
+    for i, j, delta in itertools.product(range(n + 1), range(n + 1), (-1, 1)):
+        bad = [row[:] for row in matrix]
+        bad[i][j] += delta
+        try:
+            got = gamma_expansion(bad).entries
+        except GammaBasisError as error:
+            got = str(error)
+        assert got == corruption_verdict(matrix, i, j, delta), (i, j, delta)
 
 
 def test_gamma_guard_rejects_a_non_triangular_basis(monkeypatch):
