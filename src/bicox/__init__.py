@@ -2,7 +2,6 @@
 Coxeter complex: construction, verification, and face enumeration."""
 
 from .complexes import (
-    Face,
     TwoSidedComplex,
     euler_characteristic,
     face_count,
@@ -12,7 +11,7 @@ from .complexes import (
     verify_shelling,
     verify_thin,
 )
-from .contingency import ContingencyTable, SymmetricGroupFaces
+from .contingency import SymmetricGroupFaces
 from .cosets import double_quotient_size
 from .coxeter import (
     CoxeterMatrix,
@@ -47,10 +46,8 @@ __all__ = [
     "BicoxError",
     "CacheError",
     "CapacityError",
-    "ContingencyTable",
     "CoxeterMatrix",
     "CoxeterSystem",
-    "Face",
     "GammaBasisError",
     "GammaTable",
     "GroupTable",

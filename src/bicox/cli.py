@@ -325,15 +325,15 @@ def cmd_export(args) -> int:
     elif args.what == "sigma":
         emit(args, hasse_dot(cx, faces=sigma_ideal(cx), **ranks))
     elif args.format == "dot":
-        def drawn(face):
-            return json.dumps(model.face_to_table(face).display(), separators=(",", ":"))
+        def labels(packed):
+            return [json.dumps(t, separators=(",", ":")) for t in model.drawn(packed)]
 
-        emit(args, hasse_dot(cx, label=drawn, name="tables", **ranks))
+        emit(args, hasse_dot(cx, label=labels, name="tables", **ranks))
     else:
         packed = rank_sorted(cx, cx.faces, args.min_rank, args.max_rank)
         entries = [
-            {"face": text, "table": model.face_to_table(f).display()}
-            for text, f in zip(face_labels(cx, packed), cx.as_faces(packed))
+            {"face": text, "table": drawn}
+            for text, drawn in zip(face_labels(cx, packed), model.drawn(packed))
         ]
         emit(args, json.dumps(entries, indent=2))
     return EXIT_OK

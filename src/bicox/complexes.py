@@ -16,9 +16,10 @@ sits inside as the upper order ideal of faces with empty left subset.
 
 Faces are stored packed: (I, w, J) is X * |W| + w with X = I << n | J, its
 flat position in ``reps`` reshaped to (4^n, |W|), and the complex is the
-ascending array of the fixed points of ``reps``.  :class:`Face` tuples
-come only from :meth:`TwoSidedComplex.as_faces`, and the covers of packed
-faces are one array of table gathers, :meth:`TwoSidedComplex.covers`.
+ascending array of the fixed points of ``reps``.  Every reader of the
+faces, the checks, the labels and the exports alike, takes them packed,
+and the covers of packed faces are one array of table gathers,
+:meth:`TwoSidedComplex.covers`.
 Every gather over ``reps`` is a flat ``take`` on the raveled table, row X
 starting at X * |W|.  The build, boolean and shelling read the table in
 ascending blocks of rows (:func:`~bicox.cosets.blocks`), so no index array
@@ -40,7 +41,7 @@ intervals and the table's single-index rows being the facet walls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -51,14 +52,6 @@ from .errors import InternalCheckError
 # most bytes of a table of minimal representatives: A7's 1,321,205,760, and
 # every table of at most 2^28 entries, none over 4 bytes each
 TABLE_GATE = 5 << 28
-
-
-class Face(NamedTuple):
-    """A face (I, w, J): generator bitmasks around a minimal representative."""
-
-    left: int
-    w: int
-    right: int
 
 
 def facet_walls(table: GroupTable) -> np.ndarray:
@@ -141,13 +134,6 @@ class TwoSidedComplex:
         """The poset rank of each packed face."""
         n = self.rank
         return 2 * n - popcount_table(2 * n)[packed // self.table.order].astype(np.intp)
-
-    def as_faces(self, packed: np.ndarray) -> list[Face]:
-        """Packed faces as :class:`Face` tuples, in the given order."""
-        n = self.rank
-        pairs, w = np.divmod(np.asarray(packed), self.table.order)
-        full = self.table.full_mask
-        return [Face(x >> n, u, x & full) for x, u in zip(pairs.tolist(), w.tolist())]
 
     def covers(self, packed: np.ndarray) -> np.ndarray:
         """[face, index]: the packed face covered by each face across each
@@ -486,18 +472,19 @@ def hasse_dot(
     min_rank: int = 0,
     max_rank: int | None = None,
     faces: np.ndarray | None = None,
-    label: Callable[[Face], str] | None = None,
+    label: Callable[[np.ndarray], list[str]] | None = None,
     name: str = "hasse",
 ) -> str:
     """Hasse diagram of the face poset (or a rank range, or an upward-closed
     subset of packed faces such as the classical-complex ideal) in DOT format.
 
-    One node per face, labelled by ``label`` (by default
-    :func:`face_labels`), one edge per cover, deterministic ordering, in a
-    digraph named ``name``.
+    One node per face, in :func:`rank_sorted` order, one edge per cover,
+    in a digraph named ``name``.  ``label`` maps the chosen packed faces,
+    in that order, to their node labels; by default they are
+    :func:`face_labels`.
     """
     chosen = rank_sorted(cx, cx.faces if faces is None else faces, min_rank, max_rank)
-    labels = face_labels(cx, chosen) if label is None else map(label, cx.as_faces(chosen))
+    labels = face_labels(cx, chosen) if label is None else label(chosen)
     low, high = cx.cover_edges(chosen)
     nodes = [f"n{i}" for i in range(len(chosen))]
     lines = [f"digraph {name} {{", "  rankdir=BT;"]

@@ -14,8 +14,9 @@ tables are distinct and are exactly those of an independent enumeration;
 and the complex's cover edges equal both the split edges and the merge
 edges of the tables.  It works on whole arrays.  A table is one int64
 key, its n balls' cells row << 3 | col sorted and packed 6 bits each
-(:func:`_keys`), so n <= 8.  The faces become keys by gathering their
-one-line permutations against the block of each letter.  A key decodes
+(:func:`_keys`), so n <= 8.  The faces become keys through
+:meth:`SymmetricGroupFaces.balls`, which gathers their one-line
+permutations against the block of each letter.  A key decodes
 from its cells alone: in row-major order ball k takes the value k + 1, a
 stable argsort by column gives the permutation, found among the sorted
 one-line codes, and the steps in row and column give the bar masks
@@ -24,51 +25,26 @@ the tables by placing balls, never reading the faces.  Merges and splits
 move the balls of a line (:func:`_merges_along`, :func:`_splits_along`),
 and each is looked up among the face keys by ``searchsorted``; one that is
 no face's key gives an edge that no cover has.  ``bicox verify`` runs it
-on A_m for m <= 3 (S_2 to S_4).  ``bicox export`` draws one face at a
-time (:meth:`SymmetricGroupFaces.face_to_table`).  The per-face model, the
-sorting map from a table back to its face, refinement order with its
-covers and the direct enumeration, lives in the tests, where the per-face
-checks on plain cells and on table objects are references for this one.
+on A_m for m <= 3 (S_2 to S_4).  ``bicox export`` prints the tables of
+:meth:`SymmetricGroupFaces.drawn`, which counts the same balls per box, so
+it draws the map that the check checks.  The per-face model, with its
+table objects, the sorting map from a table back to its face, refinement
+order with its covers and the direct enumeration, lives in the tests,
+where the per-face checks on plain cells and on table objects are
+references for this one.
 
-Tables store their rows bottom to top to match the picture; display and
-serialization emit the top row first.
+Row 0 of the balls is the bottom row, to match the picture; a drawn table
+is printed top row first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .complexes import Face, TwoSidedComplex
+from .complexes import TwoSidedComplex
 from .coxeter import GroupTable, descent_walk, layer_bounds, popcount_table
 from .errors import CapacityError, InternalCheckError
 from .cosets import descent_free
-
-Cells = tuple[tuple[int, ...], ...]  # a table's rows, bottom to top
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Nonnegative integer array, positive margins; rows bottom to top."""
-
-    cells: Cells
-
-    def __post_init__(self):
-        if not self.cells or not self.cells[0]:
-            raise ValueError("table must have at least one row and column")
-        if min(map(len, self.cells)) != max(map(len, self.cells)):
-            raise ValueError("ragged rows")
-        if min(map(min, self.cells)) < 0:
-            raise ValueError("negative entry")
-        if min(map(sum, self.cells)) < 1:
-            raise ValueError("zero row sum")
-        if min(map(sum, zip(*self.cells))) < 1:
-            raise ValueError("zero column sum")
-
-    def display(self) -> list[list[int]]:
-        """Rows as printed, top row first."""
-        return [list(row) for row in reversed(self.cells)]
 
 
 class SymmetricGroupFaces:
@@ -106,24 +82,26 @@ class SymmetricGroupFaces:
         self._gens_of = table.full_mask ^ (masks[:, None] >> np.arange(table.rank) & 1) @ (
             1 << vertices
         )
-        # the same as Python tuples and lists, for the methods on one face
-        self._perms = list(map(tuple, self._one_line.tolist()))
-        self._blocks = self._block_of.tolist()
 
-    def one_line(self, w: int) -> tuple[int, ...]:
-        return self._perms[w]
+    def balls(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of packed faces (I, w, J): for each face and letter
+        i, the row block of the value w(i), when [n] is cut at the gaps
+        outside I, and the column block of i, when cut at the gaps outside
+        J.  Row 0 is the bottom row."""
+        x, w = np.divmod(packed, self.table.order)
+        left, right = x >> self.table.rank, x & self.table.full_mask
+        return self._block_of[left[:, None], self._one_line[w] - 1], self._block_of[right]
 
-    def face_to_table(self, face: Face) -> ContingencyTable:
-        """Count balls per box: rows cut by S-I, columns cut by S-J."""
-        return ContingencyTable(self._cells_of(face))
-
-    def _cells_of(self, face: Face) -> Cells:
-        rows = self._blocks[face.left]
-        cols = self._blocks[face.right]
-        cells = [[0] * (cols[-1] + 1) for _ in range(rows[-1] + 1)]
-        for c, value in zip(cols, self.one_line(face.w)):
-            cells[rows[value - 1]][c] += 1
-        return tuple(map(tuple, cells))
+    def drawn(self, packed: np.ndarray) -> list[list[list[int]]]:
+        """The table of each packed face as printed, top row first: its
+        :meth:`balls` counted into an (F, n, n) grid, each face's grid cut
+        to its rows and columns."""
+        rows, cols = self.balls(packed)
+        n, count = self.n, len(packed)
+        cells = (np.arange(count)[:, None] * n + rows) * n + cols
+        grid = np.bincount(cells.ravel(), minlength=count * n * n).reshape(count, n, n)
+        tops, rights = rows.max(axis=1, initial=0).tolist(), cols[:, -1].tolist()
+        return [g[top::-1, : right + 1].tolist() for g, top, right in zip(grid, tops, rights)]
 
     def _faces_of(self, rows: np.ndarray, column_major: np.ndarray, by_col: np.ndarray):
         """(I, u, J) arrays of the faces that tables sort to, from their
@@ -273,9 +251,9 @@ def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:
     """Whether the faces of a type-A complex map bijectively and
     order-isomorphically onto tables (see the module docstring).
 
-    Each table is one int64 key (:func:`_keys`), drawn for all faces at once
-    by gathering their one-line permutations against the blocks of the
-    letters.  The round trip decodes each key from its cells alone
+    Each table is one int64 key (:func:`_keys`) of the faces'
+    :meth:`SymmetricGroupFaces.balls`, for all faces at once.  The round
+    trip decodes each key from its cells alone
     (:meth:`SymmetricGroupFaces._faces_of`); as in a loop over the faces,
     the first face that is not minimal for its masks, or that comes back
     other than it went or with another rank, decides: a non-minimal one
@@ -292,7 +270,7 @@ def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:
     count = len(cx.faces)
     x, w = np.divmod(cx.faces, order)
     left, right = x >> cx.rank, x & cx.table.full_mask
-    keys = _keys(model._block_of[left[:, None], model._one_line[w] - 1], model._block_of[right])
+    keys = _keys(*model.balls(cx.faces))
     sorter = np.argsort(keys)
     ordered = keys[sorter]
     if (ordered[1:] == ordered[:-1]).any():

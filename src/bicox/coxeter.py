@@ -107,11 +107,23 @@ class Component:
     vertices: tuple[int, ...]
 
 
+def _integer(x) -> int:
+    """x as an int; ``ValueError`` for a value that ``int`` would change,
+    such as 3.9, rather than truncate it, or cannot convert, such as inf."""
+    try:
+        value = int(x)
+    except OverflowError:  # an infinite float
+        value = None
+    if value != x:
+        raise ValueError(f"Coxeter matrix entry {x!r} is not an integer")
+    return value
+
+
 class CoxeterMatrix:
     """Symmetric matrix of bond orders m(s,t); 0 encodes an infinite bond."""
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(_integer, row)) for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("Coxeter matrix must be square and nonempty")

@@ -229,9 +229,22 @@ def eulerian_from_flag(f: Table2D, n: int) -> Table2D:
     return (basis @ grouped.astype(object) @ basis.T).tolist()
 
 
+def _square_size(matrix: Table2D) -> int:
+    """The number of rows of a square matrix; ``ValueError`` naming the
+    shape of any other."""
+    lengths = [len(row) for row in matrix]
+    if lengths == [len(lengths)] * len(lengths):
+        return len(lengths)
+    shape = f"{len(lengths)} x {lengths[0]}"
+    if len(set(lengths)) > 1:
+        shape = f"ragged with row lengths {lengths}"
+    raise ValueError(f"an Eulerian matrix is square, not {shape}")
+
+
 def eulerian_symmetric(matrix: Table2D) -> bool:
-    """Both Eulerian symmetries: transpose and antipodal."""
-    n = len(matrix) - 1
+    """Both Eulerian symmetries: transpose and antipodal.  Raises
+    ``ValueError`` unless the matrix is square."""
+    n = _square_size(matrix) - 1
     for i in range(n + 1):
         for j in range(n + 1):
             if matrix[i][j] != matrix[j][i]:
@@ -500,9 +513,10 @@ def gamma_expansion(matrix: Table2D) -> GammaTable:
     matrix (the reconstruction check).  Either failure raises
     :class:`GammaBasisError`, the second naming the first cell, in
     row-major order, where the matrix and its reconstruction differ.
-    Negative coefficients are reported as data, not errors.
+    Negative coefficients are reported as data, not errors.  Raises
+    ``ValueError`` unless the matrix is square.
     """
-    n = len(matrix) - 1
+    n = _square_size(matrix) - 1
     unknowns = [(a, b) for a in range(n // 2 + 1) for b in range(n - 2 * a + 1)]
     columns = np.array([gamma_basis_coeffs(n, a, b) for a, b in unknowns], dtype=object)
     columns = columns.reshape(len(unknowns), n + 1, n + 1)

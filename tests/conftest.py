@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,22 @@ def b3(tables):
 
 
 # --- references ------------------------------------------------------------
+
+
+class Face(NamedTuple):
+    """A face (I, w, J): generator bitmasks around a minimal representative."""
+
+    left: int
+    w: int
+    right: int
+
+
+def as_faces(cx, packed):
+    """Packed faces X * |W| + w, X = I << n | J, as :class:`Face` tuples,
+    in the given order."""
+    n, full = cx.rank, cx.table.full_mask
+    pairs, w = np.divmod(np.asarray(packed), cx.table.order)
+    return [Face(x >> n, u, x & full) for x, u in zip(pairs.tolist(), w.tolist())]
 
 
 def down_reach(table):
@@ -139,3 +157,11 @@ def mult(table, u, v):
     for s in reversed(word(table, u)):
         x = int(table.left_mult[x, s])
     return x
+
+
+def one_line(table, w):
+    """One-line notation for an element of an A-type table (values 1-based)."""
+    perm = list(range(1, table.rank + 2))
+    for s in word(table, w):
+        perm[s], perm[s + 1] = perm[s + 1], perm[s]
+    return tuple(perm)

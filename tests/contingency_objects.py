@@ -1,22 +1,52 @@
-"""The per-face contingency-table model, a reference for the array check of
-:mod:`bicox.contingency`: tables as :class:`~bicox.contingency.ContingencyTable`
-objects or as plain cells, the sorting map from a table back to its face,
-refinement order with its covers, the direct enumeration of the tables of
-total n, ordered set partitions and the count of maximal k-way tables.
+"""The per-face contingency-table model, a reference for the array check
+and the drawing of :mod:`bicox.contingency`: tables as
+:class:`ContingencyTable` objects or as plain cells, the drawing of one face
+and the sorting map from a table back to its face, refinement order with
+its covers, the direct enumeration of the tables of total n, ordered set
+partitions and the count of maximal k-way tables.
 
-It shares no lookup code with the array check: a permutation's element is
-found through a dict built from ``one_line``, and the sorted representative
-is tested by the scalar :func:`conftest.is_minimal_rep`.
+It shares no drawing or lookup code with the array model: a face is drawn
+from the word-based :func:`conftest.one_line` and blocks of letters built
+here, a permutation's element is found through a dict built from the same
+``one_line``, and the sorted representative is tested by the scalar
+:func:`conftest.is_minimal_rep`.  Only the sorting map's conversion of bar
+masks to generator masks reads the model's ``_gens_of``.
 """
 
+import functools
 import itertools
 import operator
+from dataclasses import dataclass
 
-from bicox.complexes import Face
-from bicox.contingency import Cells, ContingencyTable
 from bicox.errors import CapacityError, InternalCheckError
 
-from conftest import is_minimal_rep
+from conftest import Face, is_minimal_rep, one_line
+
+Cells = tuple[tuple[int, ...], ...]  # a table's rows, bottom to top
+
+
+@dataclass(frozen=True)
+class ContingencyTable:
+    """Nonnegative integer array, positive margins; rows bottom to top."""
+
+    cells: Cells
+
+    def __post_init__(self):
+        if not self.cells or not self.cells[0]:
+            raise ValueError("table must have at least one row and column")
+        if min(map(len, self.cells)) != max(map(len, self.cells)):
+            raise ValueError("ragged rows")
+        if min(map(min, self.cells)) < 0:
+            raise ValueError("negative entry")
+        if min(map(sum, self.cells)) < 1:
+            raise ValueError("zero row sum")
+        if min(map(sum, zip(*self.cells))) < 1:
+            raise ValueError("zero column sum")
+
+    def display(self) -> list[list[int]]:
+        """Rows as printed, top row first."""
+        return [list(row) for row in reversed(self.cells)]
+
 
 # --- tables ---------------------------------------------------------------------
 
@@ -54,14 +84,44 @@ def transpose(table: ContingencyTable) -> ContingencyTable:
     return ContingencyTable(tuple(zip(*table.cells)))
 
 
+# --- face -> table ----------------------------------------------------------------
+
+
+def blocks_of(model, gens) -> list[int]:
+    """The block of each letter 1..n, from 0, when [n] is cut at the
+    canonical gaps (generator k of the component cuts after letter k + 1)
+    of the generators outside ``gens``."""
+    vertices = model.table.system.components[0].vertices
+    return list(itertools.accumulate((not gens >> v & 1 for v in vertices), initial=0))
+
+
+def cells_of(model, face: Face) -> Cells:
+    """Count balls per box: rows cut by S-I, columns cut by S-J."""
+    rows, cols = blocks_of(model, face.left), blocks_of(model, face.right)
+    cells = [[0] * (cols[-1] + 1) for _ in range(rows[-1] + 1)]
+    for c, value in zip(cols, one_line(model.table, face.w)):
+        cells[rows[value - 1]][c] += 1
+    return tuple(map(tuple, cells))
+
+
+def face_to_table(model, face: Face) -> ContingencyTable:
+    return ContingencyTable(cells_of(model, face))
+
+
 # --- table -> face ----------------------------------------------------------------
+
+
+@functools.cache
+def _ids(model) -> dict:
+    """[one-line permutation]: its element, for each element of ``model``;
+    built once per model, which the cache keeps for the session."""
+    return {one_line(model.table, w): w for w in range(model.table.order)}
 
 
 def id_of(model, perm) -> int:
     """The element of ``model`` with one-line permutation ``perm``; KeyError
     for a tuple that is no element's permutation."""
-    ids = {model.one_line(w): w for w in range(model.table.order)}
-    return ids[tuple(perm)]
+    return _ids(model)[tuple(perm)]
 
 
 def table_to_face(model, table: ContingencyTable) -> Face:

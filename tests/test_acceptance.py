@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import pytest
 
 from bicox.complexes import (
-    Face,
     TwoSidedComplex,
     euler_characteristic,
     verify_balanced,
@@ -38,8 +37,17 @@ from bicox.enumeration import (
     two_sided_eulerian,
 )
 
-from conftest import closure_count, double_coset, down_reach, is_minimal_rep, minimal_rep
+from conftest import (
+    Face,
+    closure_count,
+    double_coset,
+    down_reach,
+    is_minimal_rep,
+    minimal_rep,
+    one_line,
+)
 from contingency_objects import (
+    face_to_table,
     from_display,
     id_of,
     kway_maximal_count,
@@ -225,8 +233,8 @@ def test_criterion_9_contingency_model(tables, complexes):
         w = id_of(model, (7, 1, 4, 2, 5, 3, 6))
         gens_l, gens_r = 0b010111, 0b100110
         u = minimal_rep(model.table, gens_l, w, gens_r)
-        assert model.one_line(u) == (7, 1, 2, 3, 5, 4, 6)
-        assert model.face_to_table(Face(gens_l, u, gens_r)) == CENTER_7
+        assert one_line(model.table, u) == (7, 1, 2, 3, 5, 4, 6)
+        assert face_to_table(model, Face(gens_l, u, gens_r)) == CENTER_7
 
         ups = upper_covers(CENTER_7)
         downs = lower_covers(CENTER_7)

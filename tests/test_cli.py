@@ -929,6 +929,26 @@ def test_export_matches_golden(spec, what, fmt, digest, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the contingency export, recorded while it drew one face at a
+# time: the drawing of whole arrays of packed faces prints the same bytes.
+RANKS_2_TO_4 = ("--min-rank", "2", "--max-rank", "4")
+CONTINGENCY_GOLDENS = [
+    ("A3", "json", RANKS_2_TO_4, "71cc8be58aba4e7684c7552ae09d5a246289fbca6703aba99c2ac6a976422442"),
+    ("A3", "dot", RANKS_2_TO_4, "be08c0d4929ca3f7b524f536b03648c50e789fff8f145c5962356116a4214c75"),
+    ("A4", "json", (), "5e95513da75edf614070db3482f6bb2ba857b1fc4723c3213f7d0e027e4c84e9"),
+    ("A4", "dot", (), "7f2911aef7059cab940cb8db14d3d68979f503679039a1934f44370eaf66f85e"),
+    ("A4", "json", RANKS_2_TO_4, "867a293ac821b22e8a932d886184ee7d8af3c08942aec9bded44cdfc0e0db9fe"),
+    ("A4", "dot", RANKS_2_TO_4, "db9699032a993933ddb302c8dec1a4110772da0a5be643106bb761e5df1f7271"),
+]
+
+
+@pytest.mark.parametrize("spec, fmt, ranks, digest", CONTINGENCY_GOLDENS)
+def test_contingency_export_matches_golden(spec, fmt, ranks, digest, tmp_path, capsys):
+    argv = ["export", "--type", spec, "--what", "contingency", "--format", fmt, *ranks]
+    assert run(tmp_path, *argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # Exit code and SHA-256 of ``verify --format json`` per group, recorded
 # before the embedding check read right-coset minima.
 VERIFY_GOLDENS = [

@@ -11,7 +11,6 @@ import pytest
 import bicox.complexes
 import bicox.cosets
 from bicox.complexes import (
-    Face,
     ShellingReport,
     TwoSidedComplex,
     check_table_gate,
@@ -36,7 +35,7 @@ from bicox.cosets import minimal_rep_table
 from bicox.coxeter import length_order
 from bicox.errors import CapacityError, InternalCheckError
 
-from conftest import closure_count, closure_labels, down_reach, word
+from conftest import Face, as_faces, closure_count, closure_labels, down_reach, word
 from test_cosets import coset_oracle
 
 
@@ -201,7 +200,7 @@ def test_faces_are_packed_table_positions(complexes):
     assert cx.faces.dtype == np.int64 and not cx.faces.flags.writeable
     assert (np.diff(cx.faces) > 0).all()
     flat = cx.reps.reshape(-1, order)
-    for face, packed in zip(cx.as_faces(cx.faces), cx.faces.tolist()):
+    for face, packed in zip(as_faces(cx, cx.faces), cx.faces.tolist()):
         x = face.left << cx.rank | face.right
         assert packed == x * order + face.w
         assert flat[x, face.w] == face.w
@@ -213,7 +212,7 @@ def test_faces_of_element_partition(complexes):
     cx = complexes("B2")
     table = cx.table
     by_element = {}
-    for face in cx.as_faces(cx.faces):
+    for face in as_faces(cx, cx.faces):
         by_element.setdefault(face.w, []).append(face)
     assert sorted(by_element) == list(range(table.order))
     for w, interval in by_element.items():
@@ -233,7 +232,7 @@ def test_faces_of_element_partition(complexes):
 def test_leq_matches_coset_containment_oracle(spec, complexes):
     cx = complexes(spec)
     table = cx.table
-    faces = cx.as_faces(cx.faces)
+    faces = as_faces(cx, cx.faces)
     cosets = {f: frozenset(coset_oracle(table, f.left, f.w, f.right)) for f in faces}
     for f in faces:
         for g in faces:
@@ -248,7 +247,7 @@ def test_leq_matches_coset_containment_oracle(spec, complexes):
 def test_leq_examples(complexes):
     cx = complexes("A2")
     bottom = Face(0b11, 0, 0b11)
-    for f in cx.as_faces(cx.faces):
+    for f in as_faces(cx, cx.faces):
         assert leq(cx, bottom, f)
     s1, s2 = 1, 2
     w0 = cx.table.longest
@@ -324,8 +323,8 @@ def test_covers_match_loop(spec, complexes):
     cx = complexes(spec)
     covers = cx.covers(cx.faces)
     assert covers.dtype == np.int64 and covers.shape == (len(cx.faces), 2 * cx.rank)
-    for face, row in zip(cx.as_faces(cx.faces), covers):
-        assert cx.as_faces(row[row >= 0]) == down_covers_by_loop(cx, face)
+    for face, row in zip(as_faces(cx, cx.faces), covers):
+        assert as_faces(cx, row[row >= 0]) == down_covers_by_loop(cx, face)
         present = [face.left >> s & 1 for s in range(cx.rank)]
         present += [face.right >> s & 1 for s in range(cx.rank)]
         assert (row < 0).tolist() == [bool(bit) for bit in present]
@@ -334,7 +333,7 @@ def test_covers_match_loop(spec, complexes):
 def test_cover_edges_stay_inside_the_chosen_faces(complexes):
     cx = complexes("A2")
     chosen = cx.faces[::-1][:20]  # not in ascending order
-    faces = cx.as_faces(chosen)
+    faces = as_faces(cx, chosen)
     expected = [
         (faces.index(g), j)
         for j, f in enumerate(faces)
@@ -856,7 +855,7 @@ def test_sigma_ideal_a1(complexes):
 def test_sigma_ideal_facets_a3(complexes):
     cx = complexes("A3")
     ideal = sigma_ideal(cx)
-    top = [f for f in cx.as_faces(ideal) if f.right == 0]
+    top = [f for f in as_faces(cx, ideal) if f.right == 0]
     assert len(top) == 24
 
 
@@ -893,7 +892,7 @@ def sigma_by_pairs(cx):
     all left cosets u.W_K, and f <= g, a ``reps`` lookup, exactly when
     coset(f) contains coset(g), over every pair of the ideal."""
     by_gens = [left_cosets(cx.table, gens) for gens in range(cx.table.full_mask + 1)]
-    ideal = cx.as_faces(sigma_ideal(cx))
+    ideal = as_faces(cx, sigma_ideal(cx))
     cosets = [by_gens[f.right][f.w] for f in ideal]
     if len(set(cosets)) != len(ideal) or set(cosets) != set().union(*map(set, by_gens)):
         return False

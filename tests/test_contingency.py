@@ -9,19 +9,17 @@ import pytest
 
 import bicox.contingency
 import contingency_objects
-from bicox.complexes import Face, TwoSidedComplex
-from bicox.contingency import (
-    ContingencyTable,
-    SymmetricGroupFaces,
-    verify_refinement_isomorphism,
-)
+from bicox.complexes import TwoSidedComplex
+from bicox.contingency import SymmetricGroupFaces, verify_refinement_isomorphism
 from bicox.errors import CapacityError, InternalCheckError
 
-from conftest import build, is_minimal_rep, minimal_rep
+from conftest import Face, as_faces, build, is_minimal_rep, minimal_rep, one_line
 from contingency_objects import (
+    ContingencyTable,
     col_sums,
     cols,
     enumerate_tables,
+    face_to_table,
     from_display,
     id_of,
     kway_maximal_count,
@@ -114,23 +112,23 @@ def test_fig_balls_in_boxes(s7_model):
     w = id_of(s7_model, (7, 1, 4, 2, 5, 3, 6))
     gens_l, gens_r = 0b010111, 0b100110
     u = minimal_rep(s7_model.table, gens_l, w, gens_r)
-    assert s7_model.one_line(u) == (7, 1, 2, 3, 5, 4, 6)
-    table = s7_model.face_to_table(Face(gens_l, u, gens_r))
+    assert one_line(s7_model.table, u) == (7, 1, 2, 3, 5, 4, 6)
+    table = face_to_table(s7_model, Face(gens_l, u, gens_r))
     assert table == CENTER_7
     assert table_to_face(s7_model, CENTER_7) == Face(gens_l, u, gens_r)
 
 
 def test_bottom_face_maps_to_single_box(s3_model):
     full = s3_model.table.full_mask
-    assert s3_model.face_to_table(Face(full, 0, full)).display() == [[3]]
+    assert face_to_table(s3_model, Face(full, 0, full)).display() == [[3]]
     assert table_to_face(s3_model, ContingencyTable(((3,),))) == Face(full, 0, full)
 
 
 def test_facet_maps_to_permutation_matrix(s3_model):
     s1 = s3_model.table.generator_id(0)
-    table = s3_model.face_to_table(Face(0, s1, 0))
+    table = face_to_table(s3_model, Face(0, s1, 0))
     assert table.display() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    identity = s3_model.face_to_table(Face(0, 0, 0))
+    identity = face_to_table(s3_model, Face(0, 0, 0))
     assert identity.display() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
@@ -154,7 +152,7 @@ def canonical_bars(model, gens):
 
 def reference_face_to_table(model, face):
     """Reference drawing: balls counted box by box through block ranges."""
-    perm = model.one_line(face.w)
+    perm = one_line(model.table, face.w)
     row_blocks = bar_blocks(canonical_bars(model, face.left), model.n)
     col_blocks = bar_blocks(canonical_bars(model, face.right), model.n)
     row_of = {value: r for r, block in enumerate(row_blocks) for value in block}
@@ -195,8 +193,8 @@ def reference_table_to_face(model, table):
 def test_drawing_matches_reference(spec, tables):
     model = SymmetricGroupFaces(tables(spec))
     cx = TwoSidedComplex.build(model.table)
-    for face in cx.as_faces(cx.faces):
-        table = model.face_to_table(face)
+    for face in as_faces(cx, cx.faces):
+        table = face_to_table(model, face)
         assert table == reference_face_to_table(model, face)
         assert table_to_face(model, table) == reference_table_to_face(model, table) == face
 
@@ -205,8 +203,51 @@ def test_drawing_matches_reference(spec, tables):
 def test_round_trip_all_faces(spec, tables):
     model = SymmetricGroupFaces(tables(spec))
     cx = TwoSidedComplex.build(model.table)
-    for face in cx.as_faces(cx.faces):
-        assert table_to_face(model, model.face_to_table(face)) == face
+    for face in as_faces(cx, cx.faces):
+        assert table_to_face(model, face_to_table(model, face)) == face
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5"])
+def test_drawn_matches_reference(spec, tables):
+    """What ``bicox export`` prints is the reference drawing, on every face
+    of S_2 to S_6 (37,277 faces for S_6), in the order of the faces."""
+    model = SymmetricGroupFaces(tables(spec))
+    cx = TwoSidedComplex.build(model.table)
+    expected = [reference_face_to_table(model, face).display() for face in as_faces(cx, cx.faces)]
+    assert model.drawn(cx.faces) == expected
+    assert model.drawn(cx.faces[::-1]) == expected[::-1]
+
+
+def test_drawn_fig_balls_in_boxes(s7_model):
+    table = s7_model.table
+    gens_l, gens_r = 0b010111, 0b100110
+    u = minimal_rep(table, gens_l, id_of(s7_model, (7, 1, 4, 2, 5, 3, 6)), gens_r)
+    packed = np.array([(gens_l << table.rank | gens_r) * table.order + u])
+    assert s7_model.drawn(packed) == [CENTER_7.display()]
+
+
+def printed_balls(drawn):
+    """(rows, cols) of the balls of each printed table, row 0 at the bottom."""
+    balls = [
+        [(len(t) - 1 - r, c) for r, row in enumerate(t) for c, x in enumerate(row) for _ in range(x)]
+        for t in drawn
+    ]
+    return np.array(balls)[..., 0], np.array(balls)[..., 1]
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5"])
+def test_drawn_tables_are_the_checked_keys(spec, tables, monkeypatch):
+    """The key of each printed table's balls is the one that the isomorphism
+    check compares for its face: the first keys the check builds."""
+    cx = TwoSidedComplex.build(tables(spec))
+    drawn = SymmetricGroupFaces(cx.table).drawn(cx.faces)
+    keys, compared = bicox.contingency._keys, []
+    monkeypatch.setattr(
+        bicox.contingency, "_keys", lambda rows, cols: compared.append(keys(rows, cols)) or compared[-1]
+    )
+    assert verify_refinement_isomorphism(cx)
+    assert np.array_equal(keys(*printed_balls(drawn)), compared[0])
+    assert compared[0].tolist() == [cells_key(t[::-1]) for t in drawn]
 
 
 # --- covers ---------------------------------------------------------------------
@@ -283,7 +324,7 @@ def test_covers_match_the_transpose_reference():
 
 
 def test_permutation_matrices_are_maximal(s3_model):
-    table = s3_model.face_to_table(Face(0, 3, 0))
+    table = face_to_table(s3_model, Face(0, 3, 0))
     assert upper_covers(table) == []
 
 
@@ -362,8 +403,8 @@ def reference_isomorphism(cx):
     """The isomorphism check on ContingencyTable objects, every cover built
     and validated as a table."""
     model = bicox.contingency.SymmetricGroupFaces(cx.table)
-    faces = cx.as_faces(cx.faces)
-    tabs = [model.face_to_table(face) for face in faces]
+    faces = as_faces(cx, cx.faces)
+    tabs = [face_to_table(model, face) for face in faces]
     if len(set(tabs)) != len(faces):
         return False
     for face, tab, rank in zip(faces, tabs, cx.ranks(cx.faces).tolist()):
@@ -383,8 +424,8 @@ def cells_isomorphism(cx):
     merge is looked up among the faces' cells by its tuple, and one that is
     missing there gives an edge (i, None) that the complex does not have."""
     model = bicox.contingency.SymmetricGroupFaces(cx.table)
-    faces = cx.as_faces(cx.faces)
-    tabs = [model._cells_of(face) for face in faces]
+    faces = as_faces(cx, cx.faces)
+    tabs = [contingency_objects.cells_of(model, face) for face in faces]
     position = {cells: i for i, cells in enumerate(tabs)}
     if len(position) != len(faces):
         return False
@@ -431,15 +472,19 @@ def add_cover_edge(cx, monkeypatch):
 
 
 def swap_one_line(cx, monkeypatch):
-    """The model draws s1 with the permutation of s2 and back."""
+    """The model draws s1 with the permutation of s2 and back: on cells
+    through the reference one-line notation, on arrays through the model's."""
     a, b = (cx.table.generator_id(k) for k in range(2))
-    fill = bicox.contingency._one_line_array
+    perm, fill = contingency_objects.one_line, bicox.contingency._one_line_array
 
     def swapped(table, position):
         perms = fill(table, position)
         perms[[a, b]] = perms[[b, a]]
         return perms
 
+    monkeypatch.setattr(
+        contingency_objects, "one_line", lambda table, w: perm(table, {a: b, b: a}.get(w, w))
+    )
     monkeypatch.setattr(bicox.contingency, "_one_line_array", swapped)
     return cx
 
@@ -615,14 +660,14 @@ def test_one_line_is_the_left_action(tables):
     """Every w's permutation is distinct, and s*w is w's with the values of
     the canonical generator s swapped, for every s and w of A4."""
     model = SymmetricGroupFaces(tables("A4"))
-    perms = {model.one_line(w) for w in range(model.table.order)}
+    perms = {one_line(model.table, w) for w in range(model.table.order)}
     assert len(perms) == model.table.order
     vertices = model.table.system.components[0].vertices
     for k, s in enumerate(vertices):
         swap = {k + 1: k + 2, k + 2: k + 1}
         for w in range(model.table.order):
-            expected = tuple(swap.get(v, v) for v in model.one_line(w))
-            assert model.one_line(int(model.table.left_mult[w, s])) == expected
+            expected = tuple(swap.get(v, v) for v in one_line(model.table, w))
+            assert one_line(model.table, int(model.table.left_mult[w, s])) == expected
             assert id_of(model, expected) == model.table.left_mult[w, s]
 
 

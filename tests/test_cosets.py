@@ -32,7 +32,7 @@ from conftest import (
     minimal_rep,
     mult,
     numbered,
-    word,
+    one_line,
 )
 
 
@@ -128,14 +128,6 @@ def sweep_check(table, f):
     by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in range(table.full_mask + 1)]).T
     by_f = np.asarray(f)[::-1, ::-1]
     return np.array_equal(by_sweep, by_descents) and np.array_equal(by_f, by_descents)
-
-
-def one_line(table, w):
-    """One-line notation for an element of an A-type table (values 1-based)."""
-    perm = list(range(1, table.rank + 2))
-    for s in word(table, w):
-        perm[s], perm[s + 1] = perm[s + 1], perm[s]
-    return tuple(perm)
 
 
 def id_by_one_line(table, perm):

@@ -257,6 +257,21 @@ def test_matrix_validation():
         CoxeterMatrix([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("entry", [3.9, 3.5, 2.000001, "3", np.float64(4.5), float("inf")])
+def test_matrix_refuses_an_entry_that_is_not_an_integer(entry):
+    with pytest.raises(ValueError, match="is not an integer"):
+        CoxeterMatrix([[1, entry], [entry, 1]])
+
+
+def test_matrix_accepts_integral_entries_of_any_integer_type():
+    """Numpy integers and integral floats are taken as their ints."""
+    for entry in (np.int64(3), np.int32(3), np.uint8(3), 3.0):
+        matrix = CoxeterMatrix([[np.int8(1), entry], [entry, 1]])
+        assert matrix.entries == ((1, 3), (3, 1))
+        assert all(type(x) is int for row in matrix.entries for x in row)
+        assert classify(matrix).canonical_name == "A2"
+
+
 # --- orders and table invariants -------------------------------------------
 
 

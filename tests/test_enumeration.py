@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -682,6 +683,20 @@ def test_gamma_nonnegative_observed(spec, tables):
 def test_gamma_rejects_asymmetric_input():
     with pytest.raises(GammaBasisError, match=r"leaves 5 at cell \(1, 0\)"):
         gamma_expansion([[1, 0], [5, 1]])
+
+
+@pytest.mark.parametrize(
+    "matrix, shape",
+    [
+        ([[1, 0], [0]], "ragged with row lengths [2, 1]"),
+        ([[1, 0, 0], [0, 1, 0]], "2 x 3"),
+        ([[1], [0]], "2 x 1"),
+    ],
+)
+@pytest.mark.parametrize("check", [gamma_expansion, eulerian_symmetric])
+def test_eulerian_matrix_shape_is_checked(check, matrix, shape):
+    with pytest.raises(ValueError, match=re.escape(f"is square, not {shape}") + "$"):
+        check(matrix)
 
 
 def test_gamma_negative_entries_reported_not_raised():
