@@ -1,11 +1,15 @@
 """Versioned binary serialization of group tables.
 
-Layout: an 8-byte magic, a little-endian header (version, type string,
-rank, order, the full Coxeter matrix, longest-element id, length width),
-then flat arrays (lengths as 8-bit when the maximum length fits, id tables
-as 32-bit, descent sets as n-bit masks padded to whole bytes), and a
-trailing SHA-256 of everything before it.  Serialization is deterministic,
-so a round trip is bit-identical.
+Layout (version 2): an 8-byte magic, a little-endian header (version,
+type string, rank, order, the full Coxeter matrix, length width), then
+flat arrays (lengths as 8-bit when the maximum length fits, else 32-bit;
+left and right multiplication as 32-bit ids; descent sets as n-bit masks
+padded to whole bytes), and a trailing SHA-256 of everything before it.
+Serialization is deterministic, so a round trip is bit-identical.
+
+Version 1 files still load.  Their header also holds the longest-element
+id, which must be the last id, and an inverse table follows the right
+multiplication; no command reads it, so the loader skips it unchecked.
 
 The blob is written and hashed part by part, straight from the table's
 arrays, so saving a table holds no copy of the whole blob; loading hashes
@@ -35,7 +39,7 @@ from .coxeter import (
 from .errors import CacheError, InternalCheckError, NotFiniteError
 
 MAGIC = b"BICOXGT\x00"
-VERSION = 1
+VERSION = 2
 
 
 def _mask_dtype(n: int) -> str:
@@ -51,8 +55,8 @@ def _parts(table: GroupTable) -> list:
     """The blob as a list of bytes-like parts, the last one the SHA-256 of
     all the others.
 
-    Id arrays are passed as little-endian views of the table's own arrays:
-    ids are nonnegative int32, so their bytes are those of ``<u4``.
+    Id arrays are passed as ``<i4`` views of the table's own int32 arrays,
+    so the file holds the in-memory bytes of each id.
     """
     name = table.system.canonical_name.encode()
     n = table.rank
@@ -67,9 +71,9 @@ def _parts(table: GroupTable) -> list:
     ]
     for row in table.system.matrix.entries:
         parts.append(struct.pack(f"<{n}I", *row))
-    parts.append(struct.pack("<IB", table.longest, len_width))
+    parts.append(struct.pack("<B", len_width))
     parts.append(table.length.astype("<u1" if len_width == 1 else "<u4"))
-    for ids in (table.left_mult, table.right_mult, table.inverse):
+    for ids in (table.left_mult, table.right_mult):
         parts.append(np.ascontiguousarray(ids, dtype="<i4"))
     for masks in (table.des_left, table.des_right):
         parts.append(np.ascontiguousarray(masks, dtype=mask_dtype))
@@ -78,10 +82,6 @@ def _parts(table: GroupTable) -> list:
         digest.update(part)
     parts.append(digest.digest())
     return parts
-
-
-def serialize(table: GroupTable) -> bytes:
-    return b"".join(_parts(table))
 
 
 def deserialize(blob: bytes) -> GroupTable:
@@ -107,17 +107,22 @@ def deserialize(blob: bytes) -> GroupTable:
 
     try:
         (version,) = take("<I")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise CacheError(f"unsupported cache version {version}")
         (name_len,) = take("<H")
         offset += name_len  # the name is display metadata; the matrix is authoritative
         n, order = take("<IQ")
         rows = [take(f"<{n}I") for _ in range(n)]
-        longest, len_width = take("<IB")
-        length = array("<u1" if len_width == 1 else "<u4", order).astype(LENGTH_DTYPE)
-        left = array("<u4", order * n, (order, n)).astype(np.int32)
-        right = array("<u4", order * n, (order, n)).astype(np.int32)
-        inverse = array("<u4", order).astype(np.int32)
+        if version == 1 and (longest := take("<I")[0]) != order - 1:
+            raise CacheError(f"malformed cache file: longest-element id {longest} is not the last")
+        (len_width,) = take("<B")
+        if len_width not in (1, 4):
+            raise CacheError(f"malformed cache file: length width byte {len_width} is not 1 or 4")
+        length = array(f"<u{len_width}", order).astype(LENGTH_DTYPE)
+        left = array("<i4", order * n, (order, n)).astype(np.int32)
+        right = array("<i4", order * n, (order, n)).astype(np.int32)
+        if version == 1:
+            offset += 4 * order  # the inverse table
         mask_dtype = _mask_dtype(n)
         des_left = array(mask_dtype, order).astype(np.uint16)
         des_right = array(mask_dtype, order).astype(np.uint16)
@@ -127,10 +132,8 @@ def deserialize(blob: bytes) -> GroupTable:
         if system.order != order:
             raise CacheError("cached order disagrees with the stored matrix")
         # A sealed blob can still hold ids and masks that would index out of range.
-        if not 0 <= longest < order:
-            raise CacheError(f"malformed cache file: longest-element id {longest} out of range")
-        for ids in (left, right, inverse):
-            if ids.min() < 0 or ids.max() >= order:  # ids >= 2**31 wrapped negative
+        for ids in (left, right):
+            if ids.min() < 0 or ids.max() >= order:  # ids >= 2**31 read negative
                 raise CacheError("malformed cache file: element id out of range")
         if max(des_left.max(), des_right.max()) >= 1 << n:
             raise CacheError("malformed cache file: descent mask wider than the rank")
@@ -140,10 +143,8 @@ def deserialize(blob: bytes) -> GroupTable:
             length=length,
             left_mult=left,
             right_mult=right,
-            inverse=inverse,
             des_left=des_left,
             des_right=des_right,
-            longest=int(longest),
         )
         # Every walk down the table visits each length up to the last, so
         # that must be the positive-root count before the layers are cut.

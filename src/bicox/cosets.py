@@ -115,8 +115,8 @@ def minimal_rep_table(table: GroupTable) -> np.ndarray:
     ``least`` is filled from it one length layer at a time by one flat
     ``take``; then ``reps`` gathers ``left`` over ``right``, a block of
     right masks at a time.  Reads only ``left_mult``, ``right_mult``,
-    both descent masks and the id order, never ``inverse`` or a coset
-    closure.  Holds 4^n * |W| ids of :func:`rep_dtype`, as many bytes as
+    both descent masks and the id order, never a coset closure.  Holds
+    4^n * |W| ids of :func:`rep_dtype`, as many bytes as
     ``check_table_gate`` admits.
     """
     n, order, dtype = table.rank, table.order, rep_dtype(table.order)

@@ -14,8 +14,8 @@ New elements take dense ids in order of first occurrence in (w, s) order,
 which is exactly the discovery order of a breadth-first search of the left
 Cayley graph, so ids are weakly sorted by length and id 0 is the identity.
 The finished :class:`GroupTable` stores, per element: length, left and
-right multiplication by each generator, the inverse, and both descent sets
-as bitmasks over the generator indices.  All downstream code works from
+right multiplication by each generator, and both descent sets as bitmasks
+over the generator indices.  All downstream code works from
 this table alone and never sees the representation used during the search;
 every recursion down its length layers follows one :func:`descent_walk`.
 
@@ -622,7 +622,8 @@ class GroupTable:
     ``right_mult[w, s]`` is w*s.  Descent sets are bitmasks over generator
     indices.  Id 0 is e and ids are weakly sorted by length, so each layer
     is a run of ids; every construction checks this (else
-    :class:`InternalCheckError`).  The table is safe for concurrent readers.
+    :class:`InternalCheckError`).  The longest element w0 is the last id.
+    The table is safe for concurrent readers.
     """
 
     system: CoxeterSystem
@@ -630,16 +631,11 @@ class GroupTable:
     length: np.ndarray
     left_mult: np.ndarray
     right_mult: np.ndarray
-    inverse: np.ndarray
     des_left: np.ndarray
     des_right: np.ndarray
-    longest: int
 
     def __post_init__(self):
-        for arr in (
-            self.length, self.left_mult, self.right_mult,
-            self.inverse, self.des_left, self.des_right,
-        ):
+        for arr in (self.length, self.left_mult, self.right_mult, self.des_left, self.des_right):
             arr.flags.writeable = False
         if self.length[0] != 0:
             raise InternalCheckError(f"id 0 has length {self.length[0]}, not 0")
@@ -649,6 +645,11 @@ class GroupTable:
     @property
     def rank(self) -> int:
         return self.system.rank
+
+    @property
+    def longest(self) -> int:
+        """Id of w0: ids are sorted by length, and w0 is the one longest."""
+        return self.order - 1
 
     @property
     def full_mask(self) -> int:
@@ -721,20 +722,13 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
             f"closure found {end} elements, classified order is {order}"
         )
 
-    # Each layer from the one below along the descent walk w = s*x:
-    # w*t = s*(x*t) and w^-1 = x^-1*s.
+    # Each layer from the one below along the descent walk: w = s*x gives w*t = s*(x*t).
     letter, shorter = _descent_walk(length, left, des_left)
     right = np.zeros((order, n), dtype=np.int32)
-    inverse = np.zeros(order, dtype=np.int32)
     right[0] = left[0]
     for a, b in zip(layers[1:], layers[2:]):
-        s, x = letter[a:b], shorter[a:b]
-        right[a:b] = left[right[x], s[:, None]]
-        inverse[a:b] = right[inverse[x], s]
-    # Ids are weakly sorted by length, so s is a right descent of w exactly
-    # when w*s has an id below the first id of w's layer.
-    floor = np.repeat(np.array(layers[:-1], dtype=np.int32), np.diff(layers))
-    des_right = _descent_masks(right, floor)
+        right[a:b] = left[right[shorter[a:b]], letter[a:b, None]]
+    des_right = _descent_masks(right, np.array(layers))
 
     if length[-2] == length[-1]:  # ids are sorted by length, so w0 is the last
         raise InternalCheckError("longest element is not unique")
@@ -744,21 +738,21 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         length=length,
         left_mult=left,
         right_mult=right,
-        inverse=inverse,
         des_left=des_left,
         des_right=des_right,
-        longest=order - 1,
     )
     _validate(table)
     return table
 
 
-def _descent_masks(mult: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """uint16 masks of the s with ``mult[w, s] < floor[w]``, bit s for s."""
-    packed = np.packbits(mult < floor[:, None], axis=1, bitorder="little")
-    masks = packed[:, 0].astype(np.uint16)
-    if packed.shape[1] > 1:
-        masks |= packed[:, 1].astype(np.uint16) << 8
+def _descent_masks(mult: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """uint16 masks, bit s for s, of the s with ``mult[w, s]`` below the
+    first id of w's layer (``bounds``: each layer's first id, then the
+    order), which is l(mult[w, s]) < l(w) as ids are sorted by length."""
+    floor = np.repeat(bounds[:-1].astype(np.int32), np.diff(bounds))
+    masks = np.zeros(len(mult), dtype=np.uint16)
+    for s in range(mult.shape[1]):
+        masks |= (mult[:, s] < floor).astype(np.uint16) << s
     return masks
 
 
@@ -773,10 +767,6 @@ def _validate(table: GroupTable) -> None:
         # One generator column at a time, so no (order x rank) temporary.
         if not np.all(np.abs(length[table.right_mult[:, s]] - length) == 1):
             raise InternalCheckError("a generator changed length by something other than 1")
-    if not np.array_equal(table.des_left, table.des_right[table.inverse]):
-        raise InternalCheckError("left descents disagree with inverse right descents")
-    if int(table.des_right[table.longest]) != table.full_mask:
-        raise InternalCheckError("longest element is missing a right descent")
     poincare = poincare_coefficients(table.system.components)
     counts = np.bincount(table.length)
     if not np.array_equal(counts, poincare):
@@ -784,6 +774,13 @@ def _validate(table: GroupTable) -> None:
             f"length distribution {counts.tolist()} is not {poincare.tolist()}, the product "
             f"of 1 + q + ... + q^(d-1) over degrees that give {len(poincare) - 1} positive roots"
         )
+    bounds = layer_bounds(table)
+    if not np.array_equal(table.des_left, _descent_masks(table.left_mult, bounds)):
+        raise InternalCheckError("left descents disagree with left multiplication")
+    if not np.array_equal(table.des_right, _descent_masks(table.right_mult, bounds)):
+        raise InternalCheckError("right descents disagree with right multiplication")
+    if int(table.des_right[table.longest]) != table.full_mask:
+        raise InternalCheckError("longest element is missing a right descent")
 
 
 def poincare_coefficients(components) -> np.ndarray:

@@ -1,9 +1,12 @@
+import hashlib
+import struct
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from bicox.coxeter import build_group, classify_spec
+from bicox.cache import MAGIC, _parts
+from bicox.coxeter import build_group, classify_spec, descent_walk, layer_bounds
 
 
 def build(spec: str, **kwargs):
@@ -165,3 +168,43 @@ def one_line(table, w):
     for s in word(table, w):
         perm[s], perm[s + 1] = perm[s + 1], perm[s]
     return tuple(perm)
+
+
+# --- cache files -------------------------------------------------------------
+
+
+def serialize(table):
+    """The cache blob of ``table``, as ``cache.save_table`` writes it."""
+    return b"".join(_parts(table))
+
+
+def inverses(table):
+    """w^-1 for every w, one length layer at a time along the descent walk:
+    w = s*x gives w^-1 = x^-1*s."""
+    letter, shorter = descent_walk(table)
+    inverse = np.zeros(table.order, dtype=np.int32)
+    bounds = layer_bounds(table)
+    for a, b in zip(bounds[1:-1], bounds[2:]):
+        inverse[a:b] = table.right_mult[inverse[shorter[a:b]], letter[a:b]]
+    return inverse
+
+
+def serialize_v1(table, longest=None):
+    """The version-1 cache blob of ``table``, the layout written before
+    version 2: the header holds the longest-element id (``longest``, by
+    default the last id) before the length width, and the :func:`inverses`
+    follow the right multiplication."""
+    name = table.system.canonical_name.encode()
+    n, order = table.rank, table.order
+    len_width = 1 if int(table.length.max()) < 256 else 4
+    mask_dtype = "<u1" if n <= 8 else "<u2"
+    parts = [MAGIC, struct.pack("<IH", 1, len(name)), name, struct.pack("<IQ", n, order)]
+    parts += [struct.pack(f"<{n}I", *row) for row in table.system.matrix.entries]
+    parts.append(struct.pack("<IB", order - 1 if longest is None else longest, len_width))
+    parts.append(table.length.astype(f"<u{len_width}"))
+    for ids in (table.left_mult, table.right_mult, inverses(table)):
+        parts.append(ids.astype("<i4"))
+    for masks in (table.des_left, table.des_right):
+        parts.append(masks.astype(mask_dtype))
+    body = b"".join(parts)
+    return body + hashlib.sha256(body).digest()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bicox
-from bicox.cache import MAGIC, _parts, deserialize, load_table, save_table, serialize
+from bicox.cache import MAGIC, deserialize, load_table, save_table
 from bicox.cli import FACE_BUDGET, ORACLE_GATE, main, run_verification
 from bicox.complexes import TABLE_GATE, face_count
 from bicox.coxeter import (
@@ -24,7 +24,7 @@ from bicox.coxeter import (
 )
 from bicox.errors import CacheError, InternalCheckError
 
-from conftest import build
+from conftest import build, serialize, serialize_v1
 
 
 # --- cache ---------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_cache_round_trip(tmp_path, a3):
     assert loaded.order == a3.order
     assert loaded.longest == a3.longest
     assert loaded.system.canonical_name == "A3"
-    for field in ("length", "left_mult", "right_mult", "inverse", "des_left", "des_right"):
+    for field in ("length", "left_mult", "right_mult", "des_left", "des_right"):
         assert np.array_equal(getattr(loaded, field), getattr(a3, field))
     # deterministic and bit-identical after a round trip
     blob = path.read_bytes()
@@ -83,24 +83,36 @@ def test_malformed_cache_raises_cache_error(tmp_path, a2, capsys):
         assert "malformed cache file" in capsys.readouterr().err
 
 
+def offsets(table, version):
+    """Where the fields of ``table``'s cache blob of ``version`` start, for
+    a table whose lengths and masks take one byte each.  Version 1 has the
+    longest-element id before the length width and the inverse table
+    after the right multiplication."""
+    n, order, v1 = table.rank, table.order, version == 1
+    at = {"longest": len(MAGIC) + 4 + 2 + len(table.system.canonical_name) + 4 + 8 + 4 * n * n}
+    at["width"] = at["longest"] + 4 * v1
+    at["length"] = at["width"] + 1
+    at["left"] = at["length"] + order
+    at["right"] = at["left"] + 4 * order * n
+    at["inverse"] = at["right"] + 4 * order * n
+    at["des_left"] = at["inverse"] + 4 * order * v1
+    return at
+
+
 def out_of_range_blobs(a2):
     """Sealed A2 blobs whose ids or masks lie outside the table."""
     body = bytearray(serialize(a2)[:-32])
     n, order = a2.rank, a2.order
-    longest_at = len(MAGIC) + 4 + 2 + len("A2") + 4 + 8 + 4 * n * n
-    left_at = longest_at + 5 + order  # past longest, length width and lengths
-    inverse_at = left_at + 8 * order * n
-    des_left_at = inverse_at + 4 * order
+    at = offsets(a2, 2)
     patches = [
-        ("<I", longest_at, 10**6),
-        ("<I", left_at, order),
-        ("<I", inverse_at, 2**32 - 1),
-        ("<B", des_left_at, 1 << n),
+        ("<I", at["left"], order),
+        ("<I", at["right"], 2**32 - 1),
+        ("<B", at["des_left"], 1 << n),
     ]
     blobs = []
-    for fmt, at, value in patches:
+    for fmt, where, value in patches:
         bad = body.copy()
-        struct.pack_into(fmt, bad, at, value)
+        struct.pack_into(fmt, bad, where, value)
         blobs.append(seal(bad))
     return blobs
 
@@ -116,6 +128,68 @@ def test_out_of_range_cache_contents_raise_cache_error(tmp_path, a2, capsys):
         assert "Traceback" not in err
 
 
+def hostile_layout_blobs(a2):
+    """Sealed A2 blobs whose layout the loader refuses: version 1 with the
+    longest-element id out of range, or in range but not the last id, or
+    with the inverse table cut short, and a version 3 blob."""
+    v1 = bytearray(serialize_v1(a2)[:-32])
+    inverse_at = offsets(a2, 1)["inverse"]
+    cut = v1[:inverse_at + 2 * a2.order] + v1[inverse_at + 4 * a2.order:]
+    future = bytearray(serialize(a2)[:-32])
+    struct.pack_into("<I", future, len(MAGIC), 3)
+    return {
+        "longest out of range": serialize_v1(a2, longest=10**6),
+        "longest not last": serialize_v1(a2, longest=a2.order - 2),
+        "truncated inverse": seal(cut),
+        "version 3": seal(future),
+    }
+
+
+@pytest.mark.parametrize("case", ["longest out of range", "longest not last",
+                                  "truncated inverse", "version 3"])
+def test_hostile_cache_layouts_raise_cache_error(case, tmp_path, a2, capsys):
+    blob = hostile_layout_blobs(a2)[case]
+    with pytest.raises(CacheError):
+        deserialize(blob)
+    (tmp_path / "A2.gt").write_bytes(blob)
+    assert run(tmp_path, "build", "--type", "A2") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_length_width_other_than_1_or_4_raises_cache_error(version, a2):
+    """A sealed A2 blob with length width byte 7 and its lengths stored in
+    4 bytes, which a reader of "1 byte, else 4" would load."""
+    body = (serialize_v1 if version == 1 else serialize)(a2)[:-32]
+    at = offsets(a2, version)
+    wide = body[:at["width"]] + b"\x07" + a2.length.astype("<u4").tobytes() + body[at["left"]:]
+    with pytest.raises(CacheError, match="length width byte 7 is not 1 or 4"):
+        deserialize(seal(wide))
+
+
+def test_version_1_cache_still_loads_and_verifies(tmp_path, capsys):
+    """An A3 file in the version-1 layout loads as a fresh build, field by
+    field, and ``bicox verify`` prints what it prints on a fresh cache."""
+    fresh = build("A3")
+    old_dir, new_dir = tmp_path / "v1", tmp_path / "v2"
+    old_dir.mkdir()
+    (old_dir / "A3.gt").write_bytes(serialize_v1(fresh))
+    loaded = load_table(old_dir / "A3.gt")
+    assert loaded.system.matrix == fresh.system.matrix and loaded.order == fresh.order
+    for field in ("length", "left_mult", "right_mult", "des_left", "des_right"):
+        assert np.array_equal(getattr(loaded, field), getattr(fresh, field))
+    outputs = []
+    for cache_dir in (old_dir, new_dir):
+        assert run(cache_dir, "verify", "--type", "A3") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert (new_dir / "A3.gt").read_bytes() == serialize(fresh)
+
+
 def relengthened_blobs(b3):
     """Sealed B3 blobs whose lengths still rise weakly from e's 0: the last
     raised to 100,000, which no check after the loader reads, and the last
@@ -124,7 +198,7 @@ def relengthened_blobs(b3):
     last[-1] = 100_000
     moved = b3.length.copy()
     moved[np.flatnonzero(moved == 4)[-1]] = 5
-    return [b"".join(_parts(dataclasses.replace(b3, length=length))) for length in (last, moved)]
+    return [serialize(dataclasses.replace(b3, length=length)) for length in (last, moved)]
 
 
 def test_lengths_off_the_poincare_polynomial_raise_cache_error(tmp_path, b3, capsys):
@@ -163,11 +237,11 @@ def relabelled_blob(table, new_to_old):
     new = np.empty_like(old)
     new[old] = np.arange(len(old))
     renamed = types.SimpleNamespace(
-        system=table.system, rank=table.rank, order=table.order, longest=int(new[table.longest]),
+        system=table.system, rank=table.rank, order=table.order,
         length=table.length[old], des_left=table.des_left[old], des_right=table.des_right[old],
-        **{name: new[getattr(table, name)[old]] for name in ("left_mult", "right_mult", "inverse")},
+        **{name: new[getattr(table, name)[old]] for name in ("left_mult", "right_mult")},
     )
-    return b"".join(_parts(renamed))
+    return serialize(renamed)
 
 
 def test_cache_with_ids_out_of_length_order_is_malformed(tmp_path, a3, capsys):
@@ -210,7 +284,7 @@ def test_hostile_tables_fail_a_check_without_a_traceback(kind, seed, tmp_path, a
     bad = corrupted(a3, kind, seed)
     statuses = [status for _, status, _ in run_verification(bad)]
     assert "FAIL" in statuses
-    (tmp_path / "A3.gt").write_bytes(b"".join(_parts(bad)))
+    (tmp_path / "A3.gt").write_bytes(serialize(bad))
     code = run(tmp_path, "verify", "--type", "A3")
     captured = capsys.readouterr()
     assert code in (1, 2) and "Traceback" not in captured.out + captured.err
@@ -276,13 +350,14 @@ def test_concurrent_writers_leave_one_whole_file(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["B5.gt", "go", "ready-a", "ready-b"]
 
 
-BLOBS = [serialize(build(spec)) for spec in ("A2", "B3")]
+BLOBS = [serialize(build(spec)) for spec in ("A2", "B3")] + [serialize_v1(build("A2"))]
 
 
 @st.composite
 def mutated_blobs(draw):
-    """A valid A2 or B3 blob with bytes flipped, cut off or appended, and
-    resealed with a fresh digest or left with the old one."""
+    """A valid A2 or B3 blob, or a version-1 A2 blob, with bytes flipped,
+    cut off or appended, and resealed with a fresh digest or left with the
+    old one."""
     blob = draw(st.sampled_from(BLOBS))
     sealed = draw(st.booleans())
     data = bytearray(blob[:-32] if sealed else blob)
@@ -314,7 +389,7 @@ def test_tables_are_read_only(tmp_path):
     built = build("A3")  # not the shared fixture, which a write would corrupt
     loaded = load_table(save_table(built, tmp_path))
     for table in (built, loaded):
-        for field in ("length", "left_mult", "right_mult", "inverse", "des_left", "des_right"):
+        for field in ("length", "left_mult", "right_mult", "des_left", "des_right"):
             with pytest.raises(ValueError):
                 getattr(table, field)[0] = 1
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bicox.coxeter as coxeter
-from bicox.cache import VERSION, load_table, save_table, serialize
+from bicox.cache import VERSION, load_table, save_table
 from bicox.coxeter import (
     CoxeterMatrix,
     GroupTable,
@@ -29,7 +29,7 @@ from bicox.coxeter import (
 )
 from bicox.errors import CapacityError, InternalCheckError, NotFiniteError
 
-from conftest import build, down_reach, mult, word
+from conftest import build, down_reach, inverses, mult, serialize_v1, word
 
 
 # --- oracles ---------------------------------------------------------------
@@ -43,13 +43,14 @@ def closure_leq_oracle(table):
     """
     gens = {table.generator_id(s) for s in range(table.rank)}
     order = table.order
+    inverse = inverses(table)
     covers_below = [[] for _ in range(order)]
     for u in range(order):
         for v in range(order):
             if table.length[v] != table.length[u] + 1:
                 continue
-            vu = mult(table, v, int(table.inverse[u]))
-            uv = mult(table, int(table.inverse[u]), v)
+            vu = mult(table, v, int(inverse[u]))
+            uv = mult(table, int(inverse[u]), v)
             if vu in gens or uv in gens:
                 covers_below[v].append(u)
     reach = [0] * order
@@ -388,10 +389,11 @@ def test_capacity_budget():
         build_group(classify_spec("E8"))  # over the default budget
 
 
-# SHA-256 of cache.serialize(build_group(spec)), recorded from the per-element
-# dict BFS that the length-layered closure replaced: ids, arrays and blobs are
-# unchanged.  The last two were recorded from the packed uint64 keys that
-# the shared closure, coxeter._layers, replaced.
+# SHA-256 of the version-1 cache blob of build_group(spec), written by
+# conftest.serialize_v1, recorded from the per-element dict BFS that the
+# length-layered closure replaced: ids, arrays and blobs are unchanged.  The
+# last two were recorded from the packed uint64 keys that the shared
+# closure, coxeter._layers, replaced.
 GOLDEN_DIGESTS = {
     "A1": "7d1416701f487915bb876261c4a5318a8582fa0eb072f509244be1e20327f047",
     "A3": "3c8a514c94dbba51a7f231134d6fedadca40d3b6f423473d84804b5e7900b0f4",
@@ -417,18 +419,41 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
 def test_build_group_bytes_unchanged(spec, tables):
-    assert hashlib.sha256(serialize(tables(spec))).hexdigest() == GOLDEN_DIGESTS[spec]
+    assert hashlib.sha256(serialize_v1(tables(spec))).hexdigest() == GOLDEN_DIGESTS[spec]
+
+
+# SHA-256 of the version-2 cache file of build_group(spec): the version-1
+# blob above without the longest-element id and the inverse table.
+SAVED_DIGESTS = {
+    "A1": "cbe43bf8f364af259b867e8d77eda119f930a686431964627cc01fdf92511a90",
+    "A3": "87b475d26351bd006c7cd028a100270c73d91852f8bbf7b18583902b4d2419f5",
+    "B3": "eb41cd39b9284213bd78adc7b59100db07d6d4dd99add161c9d493cece3ffa34",
+    "H3": "6688acb3de70389f0e79f9ee1a34ae9fd0df037fbb692f8efbfb6f7b7bcc42d4",
+    "I2(7)": "48949222610a5cef7bfb5030f82ba10d3ee65af5837ae0569d03ad92ccb22cf5",
+    "A4": "ed7717f368d3de1bf8d6923ee1d82c9e05672219fd101061ee285391a56efb12",
+    "B4": "c73efc40a32f5743eabc5a0ce24f7d1478b1627eab2ac0267387dba84871f7cf",
+    "D4": "287e20f7b829befe901d99c335e514032d27604842298d1e15a864cc118bf37e",
+    "F4": "ae9b139a426ce6e4085e1ded2d0a7a26bc2097f56428ccd8d45bf32abdf91ea8",
+    "H4": "8b062fc6127171664f4b7125e1612fc452e73c5652dee0514c4c78dfdc0ad847",
+    "A1xA1xA1": "3347119506f4551466c3089f5e44bfcd2aff00f0090a30e3ad161f31e8132f32",
+    "D4xD4": "27be4d352c4770bb0fb7931d8f898401cefcf2466093bd02f1137b3fa57f12c3",
+    "H3xI2(7)xA3": "5f95e6df05215003f9c034149f17d43dbd608a96f2a7f0dc408626d3a7560541",
+    "E6": "4f67544e0af864d84dca46f9fb9493116294c1c802a582d9510c1ff6d53ad7a1",
+    "I2(9)xH3xA3": "3203690e1bedff2bea695bf70553a2b4317b8d1892f4cd8e22b736927919525d",
+    "A3xA3xA3": "7a5feb3c45898f7fe6ce2a1c9f93bb061e845536bd355e7e805e2f0f165073ca",
+    "I2(200)xA3": "acd62168addfd7ee085d322d3608a6f3236ae82d90c368331665aa1043576ead",
+}
 
 
 @pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
 def test_saved_file_bytes_unchanged(spec, tables, tmp_path):
     """The streamed writer puts the golden blob on disk, and the loader's
     arrays are copies that own their memory."""
-    assert VERSION == 1
+    assert VERSION == 2
     path = save_table(tables(spec), tmp_path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[spec]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_DIGESTS[spec]
     loaded = load_table(path)
-    for field in ("length", "left_mult", "right_mult", "inverse", "des_left", "des_right"):
+    for field in ("length", "left_mult", "right_mult", "des_left", "des_right"):
         arr = getattr(loaded, field)
         assert arr.flags.owndata  # so it cannot alias the file's bytes
         assert np.array_equal(arr, getattr(tables(spec), field))
@@ -452,7 +477,7 @@ def descents_by_length(table, mult):
     return (below * bits).sum(axis=1)
 
 
-# A3xA3xA3 has rank 9, so its masks need the second packed byte.
+# A3xA3xA3 has rank 9, so its masks have bits past the first byte.
 @pytest.mark.parametrize("spec", list(GOLDEN_DIGESTS))
 def test_descents_match_lengths(spec, tables):
     table = tables(spec)
@@ -550,10 +575,8 @@ def relabeled(table, new_to_old, length):
         length=np.asarray(length, dtype=coxeter.LENGTH_DTYPE)[old],
         left_mult=new[table.left_mult[old]].astype(np.int32),
         right_mult=new[table.right_mult[old]].astype(np.int32),
-        inverse=new[table.inverse[old]].astype(np.int32),
         des_left=table.des_left[old],
         des_right=table.des_right[old],
-        longest=int(new[table.longest]),
     )
 
 
@@ -631,7 +654,31 @@ def test_descents_a2_examples(a2):
 
 
 def test_inverse_descent_symmetry(b3):
-    assert np.array_equal(b3.des_left, b3.des_right[b3.inverse])
+    assert np.array_equal(b3.des_left, b3.des_right[inverses(b3)])
+
+
+@pytest.mark.parametrize("side", ["des_left", "des_right"])
+def test_validate_rejects_a_flipped_descent_bit(side, b3):
+    """B3 with one descent bit flipped on an element other than e and w0:
+    the masks no longer match the multiplication, and _validate says so."""
+    w = b3.order // 2
+    masks = getattr(b3, side).copy()
+    masks[w] ^= 1 << 1
+    bad = dataclasses.replace(b3, **{side: masks})
+    with pytest.raises(InternalCheckError, match=f"{side[4:]} descents disagree"):
+        _validate(bad)
+
+
+def test_table_stores_no_inverse_and_derives_w0(tables):
+    """A table holds only what a command reads: no inverse, and w0 is the
+    last id, the one element of the top length."""
+    assert {f.name for f in dataclasses.fields(GroupTable)} == {
+        "system", "order", "length", "left_mult", "right_mult", "des_left", "des_right",
+    }
+    for spec in ("A1", "B3", "I2(7)", "A1xA1xA1"):
+        table = tables(spec)
+        assert table.longest == table.order - 1
+        assert np.flatnonzero(table.length == table.length.max()).tolist() == [table.longest]
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
@@ -721,8 +768,9 @@ def test_word_walk_is_bounded(a2):
 
 
 def test_mult(b3):
+    inverse = inverses(b3)
     for w in range(b3.order):
-        assert mult(b3, w, int(b3.inverse[w])) == 0
+        assert mult(b3, w, int(inverse[w])) == 0
         assert mult(b3, 0, w) == w
         assert mult(b3, w, 0) == w
     for s in range(b3.rank):
