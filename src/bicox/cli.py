@@ -71,7 +71,7 @@ EXIT_CAPACITY = 3
 
 HEAVY_ORDER = 1_000_000
 FACE_BUDGET = 500_000  # most faces export draws
-ORACLE_GATE = 5 * 10**10  # most multiply-adds of the double-quotient oracle: E7 makes 4.8e10
+ORACLE_GATE = 5 * 10**10  # most oracle cost, 4^n |W| (E7: 4.8e10): its 4^n |classes| at least
 
 
 def default_cache_dir() -> Path:
@@ -132,7 +132,8 @@ def run_verification(table):
     A check that raises :class:`InternalCheckError` is recorded as FAIL with
     the error text, and the remaining checks still run.  The double-quotient
     oracle is SKIP, with the gate's text, past :data:`ORACLE_GATE`
-    multiply-adds, 4^n |W|: it never reads the table of representatives.
+    multiply-adds, counted as 4^n |W|, a bound on its class product's
+    4^n |classes|: it never reads the table of representatives.
     Over the table gate (:func:`~bicox.complexes.check_table_gate`) the
     complex is a SKIP line with that gate's text, which ends the report.
     """
@@ -169,7 +170,7 @@ def run_verification(table):
     except BicoxError as err:
         record("gamma-reconstruction", False, str(err))
 
-    cost = 4**n * table.order  # the descent product's, at least the class product's 4^n |classes|
+    cost = 4**n * table.order  # at least the class product's 4^n |classes|
     try:
         check_budget(table.system.canonical_name, cost, ORACLE_GATE, "oracle multiply-adds")
     except CapacityError as err:

@@ -17,9 +17,9 @@ sits inside as the upper order ideal of faces with empty left subset.
 Faces are stored packed: (I, w, J) is X * |W| + w with X = I << n | J, its
 flat position in ``reps`` reshaped to (4^n, |W|), and the complex is the
 ascending array of the fixed points of ``reps``.  Every reader of the
-faces, the checks, the labels and the exports alike, takes them packed,
-and the covers of packed faces are one array of table gathers,
-:meth:`TwoSidedComplex.covers`.
+faces, the checks, the labels and the exports alike, takes them packed
+and reads (I, w, J) back through :func:`unpack`, and the covers of
+packed faces are one array of table gathers, :meth:`TwoSidedComplex.covers`.
 Every gather over ``reps`` is a flat ``take`` on the raveled table, row X
 starting at X * |W|.  The build, boolean and shelling read the table in
 ascending blocks of rows (:func:`~bicox.cosets.blocks`), so no index array
@@ -85,6 +85,12 @@ def check_table_gate(table: GroupTable) -> None:
     closes, each of :func:`~bicox.cosets.rep_dtype`."""
     size = 4**table.rank * table.order * rep_dtype(table.order).itemsize
     check_budget(table.system.canonical_name, size, TABLE_GATE, "table bytes")
+
+
+def unpack(table: GroupTable, packed: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(I, w, J) of faces packed as X * |W| + w with X = I << n | J."""
+    x, w = np.divmod(packed, table.order)
+    return x >> table.rank, w, x & table.full_mask
 
 
 class TwoSidedComplex:
@@ -226,8 +232,8 @@ def verify_partition(cx: TwoSidedComplex) -> bool:
     faces = cx.faces
     free_l, free_r = descent_free(cx.table)
     for part in blocks(len(faces), 1):
-        x, w = np.divmod(faces[part], cx.table.order)
-        if not (free_l[x >> cx.rank, w] & free_r[x & cx.table.full_mask, w]).all():
+        gens_l, w, gens_r = unpack(cx.table, faces[part])
+        if not (free_l[gens_l, w] & free_r[gens_r, w]).all():
             return False
     return (faces[1:] > faces[:-1]).all() and len(faces) == face_count(cx.table)
 
@@ -443,7 +449,7 @@ def face_labels(cx: TwoSidedComplex, packed: np.ndarray) -> list[str]:
     is built once, and so is each element's word, in ascending ids along
     the :func:`~bicox.coxeter.descent_walk` as s + the word of s.w."""
     n, full = cx.rank, cx.table.full_mask
-    pairs, w = np.divmod(packed, cx.table.order)
+    gens_l, w, gens_r = unpack(cx.table, packed)
     masks = ["".join(str(s + 1) for s in range(n) if x >> s & 1) or "-" for x in range(full + 1)]
     letter, shorter = descent_walk(cx.table)
     top = int(w.max(initial=0)) + 1
@@ -451,8 +457,8 @@ def face_labels(cx: TwoSidedComplex, packed: np.ndarray) -> list[str]:
     for s, x in zip(letter[1:top].tolist(), shorter[1:top].tolist()):
         words.append(f"s{s + 1}" + words[x])
     return [
-        f"({masks[x >> n]}|{words[u] or 'e'}|{masks[x & full]})"
-        for x, u in zip(pairs.tolist(), w.tolist())
+        f"({masks[i]}|{words[u] or 'e'}|{masks[j]})"
+        for i, u, j in zip(gens_l.tolist(), w.tolist(), gens_r.tolist())
     ]
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import TwoSidedComplex
+from .complexes import TwoSidedComplex, unpack
 from .coxeter import GroupTable, descent_walk, layer_bounds, popcount_table
 from .errors import CapacityError, InternalCheckError
 from .cosets import descent_free
@@ -88,8 +88,7 @@ class SymmetricGroupFaces:
         i, the row block of the value w(i), when [n] is cut at the gaps
         outside I, and the column block of i, when cut at the gaps outside
         J.  Row 0 is the bottom row."""
-        x, w = np.divmod(packed, self.table.order)
-        left, right = x >> self.table.rank, x & self.table.full_mask
+        left, w, right = unpack(self.table, packed)
         return self._block_of[left[:, None], self._one_line[w] - 1], self._block_of[right]
 
     def drawn(self, packed: np.ndarray) -> list[list[list[int]]]:
@@ -264,12 +263,11 @@ def verify_refinement_isomorphism(cx: TwoSidedComplex) -> bool:
     each a sorted array of distinct low * F + high over the F faces.
     """
     model = SymmetricGroupFaces(cx.table)
-    n, order = model.n, cx.table.order
+    n = model.n
     if n > 8:
         raise CapacityError(f"a contingency key holds at most 8 balls, not {n}")
     count = len(cx.faces)
-    x, w = np.divmod(cx.faces, order)
-    left, right = x >> cx.rank, x & cx.table.full_mask
+    left, w, right = unpack(cx.table, cx.faces)
     keys = _keys(*model.balls(cx.faces))
     sorter = np.argsort(keys)
     ordered = keys[sorter]

@@ -6,17 +6,17 @@ from I and Des_R(u) disjoint from J; moreover u lies below every coset member
 in the two-sided weak order.  Cosets are therefore canonicalized as triples
 (I, u, J) with u minimal, and never stored as element sets.  That test for
 every mask at once is :func:`descent_free`, which the checks in
-:mod:`bicox.complexes` read; the all-pairs descent filter below makes it
-one block of ids at a time.  The embedding check of :mod:`bicox.complexes`
+:mod:`bicox.complexes` read.  The embedding check of :mod:`bicox.complexes`
 reads :func:`right_coset_minima`, the right cosets x.W_J closed over the
 columns x.s (s in J) of ``right_mult``, each element labelled with the
 least id of its coset.
 
 :func:`verify_double_quotients` checks every pair (I, J) at once: the
-descent filter as one matrix product, built a block of ids at a time,
-against Mackey's formula for permutation characters (Geck-Pfeiffer,
+descent filter |^I W^J|, which is the flag f-table entry f[S - I][S - J]
+(the subset-sum kernel behind :func:`bicox.enumeration.flag_f`), against
+Mackey's formula for permutation characters (Geck-Pfeiffer,
 *Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras*, 2000),
-which reads no descent set either:
+which reads no descent set:
 
     |W_I\\W/W_J| = <1^W_I, 1^W_J>
                 = sum over conjugacy classes C of
@@ -35,8 +35,9 @@ every x and s; every w other than e must have its least right neighbour
 one shorter, so the support pass leads down to e; and supp(s.x) must lie
 within supp(x) | {s} for every x and s, which makes each W_J closed
 under left multiplication by J.  The oracle never reads the table of
-representatives, so ``bicox verify`` gives it its own gate, on its
-4^n |W| multiply-adds, past the complex's table gate.
+representatives, so ``bicox verify`` gives it its own gate past the
+complex's table gate, on 4^n |W|: a bound on the 4^n |classes|
+multiply-adds of the class product.
 
 The table of minimal representatives, :func:`minimal_rep_table`, is the
 left minima of the right minima: min(W_I w W_J) = min(W_I.min(w.W_J)).
@@ -56,6 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coxeter import GroupTable, layer_bounds
+from .enumeration import _census, _subset_transform
 from .errors import InternalCheckError
 
 
@@ -176,23 +178,6 @@ def _numbered(labels: np.ndarray) -> np.ndarray:
     return (np.cumsum(labels == np.arange(len(labels))) - 1)[labels]
 
 
-def _descent_counts(table: GroupTable) -> np.ndarray:
-    """counts[I, J] = :func:`double_quotient_size`, every pair at once:
-    a product of the left and right descent-free indicators, each built
-    for one of :func:`blocks` of ids and multiplied there, so no
-    (2^n, |W|) array is held.  The products are summed in float32, or in
-    float64 past 2^24 elements: every partial sum of their 0/1 terms is an
-    integer of at most |W|, so exact."""
-    masks = np.arange(table.full_mask + 1, dtype=table.des_left.dtype)[:, None]
-    exact = np.float32 if table.order <= 1 << 24 else np.float64
-    counts = np.zeros((len(masks), len(masks)), dtype=exact)
-    for ids in blocks(table.order, len(masks)):
-        free_l = ((masks & table.des_left[ids]) == 0).astype(exact)
-        free_r = ((masks & table.des_right[ids]) == 0).astype(exact)
-        counts += free_l @ free_r.T
-    return counts.astype(np.int64)
-
-
 def _supports(table: GroupTable) -> np.ndarray:
     """Entry w: supp(w), the mask of the generators in a reduced word of w.
 
@@ -298,11 +283,14 @@ def verify_double_quotients(table: GroupTable, f) -> bool:
     """Whether the flag f-table entry ``f[S - I][S - J]`` is |^I W^J| for
     every pair I, J.
 
-    Two counts are made for all pairs at once: the descent filter, and
+    Two counts are made for all pairs at once: the descent filter, read
+    from the table's own f-table (f[S - I][S - J] counts the w with Des_L(w)
+    within S - I and Des_R(w) within S - J, one per double coset), and
     |W_I\\W/W_J| = sum over classes C of |C & W_I| |C & W_J| |W| / (|C|
     |W_I| |W_J|) (:func:`_character_counts`), which reads no descent set
     and is exact, every partial sum being an integer of at most |W|^2.
-    Both hold no (2^n, |W|) array.  Before any pair, every class size must
+    Neither holds a (2^n, |W|) array.  A caller's ``f`` that is not the
+    table's own gives False.  Before any pair, every class size must
     divide |W|, and three consistency clauses must hold: (s.x).s = s.(x.s)
     for every x and s; every w other than e has its least right neighbour
     one shorter; and supp(s.x) lies within supp(x) | {s} for every x and
@@ -311,7 +299,7 @@ def verify_double_quotients(table: GroupTable, f) -> bool:
     mismatch or a non-integer count (printed as a reduced p/q) raises
     :class:`InternalCheckError`, and otherwise the answer is False.
     """
-    by_descents = _descent_counts(table)
+    by_descents = _subset_transform(_census(table), table.rank, inverse=False)[::-1, ::-1]
     num, den = _character_counts(table)
     by_characters, rest = np.divmod(num, den)
     bad = (rest != 0) | (by_characters != by_descents)

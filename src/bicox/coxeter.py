@@ -730,8 +730,6 @@ def build_group(system: CoxeterSystem, budget: int = DEFAULT_BUDGET) -> GroupTab
         right[a:b] = left[right[shorter[a:b]], letter[a:b, None]]
     des_right = _descent_masks(right, np.array(layers))
 
-    if length[-2] == length[-1]:  # ids are sorted by length, so w0 is the last
-        raise InternalCheckError("longest element is not unique")
     table = GroupTable(
         system=system,
         order=order,
@@ -774,13 +772,12 @@ def _validate(table: GroupTable) -> None:
             f"length distribution {counts.tolist()} is not {poincare.tolist()}, the product "
             f"of 1 + q + ... + q^(d-1) over degrees that give {len(poincare) - 1} positive roots"
         )
+    # Its top coefficient is 1: w0 is the one last id, and every neighbour of it is shorter.
     bounds = layer_bounds(table)
     if not np.array_equal(table.des_left, _descent_masks(table.left_mult, bounds)):
         raise InternalCheckError("left descents disagree with left multiplication")
     if not np.array_equal(table.des_right, _descent_masks(table.right_mult, bounds)):
         raise InternalCheckError("right descents disagree with right multiplication")
-    if int(table.des_right[table.longest]) != table.full_mask:
-        raise InternalCheckError("longest element is missing a right descent")
 
 
 def poincare_coefficients(components) -> np.ndarray:

@@ -291,6 +291,19 @@ def test_hostile_tables_fail_a_check_without_a_traceback(kind, seed, tmp_path, a
     assert code == 2 or "\nFAIL " in captured.out
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A2xA1", "A4", "F4"])
+def test_oracle_fails_every_seeded_corruption(spec, tables):
+    """The double-quotient oracle FAILs each of eight seeded corruptions
+    per field (:func:`corrupted`), 192 over the six groups, through
+    ``run_verification``, which raises nothing for any of them."""
+    table = tables(spec)
+    for kind in ("des_left", "des_right", "left_mult", "right_mult"):
+        for seed in range(8):
+            results = run_verification(corrupted(table, kind, seed))
+            lines = {name: status for name, status, _ in results}
+            assert lines["double-quotient-oracle"] == "FAIL", (kind, seed)
+
+
 def test_failed_save_keeps_earlier_file(tmp_path, a3, monkeypatch):
     path = tmp_path / "A3.gt"
     path.write_bytes(b"earlier")

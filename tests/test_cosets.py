@@ -9,7 +9,6 @@ import pytest
 
 from bicox.cosets import (
     _character_counts,
-    _descent_counts,
     _supports,
     descent_free,
     double_quotient_size,
@@ -124,7 +123,7 @@ def pair_loop(table, gens_l, gens_r):
 def sweep_check(table, f):
     """The sweep reference of the double-quotient oracle: whether the descent
     filter, :func:`sweep_counts` and ``f[S - I][S - J]`` agree at every pair."""
-    by_descents = _descent_counts(table)
+    by_descents = np.asarray(flag_f(table))[::-1, ::-1]
     by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in range(table.full_mask + 1)]).T
     by_f = np.asarray(f)[::-1, ::-1]
     return np.array_equal(by_sweep, by_descents) and np.array_equal(by_f, by_descents)
@@ -267,22 +266,6 @@ def test_right_coset_minima_are_the_minimal_representatives(spec, tables):
         assert np.array_equal(right_coset_minima(table, gens_r), reps[0, gens_r]), gens_r
 
 
-def test_descent_counts_hold_no_float64_copy(tables):
-    """H4's (16, 14,400) indicators are multiplied in four blocks of at
-    most 4,096 ids, in float32: the counts are every pair's descent
-    filter, and the product holds under 2 MiB."""
-    table = tables("H4")
-    tracemalloc.start()
-    try:
-        counts = _descent_counts(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
-    masks = range(table.full_mask + 1)
-    assert counts.tolist() == [[double_quotient_size(table, i, j) for j in masks] for i in masks]
-
-
 def test_character_counts_hold_no_subgroup_rows(tables):
     """H4's 16 subgroups W_J are counted from one support per element,
     with no (16, 14,400) array of rows: the count holds under 2 MiB."""
@@ -294,7 +277,8 @@ def test_character_counts_hold_no_subgroup_rows(tables):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
-    assert np.array_equal(num // den, _descent_counts(table)) and not (num % den).any()
+    by_descents = np.asarray(flag_f(table))[::-1, ::-1]
+    assert np.array_equal(num // den, by_descents) and not (num % den).any()
 
 
 @pytest.mark.parametrize("spec", ["A3", "F4", "H4", "I2(101)xA1"])
@@ -556,7 +540,7 @@ def test_character_counts_match_sweep_and_descents(spec, tables):
     assert not (num % den).any()
     by_sweep = np.array([sweep_counts(table, gens_r) for gens_r in range(table.full_mask + 1)]).T
     assert np.array_equal(num // den, by_sweep)
-    assert np.array_equal(num // den, _descent_counts(table))
+    assert np.array_equal(num // den, np.asarray(flag_f(table))[::-1, ::-1])
     blind = dataclasses.replace(
         table, des_left=np.zeros_like(table.des_left), des_right=np.zeros_like(table.des_right)
     )
